@@ -23,15 +23,21 @@ from enum import Enum
 from typing import Iterable
 
 from .classify import RadicandClass, RadicandForm
-from .cyclotomic import CycInt, LAMBDA, congruent_mod_lambda_pow, div_lambda_exact
+from .cyclotomic import (
+    CycInt,
+    LAMBDA,
+    congruent_mod_lambda_pow,
+    div_lambda_exact,
+    lambda_inverse,
+)
 from .primes import (
     DEFAULT_UNIT_BOUND,
     PrimeElement,
     PrimeKind,
     UnitWord,
     UnsupportedPrimeError,
-    iter_units,
-    unit_residues_mod_lambda_pow,
+    first_unit_hit,
+    unit_image_hits,
 )
 
 
@@ -537,22 +543,16 @@ def find_h1(
 ) -> H1Witness:
     """Joint bounded search for (h, u) with u * pi_1 * w^h = +-1, +-7 (mod lambda^5).
 
-    Scans h ascending, units in the normalize_associate order, and returns
-    the first hit.  On exhaustion the failure is classified before raising:
-    no silent default is ever produced.
+    Takes h ascending and, for each h, the first unit of the normalize_associate
+    scan order that meets a target, found by looking up t * (pi_1*w^h)^-1.
+    For w = lambda the valuation proof is raised without any lookup.  On
+    exhaustion the failure is classified before raising: no silent default
+    is ever produced.
     """
     if pi1.kind is not PrimeKind.SPLIT:
         raise UnsupportedPrimeError("pi_1 must be a split prime")
     if w.kind not in (PrimeKind.INERT, PrimeKind.LAMBDA):
         raise UnsupportedPrimeError("w must be an inert prime or lambda")
-    targets = [CycInt(r) for r in _H1_TARGETS]
-    for h in range(1, 5):
-        wh = w.value ** h
-        for word, u in iter_units(unit_bound):
-            v = u * pi1.value * wh
-            for r, t in zip(_H1_TARGETS, targets):
-                if congruent_mod_lambda_pow(v, t, 5):
-                    return H1Witness(h, u, word, r, v)
     fallback = norm_condition_h1(pi1.rational_below, w, e)
     if w.kind is PrimeKind.LAMBDA:
         raise H1SearchExhausted(
@@ -562,19 +562,24 @@ def find_h1(
             proven_impossible=True,
             norm_condition_h1=fallback,
         )
-    unit_image = unit_residues_mod_lambda_pow(5).values()
+    targets = [CycInt(r) for r in _H1_TARGETS]
+    inverses = []
     for h in range(1, 5):
         wh = w.value ** h
-        for urep in unit_image:
-            v = urep * pi1.value * wh
-            for t in targets:
-                if congruent_mod_lambda_pow(v, t, 5):
-                    raise H1SearchExhausted(
-                        f"a witness exists at h={h} but its unit lies beyond the"
-                        f" scan bound {unit_bound}",
-                        proven_impossible=False,
-                        norm_condition_h1=fallback,
-                    )
+        inverse = lambda_inverse(pi1.value * wh, 5)
+        hit = first_unit_hit(inverse, 5, targets, unit_bound)
+        if hit is not None:
+            word, u, i = hit
+            return H1Witness(h, u, word, _H1_TARGETS[i], u * pi1.value * wh)
+        inverses.append(inverse)
+    for h, inverse in enumerate(inverses, start=1):
+        if unit_image_hits(inverse, 5, targets):
+            raise H1SearchExhausted(
+                f"a witness exists at h={h} but its unit lies beyond the"
+                f" scan bound {unit_bound}",
+                proven_impossible=False,
+                norm_condition_h1=fallback,
+            )
     raise H1SearchExhausted(
         f"no unit in the full image mod lambda^5 makes u*pi_1*{w.rational_below}^h"
         " congruent to +-1, +-7 for any h in 1..4; the congruence is impossible",

@@ -8,7 +8,8 @@ floats.
 
 The ramified prime above 5 is lambda = 1 - zeta; 5 itself is a unit times
 lambda^4.  The residue field Z[zeta]/(lambda) has five elements, realised by
-the evaluation zeta -> 1.
+the evaluation zeta -> 1.  A class modulo lambda^k is labelled by one integer,
+``lambda_key``, and every lambda-adic decision compares such labels.
 """
 
 from __future__ import annotations
@@ -66,19 +67,30 @@ class CycInt:
     def is_zero(self) -> bool:
         return self._c == (0, 0, 0, 0)
 
+    # Operands other than int and CycInt give NotImplemented, so Python raises
+    # TypeError instead of letting a float into the coordinates.
+
     def __add__(self, other: IntoCycInt) -> "CycInt":
-        o = other if isinstance(other, CycInt) else CycInt(other)
-        a, b = self._c, o._c
+        if isinstance(other, int):
+            other = CycInt(other)
+        elif not isinstance(other, CycInt):
+            return NotImplemented
+        a, b = self._c, other._c
         return CycInt(a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
 
     __radd__ = __add__
 
     def __sub__(self, other: IntoCycInt) -> "CycInt":
-        o = other if isinstance(other, CycInt) else CycInt(other)
-        a, b = self._c, o._c
+        if isinstance(other, int):
+            other = CycInt(other)
+        elif not isinstance(other, CycInt):
+            return NotImplemented
+        a, b = self._c, other._c
         return CycInt(a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
 
     def __rsub__(self, other: IntoCycInt) -> "CycInt":
+        if not isinstance(other, int):
+            return NotImplemented
         return (-self) + other
 
     def __neg__(self) -> "CycInt":
@@ -89,6 +101,8 @@ class CycInt:
         if isinstance(other, int):
             a = self._c
             return CycInt(a[0] * other, a[1] * other, a[2] * other, a[3] * other)
+        if not isinstance(other, CycInt):
+            return NotImplemented
         a, b = self._c, other._c
         v = [0, 0, 0, 0, 0, 0, 0]
         for i in range(4):
@@ -284,9 +298,56 @@ def lambda_expand(x: CycInt, k: int) -> LambdaExpansion:
     return LambdaExpansion(tuple(digits))
 
 
+def lambda_key(x: CycInt, k: int) -> int:
+    """An integer in range(5^k) labelling the class of x modulo lambda^k.
+
+    With zeta = 1 - lambda, x = a0 + a1*lambda + a2*lambda^2 + a3*lambda^3
+    for integers a_j, and lambda^j * 5^e has valuation 4e + j.  These
+    valuations differ mod 4, so x lies in (lambda^k) exactly when each a_j is
+    divisible by 5^ceil((k-j)/4).  The key packs the a_j modulo those powers,
+    whose product is 5^k, in mixed radix; key 0 is the class of 0.
+    """
+    if k < 1:
+        raise ValueError("expansion length must be at least 1")
+    c0, c1, c2, c3 = x.coords
+    m0, m1, m2, m3 = (5 ** ((k - j + 3) // 4) for j in range(4))
+    a0 = (c0 + c1 + c2 + c3) % m0
+    a1 = -(c1 + 2 * c2 + 3 * c3) % m1
+    a2 = (c2 + 3 * c3) % m2
+    a3 = -c3 % m3
+    return a0 + m0 * (a1 + m1 * (a2 + m2 * a3))
+
+
 def congruent_mod_lambda_pow(x: CycInt, y: CycInt, k: int) -> bool:
-    """True iff x and y agree modulo the ideal (lambda^k)."""
-    return lambda_expand(x - y, k).is_zero()
+    """True iff x and y agree modulo the ideal (lambda^k): their keys are equal."""
+    return lambda_key(x - y, k) == 0
+
+
+def _reduce_coords(x: CycInt, m: int) -> CycInt:
+    c = x.coords
+    return CycInt(c[0] % m, c[1] % m, c[2] % m, c[3] % m)
+
+
+def lambda_inverse(x: CycInt, k: int) -> CycInt:
+    """An inverse of x modulo lambda^k, for x coprime to lambda.
+
+    (Z[zeta]/lambda^k)^* has order 4*5^(k-1), so x^(4*5^(k-1) - 1) inverts
+    x.  The power is taken with coordinates reduced mod 5^ceil(k/4), which
+    lies in (lambda^k), so the result stays small.
+    """
+    if lambda_residue(x) == 0:
+        raise ValueError(f"{x!r} is not invertible modulo lambda")
+    m = 5 ** ((k + 3) // 4)
+    n = 4 * 5 ** (k - 1) - 1
+    result = ONE
+    base = _reduce_coords(x, m)
+    while n:
+        if n & 1:
+            result = _reduce_coords(result * base, m)
+        n >>= 1
+        if n:
+            base = _reduce_coords(base * base, m)
+    return result
 
 
 def _lambda_power_basis(k: int) -> list[CycInt]:
@@ -307,11 +368,17 @@ def iter_residues_mod_lambda_pow(k: int) -> Iterator[CycInt]:
         yield x
 
 
-def fifth_power_solvable_mod_lambda(theta: CycInt, k: int) -> bool:
-    """Decide x^5 = theta (mod lambda^k) by exhausting the 5^k residues.
+# Keys of the fifth powers of units modulo lambda^k, filled per k on first use.
+_FIFTH_POWER_KEYS: dict[int, frozenset[int]] = {}
 
-    Requires lambda coprime to theta and k <= 8; the enumeration skips
-    residues divisible by lambda since their fifth powers vanish mod lambda.
+
+def fifth_power_solvable_mod_lambda(theta: CycInt, k: int) -> bool:
+    """Decide x^5 = theta (mod lambda^k) by looking up theta's key.
+
+    Requires lambda coprime to theta and k <= 8.  Since
+    (a + lambda^m*y)^5 = a^5 (mod lambda^(m+4)), x^5 mod lambda^k depends
+    only on x mod lambda^max(1, k-4); the keys of those at most 500 fifth
+    powers are computed once per k.
     """
     if k < 1:
         raise ValueError("modulus exponent must be at least 1")
@@ -319,10 +386,12 @@ def fifth_power_solvable_mod_lambda(theta: CycInt, k: int) -> bool:
         raise ValueError("modulus exponent beyond supported bound 8")
     if lambda_residue(theta) == 0:
         raise ValueError("theta must be coprime to lambda")
-    target = lambda_expand(theta, k).digits
-    for x in iter_residues_mod_lambda_pow(k):
-        if lambda_residue(x) == 0:
-            continue
-        if lambda_expand(x ** 5, k).digits == target:
-            return True
-    return False
+    keys = _FIFTH_POWER_KEYS.get(k)
+    if keys is None:
+        keys = frozenset(
+            lambda_key(x ** 5, k)
+            for x in iter_residues_mod_lambda_pow(max(1, k - 4))
+            if lambda_residue(x)
+        )
+        _FIFTH_POWER_KEYS[k] = keys
+    return lambda_key(theta, k) in keys

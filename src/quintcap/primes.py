@@ -13,6 +13,9 @@ Conventions fixed by this module (recorded in reports):
   - the unit group of Z[zeta] is (+-zeta^a) * (1+zeta)^t; 1+zeta has norm 1
     and generates the units modulo torsion, so scanning a in 0..4, t in
     -B..B, both signs, covers every associate class the search bound allows.
+    Searches over that scan are table lookups: u*b = t (mod lambda^k) holds
+    exactly when u lies in the class of t * b^-1, and each class remembers
+    the first unit of the scan that lies in it.
 """
 
 from __future__ import annotations
@@ -26,9 +29,10 @@ from .cyclotomic import (
     LAMBDA,
     ONE,
     ZETA,
-    congruent_mod_lambda_pow,
     gcd,
     lambda_expand,
+    lambda_inverse,
+    lambda_key,
 )
 
 
@@ -39,9 +43,9 @@ class UnsupportedPrimeError(ValueError):
 class AssociateNotFound(Exception):
     """The bounded associate search failed.
 
-    ``proven_impossible`` distinguishes a finished decision procedure (the
-    full image of the unit group modulo lambda^k was enumerated and no
-    element works) from exhaustion of the scan bound.
+    ``proven_impossible`` distinguishes a finished decision procedure (no
+    element of the full image of the unit group modulo lambda^k works) from
+    exhaustion of the scan bound.
     """
 
     def __init__(self, message: str, *, proven_impossible: bool) -> None:
@@ -77,18 +81,40 @@ class SplittingData:
     root: int | None
 
 
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# The least strong pseudoprime to all thirteen bases above (Sorenson and
+# Webster 2015), 1287836182261 * 2575672364521; below it the test is proven.
+MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
 def is_rational_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin over the first 13 prime bases.
+
+    Raises ValueError for n >= MILLER_RABIN_BOUND, where those bases no
+    longer decide primality.
+    """
+    if n >= MILLER_RABIN_BOUND:
+        raise ValueError(
+            f"primality is not decided at or above {MILLER_RABIN_BOUND}"
+        )
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MILLER_RABIN_BASES:
+        if n % b == 0:
+            return n == b
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -220,29 +246,76 @@ def iter_units(bound: int = DEFAULT_UNIT_BOUND) -> Iterator[tuple[UnitWord, CycI
                 yield UnitWord(a, t, sign), (base if sign > 0 else -base)
 
 
+# Lookup tables, filled on first use and never rebuilt.  Keys are lambda_key
+# labels unless stated otherwise.
+_UNIT_IMAGE: dict[int, dict[tuple[int, ...], CycInt]] = {}  # digit-tuple keys
+_UNIT_IMAGE_KEYS: dict[int, frozenset[int]] = {}
+_FIRST_UNITS: dict[tuple[int, int], dict[int, tuple[int, UnitWord, CycInt]]] = {}
+
+
 def unit_residues_mod_lambda_pow(k: int) -> dict[tuple[int, ...], CycInt]:
     """The full image of the unit group in (Z[zeta]/lambda^k)^*.
 
-    Computed by closure under the generators; the keys are canonical digit
-    tuples, the values small representatives.  Used to turn a failed bounded
-    search into a finished impossibility proof.
+    Computed once per k by closure under the generators and returned as a
+    copy; the keys are canonical digit tuples, the values small
+    representatives.  Used to turn a failed bounded search into a finished
+    impossibility proof.
     """
-    gens = (-ONE, ZETA, ONE_PLUS_ZETA, _INV_ONE_PLUS_ZETA)
-    seed = lambda_expand(ONE, k)
-    seen: dict[tuple[int, ...], CycInt] = {seed.digits: ONE}
-    frontier = [ONE]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                key = lambda_expand(y, k).digits
-                if key not in seen:
-                    rep = lambda_expand(y, k).reassemble()
-                    seen[key] = rep
-                    nxt.append(rep)
-        frontier = nxt
-    return seen
+    image = _UNIT_IMAGE.get(k)
+    if image is None:
+        gens = (-ONE, ZETA, ONE_PLUS_ZETA, _INV_ONE_PLUS_ZETA)
+        seed = lambda_expand(ONE, k)
+        image = {seed.digits: ONE}
+        frontier = [ONE]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for g in gens:
+                    y = x * g
+                    key = lambda_expand(y, k).digits
+                    if key not in image:
+                        rep = lambda_expand(y, k).reassemble()
+                        image[key] = rep
+                        nxt.append(rep)
+            frontier = nxt
+        _UNIT_IMAGE[k] = image
+    return dict(image)
+
+
+def first_unit_hit(
+    inverse: CycInt, k: int, targets: Sequence[CycInt], bound: int
+) -> tuple[UnitWord, CycInt, int] | None:
+    """The first unit u of ``iter_units(bound)`` with u*b = t (mod lambda^k).
+
+    ``inverse`` is b^-1 mod lambda^k.  Returns (word, unit, i) for the
+    earliest unit and, among its targets, the first ``targets[i]`` it meets;
+    None if no scanned unit meets any target.
+    """
+    table = _FIRST_UNITS.get((k, bound))
+    if table is None:
+        table = {}
+        for index, (word, u) in enumerate(iter_units(bound)):
+            table.setdefault(lambda_key(u, k), (index, word, u))
+        _FIRST_UNITS[(k, bound)] = table
+    hits = []
+    for i, t in enumerate(targets):
+        entry = table.get(lambda_key(t * inverse, k))
+        if entry is not None:
+            index, word, u = entry
+            hits.append((index, i, word, u))
+    if not hits:
+        return None
+    _, i, word, u = min(hits, key=lambda hit: hit[:2])
+    return word, u, i
+
+
+def unit_image_hits(inverse: CycInt, k: int, targets: Sequence[CycInt]) -> bool:
+    """True iff some unit u, unbounded, has u*b = t (mod lambda^k) for a target t."""
+    keys = _UNIT_IMAGE_KEYS.get(k)
+    if keys is None:
+        keys = frozenset(lambda_key(u, k) for u in unit_residues_mod_lambda_pow(k).values())
+        _UNIT_IMAGE_KEYS[k] = keys
+    return any(lambda_key(t * inverse, k) in keys for t in targets)
 
 
 def _coerce_targets(targets: Iterable[int | CycInt]) -> list[CycInt]:
@@ -270,29 +343,27 @@ def normalize_associate(
 ) -> AssociateNormalization:
     """Find a unit u with u*pi congruent to one of ``targets`` mod lambda^k.
 
-    Scans the bounded unit family in the fixed order and returns the first
-    hit.  On failure the full unit-image subgroup mod lambda^k is enumerated:
-    if no subgroup element works either, the congruence is impossible for
-    every associate, and AssociateNotFound carries proven_impossible=True.
+    Returns the first hit of the bounded unit family in the fixed scan
+    order, found by looking up t * pi^-1 for each target t.  On failure the
+    full unit-image subgroup mod lambda^k is consulted: if no subgroup
+    element works either, the congruence is impossible for every associate,
+    and AssociateNotFound carries proven_impossible=True.
     """
     if pi.kind is not PrimeKind.SPLIT:
         raise UnsupportedPrimeError("associate normalisation is defined for split primes")
     if not 1 <= k <= 5:
         raise ValueError("modulus exponent must be in 1..5")
     target_vals = _coerce_targets(targets)
-    for word, u in iter_units(bound):
-        v = u * pi.value
-        for t in target_vals:
-            if congruent_mod_lambda_pow(v, t, k):
-                return AssociateNormalization(u, word, v, t)
-    for urep in unit_residues_mod_lambda_pow(k).values():
-        v = urep * pi.value
-        for t in target_vals:
-            if congruent_mod_lambda_pow(v, t, k):
-                raise AssociateNotFound(
-                    f"a unit exists mod lambda^{k} but lies outside the scan bound {bound}",
-                    proven_impossible=False,
-                )
+    inverse = lambda_inverse(pi.value, k)
+    hit = first_unit_hit(inverse, k, target_vals, bound)
+    if hit is not None:
+        word, u, i = hit
+        return AssociateNormalization(u, word, u * pi.value, target_vals[i])
+    if unit_image_hits(inverse, k, target_vals):
+        raise AssociateNotFound(
+            f"a unit exists mod lambda^{k} but lies outside the scan bound {bound}",
+            proven_impossible=False,
+        )
     raise AssociateNotFound(
         f"no associate of the prime above {pi.rational_below} meets the congruence"
         f" mod lambda^{k}; the full unit image was exhausted",

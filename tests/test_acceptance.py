@@ -4,7 +4,7 @@ Criterion 5 (h1 witnesses) is implemented exactly as stated and is expected
 to fail: the required congruence u * pi_1 * w^h1 = +-1, +-7 (mod lambda^5)
 has no solution for any of the listed radicands, proven by exhausting the
 full image of the unit group modulo lambda^5 (and by a valuation argument
-for the 5^e*p rows).  See notes/decisions.md at the repository root for the
+for the 5^e*p rows).  See the *Known limitation* section of README.md for the
 analysis; the test is intentionally not weakened.
 """
 

@@ -5,6 +5,7 @@ from quintcap.capitulation import (
     Character,
     ClassWord,
     H1SearchExhausted,
+    H1Witness,
     RadicalWord,
     WSymbol,
     correspondence,
@@ -21,9 +22,17 @@ from quintcap.capitulation import (
     tau2_orbit,
     w_symbol_for,
 )
-from quintcap.classify import classify_radicand
-from quintcap.cyclotomic import lambda_valuation
-from quintcap.primes import factor_rational_prime
+from quintcap.classify import RadicandForm, classify_radicand
+from quintcap.cyclotomic import CycInt, lambda_valuation
+from quintcap.primes import (
+    DEFAULT_UNIT_BOUND,
+    PrimeKind,
+    factor_rational_prime,
+    iter_units,
+    unit_residues_mod_lambda_pow,
+)
+
+from conftest import digits_congruent, oracle_radicands, outcome
 
 CASE1 = classify_radicand(151)
 CASE2 = classify_radicand(93)
@@ -461,6 +470,68 @@ def test_lambda_coprime_twist_exact():
         assert lambda_valuation(twisted) == 0
         assert (4 * 1 * j + h) % 5 == 0
         assert m == (h + 4 * j) // 5
+
+
+# --- the lookups against the original (h, unit, target) scan ------------------
+
+def scan_find_h1(pi1, w, *, e=1, unit_bound=DEFAULT_UNIT_BOUND):
+    # The original joint scan and image exhaustion, kept as the oracle.
+    residues = (1, 7, 18, 24)
+    targets = [CycInt(r) for r in residues]
+    for h in range(1, 5):
+        wh = w.value ** h
+        for word, u in iter_units(unit_bound):
+            v = u * pi1.value * wh
+            for r, t in zip(residues, targets):
+                if digits_congruent(v, t, 5):
+                    return H1Witness(h, u, word, r, v)
+    fallback = norm_condition_h1(pi1.rational_below, w, e)
+    if w.kind is PrimeKind.LAMBDA:
+        raise H1SearchExhausted(
+            "no witness exists: u*pi_1*lambda^h has lambda-valuation h >= 1 while"
+            " every target is a unit mod lambda, so the congruence fails for all"
+            " units and exponents",
+            proven_impossible=True,
+            norm_condition_h1=fallback,
+        )
+    for h in range(1, 5):
+        wh = w.value ** h
+        for urep in unit_residues_mod_lambda_pow(5).values():
+            v = urep * pi1.value * wh
+            for t in targets:
+                if digits_congruent(v, t, 5):
+                    raise H1SearchExhausted(
+                        f"a witness exists at h={h} but its unit lies beyond the"
+                        f" scan bound {unit_bound}",
+                        proven_impossible=False,
+                        norm_condition_h1=fallback,
+                    )
+    raise H1SearchExhausted(
+        f"no unit in the full image mod lambda^5 makes u*pi_1*{w.rational_below}^h"
+        " congruent to +-1, +-7 for any h in 1..4; the congruence is impossible",
+        proven_impossible=True,
+        norm_condition_h1=fallback,
+    )
+
+
+def test_find_h1_matches_scan():
+    calls = []
+    for rc in oracle_radicands():
+        if rc.form is RadicandForm.PRIME_POWER:
+            continue
+        pi1 = factor_rational_prime(rc.p).factors[0]
+        w = factor_rational_prime(rc.q or 5).factors[0]
+        calls.append((pi1, w, rc.e, DEFAULT_UNIT_BOUND))
+        if rc.n == 843:
+            # the witness zeta^4*(1+zeta)^-2 lies beyond bound 1
+            calls.append((pi1, w, rc.e, 1))
+    kinds = set()
+    for pi1, w, e, bound in calls:
+        expected = outcome(scan_find_h1, pi1, w, e=e, unit_bound=bound)
+        assert outcome(find_h1, pi1, w, e=e, unit_bound=bound) == expected
+        kinds.add(expected[0] if expected[0] == "returned" else expected[3])
+    # a witness, a witness beyond the bound and a proven impossibility all occur
+    assert kinds == {"returned", False, True}
 
 
 # --- independent oracle for the frozen impossibility ---------------------------

@@ -1,4 +1,7 @@
+import functools
 import itertools
+import operator
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +18,8 @@ from quintcap.cyclotomic import (
     gcd,
     iter_residues_mod_lambda_pow,
     lambda_expand,
+    lambda_inverse,
+    lambda_key,
     lambda_residue,
     lambda_valuation,
 )
@@ -297,3 +302,124 @@ def test_solvable_rejects_lambda_multiples():
 def test_residue_enumeration_is_complete():
     seen = {lambda_expand(x, 2).digits for x in iter_residues_mod_lambda_pow(2)}
     assert len(seen) == 25
+
+
+# --- residue keys, checked against the digit expansions --------------------------
+
+def test_lambda_key_matches_digit_expansion(rng):
+    for k in range(1, 9):
+        xs = [random_cycint(rng) for _ in range(12)]
+        # adding multiples of lambda^j makes pairs that agree to every depth
+        xs += [x + LAMBDA ** rng.randint(0, 9) * random_cycint(rng, -9, 9) for x in xs]
+        keys = [lambda_key(x, k) for x in xs]
+        digits = [lambda_expand(x, k).digits for x in xs]
+        assert all(0 <= key < 5 ** k for key in keys)
+        for i in range(len(xs)):
+            for j in range(len(xs)):
+                assert (keys[i] == keys[j]) == (digits[i] == digits[j])
+
+
+def test_lambda_key_labels_every_class():
+    for k in range(1, 5):
+        keys = {lambda_key(x, k) for x in iter_residues_mod_lambda_pow(k)}
+        assert keys == set(range(5 ** k))
+    for k in range(1, 9):
+        assert lambda_key(LAMBDA ** k, k) == 0
+        assert lambda_key(LAMBDA ** (k - 1), k) != 0
+
+
+def test_lambda_key_rejects_empty_precision():
+    with pytest.raises(ValueError):
+        lambda_key(ONE, 0)
+    with pytest.raises(ValueError):
+        congruent_mod_lambda_pow(ONE, ONE, 0)
+
+
+def test_lambda_inverse(rng):
+    for k in range(1, 9):
+        for _ in range(10):
+            x = random_cycint(rng)
+            if lambda_residue(x) == 0:
+                continue
+            assert congruent_mod_lambda_pow(x * lambda_inverse(x, k), ONE, k)
+    with pytest.raises(ValueError):
+        lambda_inverse(LAMBDA, 3)
+
+
+# --- fifth powers, checked against exhaustive searches --------------------------
+
+def enumerate_solvable(theta, k):
+    # The original decision procedure, kept as the oracle: try every residue
+    # mod lambda^k and compare digit expansions.
+    target = lambda_expand(theta, k).digits
+    for x in iter_residues_mod_lambda_pow(k):
+        if lambda_residue(x) == 0:
+            continue
+        if lambda_expand(x ** 5, k).digits == target:
+            return True
+    return False
+
+
+@functools.cache
+def unit_fifth_powers_mod_25():
+    # Z[zeta]/(lambda^8) = Z[zeta]/(25): coordinates mod 25.  (a + 5b)^5 = a^5
+    # (mod 25), so the fifth powers of those 25^4 residues are the fifth
+    # powers of the 5^4 residues with coordinates mod 5.
+    return [
+        x ** 5
+        for x in map(CycInt.from_coords, itertools.product(range(5), repeat=4))
+        if lambda_residue(x)
+    ]
+
+
+def coordinate_solvable(theta, k):
+    # Exhaustive over the residues mod lambda^8; y lies in (lambda^k) iff
+    # y * lambda^(8-k) lies in (25).
+    assert k <= 8
+    shift = LAMBDA ** (8 - k)
+    return any(
+        all(c % 25 == 0 for c in ((y - theta) * shift).coords)
+        for y in unit_fifth_powers_mod_25()
+    )
+
+
+def test_solvable_agrees_with_enumeration(rng):
+    thetas = []
+    while len(thetas) < 12:
+        theta = random_cycint(rng, -10, 10)
+        if lambda_residue(theta):
+            thetas.append(theta)
+    fifth = CycInt(2, -1, 3, 0) ** 5
+    for k in range(1, 7):
+        # the enumeration costs up to 5^k fifth powers, so k = 5, 6 see fewer
+        # theta: one that is a fifth power mod lambda^k, and one or two that are not
+        cases = [fifth * (ONE + LAMBDA ** k)]
+        if k <= 5:
+            cases.append(fifth * (ONE + LAMBDA ** (k - 1)))
+        for theta in (thetas if k <= 4 else thetas[:1]) + cases:
+            expected = enumerate_solvable(theta, k)
+            assert fifth_power_solvable_mod_lambda(theta, k) == expected
+            assert coordinate_solvable(theta, k) == expected
+
+
+def test_solvable_k7_k8_agrees_with_coordinate_search(rng):
+    fifths = [CycInt(2, -1, 3, 0) ** 5, CycInt(3, -2, 5, 1) ** 5]
+    for k in (7, 8):
+        cases = [ZETA] + fifths
+        cases += [x * (ONE + LAMBDA ** j) for x in fifths for j in (k - 1, k)]
+        cases += [random_cycint(rng) for _ in range(10)]
+        for theta in cases:
+            if lambda_residue(theta):
+                assert fifth_power_solvable_mod_lambda(theta, k) == coordinate_solvable(theta, k)
+
+
+# --- operands ---------------------------------------------------------------
+
+def test_non_integer_operands_raise_type_error():
+    x = CycInt(1, 2, 3, 4)
+    for other in (0.5, 1.5, Fraction(1, 2)):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(x, other)
+            with pytest.raises(TypeError):
+                op(other, x)

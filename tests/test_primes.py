@@ -2,11 +2,15 @@ import pytest
 
 from quintcap.cyclotomic import CycInt, ONE, congruent_mod_lambda_pow, euclid_divmod, gcd
 from quintcap.primes import (
+    DEFAULT_UNIT_BOUND,
+    MILLER_RABIN_BOUND,
+    AssociateNormalization,
     AssociateNotFound,
     PrimeKind,
     UnsupportedPrimeError,
     factor_rational_prime,
     fifth_roots_of_unity,
+    is_rational_prime,
     iter_units,
     normalize_associate,
     residue_field_reduce,
@@ -14,7 +18,7 @@ from quintcap.primes import (
     unit_residues_mod_lambda_pow,
 )
 
-from conftest import random_cycint
+from conftest import digits_congruent, oracle_radicands, outcome, random_cycint
 
 
 def test_fifth_roots_mod_11():
@@ -191,3 +195,92 @@ def test_normalize_rejects_inert():
     q = factor_rational_prime(3).factors[0]
     with pytest.raises(UnsupportedPrimeError):
         normalize_associate(q, 5, [1])
+
+
+# --- primality -----------------------------------------------------------------
+
+def trial_division_is_prime(n):
+    # The original primality test, kept as the oracle.
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def test_miller_rabin_matches_trial_division():
+    for n in range(-3, 200_000):
+        assert is_rational_prime(n) == trial_division_is_prime(n), n
+
+
+def test_miller_rabin_strong_pseudoprimes_and_bound():
+    # strong pseudoprimes to the prime bases 2..7, 2..31 and 2..37 respectively
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_rational_prime(n)
+    assert is_rational_prime(10**12 + 39)
+    assert MILLER_RABIN_BOUND == 1287836182261 * 2575672364521
+    for n in (MILLER_RABIN_BOUND, MILLER_RABIN_BOUND + 2):
+        with pytest.raises(ValueError, match="not decided"):
+            is_rational_prime(n)
+    assert not is_rational_prime(MILLER_RABIN_BOUND - 1)
+
+
+# --- lookups against the original unit scan --------------------------------------
+
+def test_unit_image_is_returned_as_a_copy():
+    image = unit_residues_mod_lambda_pow(3)
+    size = len(image)
+    image.clear()
+    assert len(unit_residues_mod_lambda_pow(3)) == size > 0
+
+
+def scan_normalize_associate(pi, k, targets, bound=DEFAULT_UNIT_BOUND):
+    # The original bounded scan and image exhaustion, kept as the oracle.
+    target_vals = [t if isinstance(t, CycInt) else CycInt(t) for t in targets]
+    for word, u in iter_units(bound):
+        v = u * pi.value
+        for t in target_vals:
+            if digits_congruent(v, t, k):
+                return AssociateNormalization(u, word, v, t)
+    for urep in unit_residues_mod_lambda_pow(k).values():
+        v = urep * pi.value
+        for t in target_vals:
+            if digits_congruent(v, t, k):
+                raise AssociateNotFound(
+                    f"a unit exists mod lambda^{k} but lies outside the scan bound {bound}",
+                    proven_impossible=False,
+                )
+    raise AssociateNotFound(
+        f"no associate of the prime above {pi.rational_below} meets the congruence"
+        f" mod lambda^{k}; the full unit image was exhausted",
+        proven_impossible=True,
+    )
+
+
+def test_normalize_associate_matches_scan():
+    seen = set()
+    kinds = set()
+    for rc in oracle_radicands():
+        if rc.p in seen:
+            continue
+        seen.add(rc.p)
+        pi1 = factor_rational_prime(rc.p).factors[0]
+        for k, targets, bound in [
+            (5, [1], DEFAULT_UNIT_BOUND),
+            (3, [1, 2, 3, 4], DEFAULT_UNIT_BOUND),
+            (3, [1, 2, 3, 4], 1),
+            (2, [7, 1], 0),
+            (4, [1, 7, 18, 24], DEFAULT_UNIT_BOUND),
+        ]:
+            expected = outcome(scan_normalize_associate, pi1, k, targets, bound)
+            assert outcome(normalize_associate, pi1, k, targets, bound) == expected
+            kinds.add(expected[0] if expected[0] == "returned" else expected[3])
+    # found, out of bound and proven impossible all occur
+    assert kinds == {"returned", False, True}
