@@ -9,6 +9,14 @@ A fifth-power-free n > 1 is admissible when it matches one of:
 
 with 1 <= e <= 4 throughout.  These are exactly the shapes for which the
 downstream capitulation tables apply; everything else is NO_MATCH.
+
+n is factored by ``factor.factorize`` (Miller-Rabin and Brent's rho), so
+every n below ``factor.MILLER_RABIN_BOUND`` is classified, and so is a
+larger n whose part free of primes below 1000 is a perfect power of a
+number below that bound.  FactorizationLimitExceeded is raised for the
+rest.  ``radicand_shape`` applies the shape rules to a factorisation
+already at hand, such as one from the scanner's sieve.  ``trial_factor`` is
+the plain trial-division factoriser, kept as a reference.
 """
 
 from __future__ import annotations
@@ -16,12 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from .factor import factorize
+
 ADMISSIBLE_RESIDUES = frozenset({1, 7, 18, 24})
 
 # q = +-7 (mod 25) is excluded in the p^e*q shape.
 _EXCLUDED_Q_RESIDUES = frozenset({7, 18})
 
-# Largest trial divisor; factorisations needing more raise instead of stalling.
+# Default largest divisor of trial_factor, which raises rather than go past it.
 TRIAL_DIVISION_LIMIT = 4_000_000
 
 
@@ -88,28 +98,43 @@ def trial_factor(n: int, limit: int = TRIAL_DIVISION_LIMIT) -> dict[int, int]:
     return factors
 
 
-def _no_match(n: int) -> RadicandClass:
-    return RadicandClass(n, RadicandForm.NO_MATCH, None, None, 0, n % 25)
+Shape = tuple[RadicandForm, int | None, int | None, int]
+
+_NO_MATCH: Shape = (RadicandForm.NO_MATCH, None, None, 0)
 
 
 def classify_radicand(n: int) -> RadicandClass:
     """Decide which admissible shape n has, or NO_MATCH.
 
     Raises NotFifthPowerFree when some prime divides n at least five times,
-    and FactorizationLimitExceeded past the trial-division bound.
+    and FactorizationLimitExceeded when a cofactor of n at or above
+    MILLER_RABIN_BOUND is not a perfect power.
     """
     if n <= 1:
         raise ClassificationError(f"radicand must exceed 1, got {n}")
-    factors = trial_factor(n)
-    if any(e >= 5 for e in factors.values()):
+    try:
+        factors = factorize(n)
+    except ValueError as exc:
+        raise FactorizationLimitExceeded(str(exc)) from None
+    form, p, q, e = radicand_shape(n, factors)
+    return RadicandClass(n, form, p, q, e, n % 25)
+
+
+def radicand_shape(n: int, factors: dict[int, int]) -> Shape:
+    """(form, p, q, e) of n > 1 from its factorisation {prime: exponent}.
+
+    These are the fields of classify_radicand(n); NO_MATCH comes with
+    (None, None, 0).  Raises NotFifthPowerFree like classify_radicand.
+    """
+    if max(factors.values()) >= 5:
         raise NotFifthPowerFree(f"{n} is divisible by a fifth power")
     residue = n % 25
 
     if len(factors) == 1:
         (p, e), = factors.items()
         if p != 5 and p % 25 == 1 and residue in ADMISSIBLE_RESIDUES:
-            return RadicandClass(n, RadicandForm.PRIME_POWER, p, None, e, residue)
-        return _no_match(n)
+            return RadicandForm.PRIME_POWER, p, None, e
+        return _NO_MATCH
 
     if len(factors) == 2:
         if 5 in factors:
@@ -121,10 +146,8 @@ def classify_radicand(n: int) -> RadicandClass:
                 and p % 25 != 1
                 and residue not in ADMISSIBLE_RESIDUES
             ):
-                return RadicandClass(
-                    n, RadicandForm.FIVE_POWER_TIMES_P, p, None, e5, residue
-                )
-            return _no_match(n)
+                return RadicandForm.FIVE_POWER_TIMES_P, p, None, e5
+            return _NO_MATCH
         split = [f for f in factors if f % 5 == 1]
         inert = [f for f in factors if f % 5 in (2, 3)]
         if len(split) == 1 and len(inert) == 1:
@@ -135,9 +158,7 @@ def classify_radicand(n: int) -> RadicandClass:
                 and q % 25 not in _EXCLUDED_Q_RESIDUES
                 and residue in ADMISSIBLE_RESIDUES
             ):
-                return RadicandClass(
-                    n, RadicandForm.PRIME_POWER_TIMES_Q, p, q, factors[p], residue
-                )
-        return _no_match(n)
+                return RadicandForm.PRIME_POWER_TIMES_Q, p, q, factors[p]
+        return _NO_MATCH
 
-    return _no_match(n)
+    return _NO_MATCH

@@ -18,7 +18,7 @@ from .cas import CasProtocolError, CasTimeoutError, cas_adapter_check
 from .classify import ClassificationError, classify_radicand
 from .fixtures import packaged_data_path, load_fixtures, verify_fixtures
 from .report import ReportError, run_report
-from .scanner import render_scan, scan_range
+from .scanner import iter_scan, render_scan
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
@@ -41,10 +41,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    results = scan_range(args.lo, args.hi, jobs=args.jobs)
-    text = render_scan(results)
-    if text:
-        print(text)
+    # Written piece by piece, so a long range never sits in memory whole.
+    for piece in iter_scan(args.lo, args.hi, jobs=args.jobs):
+        if piece:
+            print(render_scan(piece))
     return 0
 
 

@@ -36,6 +36,15 @@ class CycInt:
     __slots__ = ("_c",)
 
     def __init__(self, c0: int, c1: int = 0, c2: int = 0, c3: int = 0) -> None:
+        # Bitwise or raises TypeError for floats, fractions and other
+        # non-integers, and costs far less on this hot path than four
+        # isinstance checks.
+        try:
+            c0 | c1 | c2 | c3
+        except TypeError:
+            raise TypeError(
+                f"CycInt coordinates must be integers, got {(c0, c1, c2, c3)!r}"
+            ) from None
         self._c = (c0, c1, c2, c3)
 
     @classmethod
@@ -67,8 +76,9 @@ class CycInt:
     def is_zero(self) -> bool:
         return self._c == (0, 0, 0, 0)
 
-    # Operands other than int and CycInt give NotImplemented, so Python raises
-    # TypeError instead of letting a float into the coordinates.
+    # Operands other than int and CycInt give NotImplemented, here and in
+    # divmod, so Python raises TypeError instead of letting a float into the
+    # coordinates.
 
     def __add__(self, other: IntoCycInt) -> "CycInt":
         if isinstance(other, int):
@@ -160,7 +170,11 @@ class CycInt:
         return not self.is_zero() and self.norm() == 1
 
     def __divmod__(self, other: IntoCycInt) -> tuple["CycInt", "CycInt"]:
-        return euclid_divmod(self, other if isinstance(other, CycInt) else CycInt(other))
+        if isinstance(other, int):
+            other = CycInt(other)
+        elif not isinstance(other, CycInt):
+            return NotImplemented
+        return euclid_divmod(self, other)
 
     def __floordiv__(self, other: IntoCycInt) -> "CycInt":
         return divmod(self, other)[0]

@@ -16,6 +16,10 @@ Conventions fixed by this module (recorded in reports):
     Searches over that scan are table lookups: u*b = t (mod lambda^k) holds
     exactly when u lies in the class of t * b^-1, and each class remembers
     the first unit of the scan that lies in it.
+
+Rational integers are factored, and tested for primality, only in
+``factor``; ``is_rational_prime`` and ``MILLER_RABIN_BOUND`` are re-exported
+here under their old names.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .cyclotomic import (
     lambda_inverse,
     lambda_key,
 )
+from .factor import MILLER_RABIN_BOUND, factorize, is_rational_prime
 
 
 class UnsupportedPrimeError(ValueError):
@@ -81,59 +86,8 @@ class SplittingData:
     root: int | None
 
 
-_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-# The least strong pseudoprime to all thirteen bases above (Sorenson and
-# Webster 2015), 1287836182261 * 2575672364521; below it the test is proven.
-MILLER_RABIN_BOUND = 3317044064679887385961981
-
-
-def is_rational_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin over the first 13 prime bases.
-
-    Raises ValueError for n >= MILLER_RABIN_BOUND, where those bases no
-    longer decide primality.
-    """
-    if n >= MILLER_RABIN_BOUND:
-        raise ValueError(
-            f"primality is not decided at or above {MILLER_RABIN_BOUND}"
-        )
-    if n < 2:
-        return False
-    for b in _MILLER_RABIN_BASES:
-        if n % b == 0:
-            return n == b
-    s = ((n - 1) & (1 - n)).bit_length() - 1
-    d = (n - 1) >> s
-    for b in _MILLER_RABIN_BASES:
-        x = pow(b, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _factor_into_primes(m: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
 def smallest_primitive_root(p: int) -> int:
-    qs = _factor_into_primes(p - 1)
+    qs = factorize(p - 1)
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in qs):
             return g

@@ -10,6 +10,8 @@ from quintcap.classify import (
     trial_factor,
 )
 
+from conftest import BEYOND_OLD_CEILING
+
 
 def test_residue_set():
     assert ADMISSIBLE_RESIDUES == {1, 7, 18, 24}
@@ -143,3 +145,12 @@ def test_trial_factor_limit():
 def test_trial_factor_basic():
     assert trial_factor(360) == {2: 3, 3: 2, 5: 1}
     assert trial_factor(2111) == {2111: 1}
+
+
+@pytest.mark.parametrize("n,want", sorted(BEYOND_OLD_CEILING.items()))
+def test_classify_beyond_old_ceiling(n, want):
+    with pytest.raises(FactorizationLimitExceeded):
+        trial_factor(n)
+    rc = classify_radicand(n)
+    assert (rc.form.value, rc.p, rc.q, rc.e) == want
+    assert rc.reconstruct() == n

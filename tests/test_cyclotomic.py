@@ -417,9 +417,15 @@ def test_solvable_k7_k8_agrees_with_coordinate_search(rng):
 
 def test_non_integer_operands_raise_type_error():
     x = CycInt(1, 2, 3, 4)
-    for other in (0.5, 1.5, Fraction(1, 2)):
-        for op in (operator.add, operator.sub, operator.mul):
+    ops = (operator.add, operator.sub, operator.mul, operator.floordiv, operator.mod, divmod)
+    for other in (0.5, 1.5, 2.0, Fraction(1, 2)):
+        for op in ops:
             with pytest.raises(TypeError):
                 op(x, other)
             with pytest.raises(TypeError):
                 op(other, x)
+        for coords in ((other,), (1, other), (1, 2, 3, other)):
+            with pytest.raises(TypeError):
+                CycInt(*coords)
+    assert CycInt(7) // 2 == CycInt(7) // CycInt(2)
+    assert CycInt(7) % 2 == CycInt(7) % CycInt(2)

@@ -30,6 +30,27 @@ def test_smallest_primitive_root():
     assert smallest_primitive_root(31) == 3
 
 
+def _multiplicative_order(g, p):
+    order, x = 1, g
+    while x != 1:
+        x, order = x * g % p, order + 1
+    return order
+
+
+def test_smallest_primitive_root_against_orders():
+    for p in range(3, 1500):
+        if is_rational_prime(p):
+            g = smallest_primitive_root(p)
+            assert _multiplicative_order(g, p) == p - 1, p
+            assert all(_multiplicative_order(h, p) < p - 1 for h in range(2, g)), p
+    # p - 1 = 2 * 1000000000061: one large prime factor, found by the factoriser
+    p = 2_000_000_000_123
+    assert is_rational_prime(p) and is_rational_prime((p - 1) // 2)
+    g = smallest_primitive_root(p)
+    assert pow(g, (p - 1) // 2, p) != 1 and pow(g, 2, p) != 1
+    assert all(pow(h, (p - 1) // 2, p) == 1 or pow(h, 2, p) == 1 for h in range(2, g))
+
+
 def test_factor_11(split_11):
     assert split_11.root == 3
     assert len(split_11.factors) == 4

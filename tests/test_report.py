@@ -7,6 +7,8 @@ jsonschema = pytest.importorskip("jsonschema")
 from quintcap.fixtures import packaged_data_path
 from quintcap.report import REPORT_SCHEMA_ID, build_report, run_report
 
+from conftest import BEYOND_OLD_CEILING
+
 
 @pytest.fixture(scope="module")
 def schema():
@@ -138,3 +140,14 @@ def test_full_corpus_reports(schema):
             if form == "5^e*p":
                 # norm-condition fallback pins h1 to the exponent of 5
                 assert payload["h1"]["value"] == payload["classification"]["e"]
+
+
+def test_reports_beyond_old_ceiling(schema):
+    for n, (form, p, q, e) in BEYOND_OLD_CEILING.items():
+        payload = json.loads(run_report(n, "json"))
+        jsonschema.validate(payload, schema)
+        assert payload["n"] == n
+        assert payload["no_match"] is (form == "no_match")
+        if form != "no_match":
+            got = payload["classification"]
+            assert (got["form"], got["p"], got["q"], got["e"]) == (form, p, q, e)

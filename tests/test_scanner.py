@@ -1,6 +1,8 @@
 import pytest
 
-from quintcap.scanner import render_scan, scan_range
+from quintcap.classify import NotFifthPowerFree, classify_radicand
+from quintcap.factor import SIEVE_BLOCK
+from quintcap.scanner import iter_scan, render_scan, scan_range
 
 
 def test_scan_contains_known_rows():
@@ -44,3 +46,34 @@ def test_scan_never_raises_on_desk_range():
     assert all(form in {"p^e", "p^e*q", "5^e*p", "no_match"} for _, form in results)
     ns = [n for n, _ in results]
     assert ns == sorted(ns)
+
+
+def _classify_each(lo, hi):
+    out = []
+    for n in range(lo, hi + 1):
+        try:
+            out.append((n, classify_radicand(n).form.value))
+        except NotFifthPowerFree:
+            pass
+    return out
+
+
+@pytest.mark.parametrize(
+    "lo,hi",
+    [
+        (2, 40_000),  # three sieve blocks; 2^5, 3^5, 7^5 multiples; prime squares
+        (1_018_081 - 9_000, 1_018_081 + SIEVE_BLOCK),  # 1009^2, two blocks
+        (9_985_162 - 4_000, 9_985_162 + 4_000),  # 11^5 * 62
+        (10**7 - SIEVE_BLOCK, 10**7 + 6_000),  # 10^7 and 3163^2 = 10004569
+    ],
+)
+def test_sieve_scan_matches_classify_each(lo, hi):
+    want = _classify_each(lo, hi)
+    for jobs in (1, 2, 3):
+        assert scan_range(lo, hi, jobs) == want, jobs
+
+
+def test_iter_scan_pieces_join_to_scan_range():
+    pieces = list(iter_scan(2, 2 * SIEVE_BLOCK + 10))
+    assert len(pieces) == 3
+    assert [row for piece in pieces for row in piece] == scan_range(2, 2 * SIEVE_BLOCK + 10)
