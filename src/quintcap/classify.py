@@ -11,12 +11,14 @@ with 1 <= e <= 4 throughout.  These are exactly the shapes for which the
 downstream capitulation tables apply; everything else is NO_MATCH.
 
 n is factored by ``factor.factorize`` (Miller-Rabin and Brent's rho), so
-every n below ``factor.MILLER_RABIN_BOUND`` is classified, and so is a
-larger n whose part free of primes below 1000 is a perfect power of a
-number below that bound.  FactorizationLimitExceeded is raised for the
-rest.  ``radicand_shape`` applies the shape rules to a factorisation
-already at hand, such as one from the scanner's sieve.  ``trial_factor`` is
-the plain trial-division factoriser, kept as a reference.
+every n below ``factor.MILLER_RABIN_BOUND`` is classified.  So is a larger
+n whose part free of the primes up to TRIAL_DIVISION_LIMIT = 4*10^6 is below
+that bound, or is a perfect power of a number below it: every n that
+``trial_factor`` answers is among them.  FactorizationLimitExceeded is
+raised for the rest.  ``radicand_shape`` applies the shape rules to a
+factorisation already at hand, such as one from the scanner's sieve.
+``trial_factor`` is the plain trial-division factoriser, kept as a
+reference.
 """
 
 from __future__ import annotations
@@ -24,15 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .factor import factorize
+# TRIAL_DIVISION_LIMIT is also the default largest divisor of trial_factor,
+# which raises rather than go past it.
+from .factor import TRIAL_DIVISION_LIMIT, factorize
 
 ADMISSIBLE_RESIDUES = frozenset({1, 7, 18, 24})
 
 # q = +-7 (mod 25) is excluded in the p^e*q shape.
 _EXCLUDED_Q_RESIDUES = frozenset({7, 18})
-
-# Default largest divisor of trial_factor, which raises rather than go past it.
-TRIAL_DIVISION_LIMIT = 4_000_000
 
 
 class ClassificationError(ValueError):
@@ -107,8 +108,9 @@ def classify_radicand(n: int) -> RadicandClass:
     """Decide which admissible shape n has, or NO_MATCH.
 
     Raises NotFifthPowerFree when some prime divides n at least five times,
-    and FactorizationLimitExceeded when a cofactor of n at or above
-    MILLER_RABIN_BOUND is not a perfect power.
+    and FactorizationLimitExceeded when factorize refuses n: a cofactor
+    at or above MILLER_RABIN_BOUND stays there after trial division up to
+    TRIAL_DIVISION_LIMIT and is no perfect power.
     """
     if n <= 1:
         raise ClassificationError(f"radicand must exceed 1, got {n}")

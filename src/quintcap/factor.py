@@ -5,18 +5,21 @@ perfect powers by integer k-th roots, and splits whatever is left with
 Pollard's rho in Brent's form (Brent 1980).  Primality is decided by
 deterministic Miller-Rabin over the first 13 prime bases, which is proven
 below MILLER_RABIN_BOUND (Sorenson and Webster 2015).  A cofactor at or above
-that bound which is not a perfect power can be neither proven prime nor
-split in bounded time, so it is refused with ValueError; every n below the
-bound is factored.
+that bound which is not a perfect power is trial-divided by every prime up
+to TRIAL_DIVISION_LIMIT; if what is left is still at or above the bound, it
+can be neither proven prime nor split in bounded time, so it is refused with
+ValueError.  Every n below the bound is factored, and so is every n whose
+part free of the primes up to TRIAL_DIVISION_LIMIT is below the bound.
 
 ``factor_window(lo, hi)`` factors a whole interval with a segmented sieve,
 one block of SIEVE_BLOCK integers at a time, so its memory does not grow
-with the length of the interval.
+with the length of the interval or the size of hi.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import compress
 from typing import Iterator
 
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -28,17 +31,29 @@ MILLER_RABIN_BOUND = 3317044064679887385961981
 # Integers the segmented sieve holds at once.
 SIEVE_BLOCK = 1 << 14
 
+# Largest prime the segmented sieve divides by; a cofactor at or above its
+# square is handed to factorize.
+SIEVE_PRIME_LIMIT = 1 << 16
+
+# Largest trial divisor for a cofactor at or above MILLER_RABIN_BOUND.
+TRIAL_DIVISION_LIMIT = 4_000_000
+
 # Pollard-rho steps between two gcds.
 _RHO_BATCH = 128
 
 
-def _primes_up_to(limit: int) -> list[int]:
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[:2] = b"\x00\x00"
+def _prime_flags(limit: int) -> bytearray:
+    """flags[i] == 1 exactly when i <= limit is prime."""
+    flags = bytearray([1]) * (limit + 1)
+    flags[:2] = b"\x00\x00"
     for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
-    return [p for p, flag in enumerate(sieve) if flag]
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return flags
+
+
+def _primes_up_to(limit: int) -> list[int]:
+    return list(compress(range(limit + 1), _prime_flags(limit)))
 
 
 _TRIAL_PRIMES = tuple(_primes_up_to(1000))
@@ -145,11 +160,31 @@ def _brent_rho(n: int) -> int:
         c += 1
 
 
+def _trial_divide(m: int, factors: dict[int, int], k: int) -> int:
+    """Divide the primes from 1000 to TRIAL_DIVISION_LIMIT out of m.
+
+    Each prime found goes into ``factors`` with k times its exponent.  Stops
+    early once m is below MILLER_RABIN_BOUND, and returns what is left.
+    """
+    flags = _prime_flags(TRIAL_DIVISION_LIMIT)
+    for p in compress(range(1000, TRIAL_DIVISION_LIMIT + 1), flags[1000:]):
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            factors[p] = factors.get(p, 0) + k * e
+            if m < MILLER_RABIN_BOUND:
+                break
+    return m
+
+
 def factorize(n: int) -> dict[int, int]:
     """The prime factorisation of n >= 1 as {prime: exponent}, primes ascending.
 
-    Raises ValueError when a cofactor at or above MILLER_RABIN_BOUND is not
-    a perfect power: its primality is not decided there.
+    Raises ValueError when a cofactor at or above MILLER_RABIN_BOUND is no
+    perfect power and stays at or above the bound after trial division up to
+    TRIAL_DIVISION_LIMIT: its primality is not decided there.
     """
     if n < 1:
         raise ValueError(f"can only factor positive integers, got {n}")
@@ -164,24 +199,30 @@ def factorize(n: int) -> dict[int, int]:
                 m //= p
                 e += 1
             factors[p] = e
-    # What is left has no prime factor below 1000.
-    pending = [(m, 1)] if m > 1 else []
+    # What is left has no prime factor below 1000.  Each pending entry is
+    # (cofactor, exponent, whether trial division up to the limit is done).
+    pending = [(m, 1, False)] if m > 1 else []
     while pending:
-        m, k = pending.pop()
+        m, k, divided = pending.pop()
+        if m == 1:
+            continue
         if m < _TRIAL_SQUARE or (m < MILLER_RABIN_BOUND and is_rational_prime(m)):
             factors[m] = factors.get(m, 0) + k
             continue
         root, j = _perfect_power(m)
         if j > 1:
-            pending.append((root, k * j))
-        elif m >= MILLER_RABIN_BOUND:
-            raise ValueError(
-                f"factoring {n} leaves {m}, which is no perfect power and lies"
-                f" at or above {MILLER_RABIN_BOUND}, where primality is not decided"
-            )
-        else:
+            pending.append((root, k * j, divided))
+        elif m < MILLER_RABIN_BOUND:
             d = _brent_rho(m)
-            pending += [(d, k), (m // d, k)]
+            pending += [(d, k, divided), (m // d, k, divided)]
+        elif not divided:
+            pending.append((_trial_divide(m, factors, k), k, True))
+        else:
+            raise ValueError(
+                f"factoring {n} leaves {m}, which has no prime factor up to"
+                f" {TRIAL_DIVISION_LIMIT}, is no perfect power and lies at or"
+                f" above {MILLER_RABIN_BOUND}, where primality is not decided"
+            )
     return dict(sorted(factors.items()))
 
 
@@ -189,14 +230,17 @@ def factor_window(lo: int, hi: int) -> Iterator[tuple[int, dict[int, int]]]:
     """Yield (n, factorize(n)) for n = lo..hi in order, from a segmented sieve.
 
     Each block of SIEVE_BLOCK integers is sieved by every prime power p^k
-    <= its top with p <= isqrt(hi), noting p once per power that divides n;
-    what is left of n is 1 or one prime above isqrt(hi).  A block holds one
+    <= its top with p <= min(isqrt(hi), SIEVE_PRIME_LIMIT), noting p once per
+    power that divides n.  What is left of n is 1, one prime, or, only when
+    hi >= SIEVE_PRIME_LIMIT^2, a cofactor at or above that square, which
+    factorize splits (and may refuse with ValueError).  A block holds one
     short list of primes per integer, and the dict of an integer is built
     only when it is yielded.
     """
     if not 1 <= lo <= hi:
         raise ValueError("need 1 <= lo <= hi")
-    primes = _primes_up_to(math.isqrt(hi))
+    primes = _primes_up_to(min(math.isqrt(hi), SIEVE_PRIME_LIMIT))
+    composite_from = SIEVE_PRIME_LIMIT * SIEVE_PRIME_LIMIT
     for start in range(lo, hi + 1, SIEVE_BLOCK):
         end = min(start + SIEVE_BLOCK - 1, hi)
         size = end - start + 1
@@ -213,6 +257,8 @@ def factor_window(lo: int, hi: int) -> Iterator[tuple[int, dict[int, int]]]:
             factors: dict[int, int] = {}
             for p in found[i]:
                 factors[p] = factors.get(p, 0) + 1
-            if rest[i] > 1:
+            if rest[i] >= composite_from:
+                factors.update(factorize(rest[i]))
+            elif rest[i] > 1:
                 factors[rest[i]] = 1
             yield start + i, factors

@@ -14,19 +14,27 @@ from typing import Iterator
 
 # classify_radicand is not called here, but stays bound in this namespace:
 # perfbench's tracer tests look it up on every module that imported it.
-from .classify import NotFifthPowerFree, classify_radicand, radicand_shape
+from .classify import (
+    FactorizationLimitExceeded,
+    NotFifthPowerFree,
+    classify_radicand,
+    radicand_shape,
+)
 from .factor import SIEVE_BLOCK, factor_window
 
 
 def _scan_chunk(bounds: tuple[int, int]) -> list[tuple[int, str]]:
     lo, hi = bounds
     out = []
-    for n, factors in factor_window(lo, hi):
-        try:
-            form = radicand_shape(n, factors)[0]
-        except NotFifthPowerFree:
-            continue
-        out.append((n, form.value))
+    try:
+        for n, factors in factor_window(lo, hi):
+            try:
+                form = radicand_shape(n, factors)[0]
+            except NotFifthPowerFree:
+                continue
+            out.append((n, form.value))
+    except ValueError as exc:  # a cofactor that factorize refuses
+        raise FactorizationLimitExceeded(str(exc)) from None
     return out
 
 

@@ -57,6 +57,15 @@ BEYOND_OLD_CEILING = {
     3_416_596_268_801**4: ("p^e", 3_416_596_268_801, None, 4),
 }
 
+# Radicands above MILLER_RABIN_BOUND that trial division up to 4*10^6 has
+# always answered: their part free of the primes below 1000 is no perfect
+# power, so factorize reaches them only by its own trial division.
+ABOVE_BOUND_BY_TRIAL_DIVISION = {
+    1009 * 1013 * 1019 * 1021 * 1031 * 1033 * 1039 * 1049 * 1051: ("no_match", None, None, 0),
+    1_350_061**4 * 1123: ("p^e*q", 1_350_061, 1123, 4),
+    3_999_971**2 * 10_000_000_000_273: ("p^e*q", 3_999_971, 10_000_000_000_273, 2),
+}
+
 
 def oracle_radicands():
     """Every classified corpus row, plus 843 = 281*3 and 7157 = 421*17 whose

@@ -7,10 +7,13 @@ from quintcap.classify import (
     NotFifthPowerFree,
     RadicandForm,
     classify_radicand,
+    radicand_shape,
     trial_factor,
 )
+from quintcap.cli import main
+from quintcap.factor import MILLER_RABIN_BOUND
 
-from conftest import BEYOND_OLD_CEILING
+from conftest import ABOVE_BOUND_BY_TRIAL_DIVISION, BEYOND_OLD_CEILING
 
 
 def test_residue_set():
@@ -154,3 +157,14 @@ def test_classify_beyond_old_ceiling(n, want):
     rc = classify_radicand(n)
     assert (rc.form.value, rc.p, rc.q, rc.e) == want
     assert rc.reconstruct() == n
+
+
+@pytest.mark.parametrize("n,want", sorted(ABOVE_BOUND_BY_TRIAL_DIVISION.items()))
+def test_classify_above_bound_by_trial_division(n, want):
+    assert n >= MILLER_RABIN_BOUND
+    rc = classify_radicand(n)
+    assert (rc.form.value, rc.p, rc.q, rc.e) == want
+    # the same shape as from the plain trial-division factoriser
+    form, p, q, e = radicand_shape(n, trial_factor(n))
+    assert (form.value, p, q, e) == want
+    assert main(["classify", str(n)]) == 0

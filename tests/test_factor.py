@@ -12,12 +12,15 @@ from quintcap.classify import (
 from quintcap.cli import main
 from quintcap.factor import (
     MILLER_RABIN_BOUND,
+    SIEVE_PRIME_LIMIT,
     SIEVE_BLOCK,
     factor_window,
     factorize,
     integer_root,
     is_rational_prime,
 )
+
+from conftest import ABOVE_BOUND_BY_TRIAL_DIVISION
 
 # Trial division up to this divisor is the oracle wherever it finishes quickly.
 ORACLE_LIMIT = 10**7
@@ -147,11 +150,25 @@ def test_factorize_worst_case_semiprime_is_bounded():
 
 def test_factorize_refuses_undecided_cofactors():
     assert is_rational_prime(2**61 - 1)
+    # MILLER_RABIN_BOUND = 1287836182261 * 2575672364521
     above = (M89, 3 * M89, M89**2, MILLER_RABIN_BOUND, 5 * MILLER_RABIN_BOUND)
-    # the part free of primes below 1000 is (10^12 + 39)^2 * 1009 * 1013
-    for n in above + ((10**12 + 39) ** 2 * 1009 * 1013,):
+    for n in above + (1009 * M89, 3_999_971**3 * M89):
         with pytest.raises(ValueError, match="not decided"):
             factorize(n)
+
+
+def test_factorize_trial_divides_above_the_bound():
+    # The part free of the primes below 1000 is at or above the bound and no
+    # perfect power, but what is left after trial division to 4*10^6 is below.
+    p = 10**12 + 39
+    assert factorize(p**2 * 1009 * 1013) == {1009: 1, 1013: 1, p: 2}
+    assert factorize(p**2 * 3_999_971**3 * 7) == {7: 1, 3_999_971: 3, p: 2}
+    assert factorize(p**3 * 1009 * 1013) == {1009: 1, 1013: 1, p: 3}
+    # past the bound again after trial division, but then a perfect power
+    assert factorize(p**5 * 1009) == {1009: 1, p: 5}
+    for n in ABOVE_BOUND_BY_TRIAL_DIVISION:
+        assert n >= MILLER_RABIN_BOUND
+        assert factorize(n) == trial_factor(n)
 
 
 def test_classify_refuses_prime_above_bound(capsys):
@@ -190,6 +207,21 @@ def test_factor_window_matches_factorize(lo, hi):
         assert factors == factorize(n), n
         assert list(factors) == sorted(factors)
     assert ns == list(range(lo, hi + 1))
+
+
+def test_factor_window_far_above_its_sieve_primes():
+    # hi is far beyond SIEVE_PRIME_LIMIT^2: cofactors go to factorize, and
+    # the sieve stays as small as it is at SIEVE_PRIME_LIMIT^2.
+    lo = 10**20
+    assert lo > SIEVE_PRIME_LIMIT**4
+    for n, factors in factor_window(lo, lo + 40):
+        assert factors == factorize(n), n
+    limit = SIEVE_PRIME_LIMIT**2
+    for n, factors in factor_window(limit - 30, limit + 30):
+        assert factors == factorize(n), n
+    # above MILLER_RABIN_BOUND a cofactor may be refused, as by factorize
+    with pytest.raises(ValueError, match="not decided"):
+        list(factor_window(M89 - 1, M89))
 
 
 def test_factor_window_rejects_bad_bounds():

@@ -7,7 +7,7 @@ jsonschema = pytest.importorskip("jsonschema")
 from quintcap.fixtures import packaged_data_path
 from quintcap.report import REPORT_SCHEMA_ID, build_report, run_report
 
-from conftest import BEYOND_OLD_CEILING
+from conftest import ABOVE_BOUND_BY_TRIAL_DIVISION, BEYOND_OLD_CEILING
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +143,8 @@ def test_full_corpus_reports(schema):
 
 
 def test_reports_beyond_old_ceiling(schema):
-    for n, (form, p, q, e) in BEYOND_OLD_CEILING.items():
+    radicands = BEYOND_OLD_CEILING | ABOVE_BOUND_BY_TRIAL_DIVISION
+    for n, (form, p, q, e) in radicands.items():
         payload = json.loads(run_report(n, "json"))
         jsonschema.validate(payload, schema)
         assert payload["n"] == n

@@ -1,6 +1,11 @@
 import pytest
 
-from quintcap.classify import NotFifthPowerFree, classify_radicand
+from quintcap.classify import (
+    FactorizationLimitExceeded,
+    NotFifthPowerFree,
+    classify_radicand,
+)
+from quintcap.cli import main
 from quintcap.factor import SIEVE_BLOCK
 from quintcap.scanner import iter_scan, render_scan, scan_range
 
@@ -77,3 +82,21 @@ def test_iter_scan_pieces_join_to_scan_range():
     pieces = list(iter_scan(2, 2 * SIEVE_BLOCK + 10))
     assert len(pieces) == 3
     assert [row for piece in pieces for row in piece] == scan_range(2, 2 * SIEVE_BLOCK + 10)
+
+
+def test_scan_short_window_near_1e20():
+    # The sieve primes stop at SIEVE_PRIME_LIMIT, so a short window costs
+    # little however large its integers are.
+    lo, hi = 10**20, 10**20 + 30
+    want = _classify_each(lo, hi)
+    for jobs in (1, 2):
+        assert scan_range(lo, hi, jobs) == want, jobs
+    assert main(["scan", str(lo), str(lo + 10)]) == 0
+
+
+def test_scan_refuses_undecided_cofactor(capsys):
+    m89 = 2**89 - 1  # prime, above MILLER_RABIN_BOUND
+    with pytest.raises(FactorizationLimitExceeded):
+        scan_range(m89 - 1, m89)
+    assert main(["scan", str(m89), str(m89)]) == 2
+    assert "not decided" in capsys.readouterr().err
