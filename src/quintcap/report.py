@@ -1,4 +1,15 @@
-"""Full analysis pipeline for one radicand, with text and JSON rendering."""
+"""Full analysis pipeline for one radicand, with text and JSON rendering.
+
+A report has two parts.  The per-radicand part (classification, primes,
+normalization, h1, symbol, conventions) is computed for every n.  The
+formal part (genus generators, extensions K1..K6, subgroups H1..H6,
+guaranteed capitulations, possible capitulation types) depends only on the
+radicand's shape, h1 and the quintic symbol.  It is built, and its JSON
+rendered, once per process for each such key, in a FormalTables that every
+report with that key shares read-only.  ``Report.to_json`` renders the
+per-radicand keys and splices in the stored fragments, byte for byte what
+``json.dumps(to_json_dict(), sort_keys=True, indent=2)`` gives.
+"""
 
 from __future__ import annotations
 
@@ -40,43 +51,134 @@ class ReportError(RuntimeError):
     pass
 
 
+def _word_json(w: RadicalWord, ws: WSymbol | None) -> dict[str, Any]:
+    return {"pi1": w.e1, "pi3": w.e3, "w": w.ew, "text": w.render(ws)}
+
+
+def _class_json(c: ClassWord, ws: WSymbol | None) -> dict[str, Any]:
+    return {"P1": c.e1, "P3": c.e3, "Pw": c.ew, "text": c.render(ws)}
+
+
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
+
+
+def _encode_at_depth_1(value: Any) -> str:
+    """json.dumps(value, sort_keys=True, indent=2) as it reads one level down."""
+    return _ENCODER.encode(value).replace("\n", "\n  ")
+
+
+@dataclass(frozen=True)
+class FormalTables:
+    """The part of a report fixed by (form, h1, symbol), with its JSON.
+
+    ``capitulations`` pairs each extension word with the class that dies
+    there; ``type_lists`` pairs each K6 candidate with its admissible
+    capitulation types.  ``fragments`` holds the five JSON keys of
+    ``json_dict()``, each value rendered at depth 1 of the report document.
+    """
+
+    w_symbol: WSymbol | None
+    generators: tuple[RadicalWord, RadicalWord]
+    extensions: tuple[ExtensionDescriptor, ...]
+    subgroups: tuple[SubgroupDescriptor, ...]
+    capitulations: tuple[tuple[RadicalWord, ClassWord], ...]
+    type_lists: tuple[tuple[RadicalWord, tuple[tuple[int, ...], ...]], ...]
+    fragments: tuple[tuple[str, str], ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        fragments = tuple(
+            (key, _encode_at_depth_1(value)) for key, value in self.json_dict().items()
+        )
+        object.__setattr__(self, "fragments", fragments)
+
+    def json_dict(self) -> dict[str, Any]:
+        ws = self.w_symbol
+        return {
+            "genus_generators": [_word_json(w, ws) for w in self.generators],
+            "extensions": [
+                {
+                    "label": ext.label,
+                    "resolved": ext.resolved,
+                    "candidates": [_word_json(w, ws) for w in ext.candidates],
+                }
+                for ext in self.extensions
+            ],
+            "subgroups": [
+                {
+                    "label": sub.label,
+                    "character": sub.character.value,
+                    "generator": _class_json(sub.generator, ws),
+                }
+                for sub in self.subgroups
+            ],
+            "guaranteed_capitulations": [
+                {"extension": _word_json(w, ws), "class": _class_json(c, ws)}
+                for w, c in self.capitulations
+            ],
+            "possible_types": [
+                {"k6": _word_json(k6, ws), "types": [list(t) for t in types]}
+                for k6, types in self.type_lists
+            ],
+        }
+
+
+# (form, h1, symbol) -> FormalTables, filled on first use.  h1 is None or
+# 1..4 and the symbol exponent 0..4, so it holds at most 3*5*5 entries.
+# Threads that miss the same key at once build equal entries; either may stay.
+_FORMAL_TABLES: dict[tuple[RadicandForm, int | None, int], FormalTables] = {}
+
+
+def formal_tables(rc: RadicandClass, h1: int | None, symbol: int) -> FormalTables:
+    """The formal tables of rc's report; they read only rc.form, h1 and symbol."""
+    key = (rc.form, h1, symbol)
+    tables = _FORMAL_TABLES.get(key)
+    if tables is None:
+        extensions = tuple(correspondence(rc, symbol, h1))
+        tables = _FORMAL_TABLES[key] = FormalTables(
+            w_symbol_for(rc),
+            hilbert_class_field_generators(rc, h1),
+            extensions,
+            tuple(subgroup_table(rc, h1)),
+            tuple(guaranteed_capitulations(rc, h1).items()),
+            tuple(
+                (k6, tuple(t.entries for t in possible_types(rc, symbol, k6, h1)))
+                for k6 in extensions[5].candidates
+            ),
+        )
+    return tables
+
+
+def _formal_attribute(name: str) -> property:
+    return property(
+        lambda self: getattr(self.formal, name) if self.formal else None,
+        doc=f"FormalTables.{name}; read-only, shared by every report with the same key.",
+    )
+
+
 @dataclass
 class Report:
     n: int
     classification: RadicandClass
     no_match: bool
-    w_symbol: WSymbol | None = None
     primes: list[PrimeElement] = field(default_factory=list)
     root: int | None = None
     normalization: dict[str, Any] | None = None
     h1: dict[str, Any] | None = None
     symbol_exponent: int | None = None
-    generators: tuple[RadicalWord, RadicalWord] | None = None
-    extensions: list[ExtensionDescriptor] = field(default_factory=list)
-    subgroups: list[SubgroupDescriptor] = field(default_factory=list)
-    capitulations: dict[RadicalWord, ClassWord] = field(default_factory=dict)
-    type_lists: list[dict[str, Any]] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+    formal: FormalTables | None = None
+
+    w_symbol = _formal_attribute("w_symbol")
+    generators = _formal_attribute("generators")
+    extensions = _formal_attribute("extensions")
+    subgroups = _formal_attribute("subgroups")
+    capitulations = _formal_attribute("capitulations")
+    type_lists = _formal_attribute("type_lists")
 
     # -- serialisation -----------------------------------------------------
 
-    def _word_json(self, w: RadicalWord) -> dict[str, Any]:
-        return {
-            "pi1": w.e1,
-            "pi3": w.e3,
-            "w": w.ew,
-            "text": w.render(self.w_symbol),
-        }
-
-    def _class_json(self, c: ClassWord) -> dict[str, Any]:
-        return {
-            "P1": c.e1,
-            "P3": c.e3,
-            "Pw": c.ew,
-            "text": c.render(self.w_symbol),
-        }
-
-    def to_json_dict(self) -> dict[str, Any]:
+    def _radicand_json(self) -> dict[str, Any]:
+        """Every key of to_json_dict() that is not one of the formal tables."""
         rc = self.classification
         out: dict[str, Any] = {
             "schema": REPORT_SCHEMA_ID,
@@ -106,32 +208,6 @@ class Report:
         out["normalization"] = self.normalization
         out["h1"] = self.h1
         out["symbol"] = self.symbol_exponent
-        assert self.generators is not None
-        out["genus_generators"] = [self._word_json(w) for w in self.generators]
-        out["extensions"] = [
-            {
-                "label": ext.label,
-                "resolved": ext.resolved,
-                "candidates": [self._word_json(w) for w in ext.candidates],
-            }
-            for ext in self.extensions
-        ]
-        out["subgroups"] = [
-            {
-                "label": sub.label,
-                "character": sub.character.value,
-                "generator": self._class_json(sub.generator),
-            }
-            for sub in self.subgroups
-        ]
-        out["guaranteed_capitulations"] = [
-            {"extension": self._word_json(w), "class": self._class_json(c)}
-            for w, c in self.capitulations.items()
-        ]
-        out["possible_types"] = [
-            {"k6": self._word_json(entry["k6"]), "types": entry["types"]}
-            for entry in self.type_lists
-        ]
         out["conventions"] = {
             "root": self.root,
             "unit_scan": "sign * zeta^a * (1+zeta)^t; a ascending 0..4, t by |t| <= 8, sign +,-",
@@ -139,8 +215,22 @@ class Report:
         }
         return out
 
+    def to_json_dict(self) -> dict[str, Any]:
+        out = self._radicand_json()
+        if self.no_match:
+            return out
+        assert self.formal is not None
+        conventions = out.pop("conventions")
+        return {**out, **self.formal.json_dict(), "conventions": conventions}
+
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
+        """json.dumps(self.to_json_dict(), sort_keys=True, indent=2), with the
+        formal tables taken already rendered from the shared FormalTables."""
+        parts = {key: _encode_at_depth_1(value) for key, value in self._radicand_json().items()}
+        if not self.no_match:
+            assert self.formal is not None
+            parts.update(self.formal.fragments)
+        return "{\n" + ",\n".join(f'  "{key}": {parts[key]}' for key in sorted(parts)) + "\n}"
 
     def to_text(self, explain: bool = False) -> str:
         rc = self.classification
@@ -198,16 +288,16 @@ class Report:
                 f"  ({sub.character.value})"
             )
         lines.append("guaranteed capitulations:")
-        for w, c in self.capitulations.items():
+        for w, c in self.capitulations:
             lines.append(
                 f"  {c.render(self.w_symbol)} dies in fifth-root({w.render(self.w_symbol)})"
             )
         if explain:
             lines.append(_EXPLAIN["capitulations"])
         lines.append("possible capitulation types:")
-        for entry in self.type_lists:
-            lines.append(f"  with K6 = fifth-root({entry['k6'].render(self.w_symbol)}):")
-            for t in entry["types"]:
+        for k6, types in self.type_lists:
+            lines.append(f"  with K6 = fifth-root({k6.render(self.w_symbol)}):")
+            for t in types:
                 lines.append("    (" + ",".join(str(i) for i in t) + ")")
         if explain:
             lines.append(_EXPLAIN["types"])
@@ -321,7 +411,7 @@ def build_report(n: int) -> Report:
     rc = classify_radicand(n)
     if rc.form is RadicandForm.NO_MATCH:
         return Report(n, rc, True)
-    report = Report(n, rc, False, w_symbol=w_symbol_for(rc))
+    report = Report(n, rc, False)
     assert rc.p is not None
     split = factor_rational_prime(rc.p)
     report.root = split.root
@@ -353,16 +443,7 @@ def build_report(n: int) -> Report:
                 " lambda^5 congruence has no witness (see h1.note)"
             )
     report.symbol_exponent = quintic_symbol(symbol_argument, split.factors[2])
-    x1, x2 = hilbert_class_field_generators(rc, h1)
-    report.generators = (x1, x2)
-    report.extensions = correspondence(rc, report.symbol_exponent, h1)
-    report.subgroups = subgroup_table(rc, h1)
-    report.capitulations = guaranteed_capitulations(rc, h1)
-    for k6 in report.extensions[5].candidates:
-        types = possible_types(rc, report.symbol_exponent, k6, h1)
-        report.type_lists.append(
-            {"k6": k6, "types": [list(t.entries) for t in types]}
-        )
+    report.formal = formal_tables(rc, h1, report.symbol_exponent)
     return report
 
 

@@ -1,5 +1,9 @@
+import subprocess
+import sys
+
 import pytest
 
+from quintcap import scanner
 from quintcap.classify import (
     FactorizationLimitExceeded,
     NotFifthPowerFree,
@@ -44,6 +48,28 @@ def test_scan_parallel_matches_sequential():
     par = scan_range(2, 4000, jobs=3)
     assert seq == par
     assert render_scan(seq) == render_scan(par)
+
+
+def test_scan_capped_chunks_match_sequential(monkeypatch):
+    # The real cap is a multiple of the sieve block above the 2 500-integer
+    # chunks of a 20 000-integer window at jobs=2.  Lowering it here makes a
+    # short range span many capped chunks, more than the 2*jobs in flight.
+    assert scanner.MAX_CHUNK % SIEVE_BLOCK == 0 and scanner.MAX_CHUNK > 2500
+    lo, hi = 1000, 31000
+    want = scan_range(lo, hi, jobs=1)
+    monkeypatch.setattr(scanner, "MAX_CHUNK", 1024)
+    for jobs in (2, 3):
+        pieces = list(iter_scan(lo, hi, jobs))
+        assert len(pieces) == 30, jobs
+        assert [row for piece in pieces for row in piece] == want, jobs
+
+
+def test_import_leaves_out_process_pools():
+    # A scan with jobs > 1 imports concurrent.futures itself; a plain import
+    # of quintcap must not pay for it and for multiprocessing.
+    code = "import sys, quintcap; print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_scan_never_raises_on_desk_range():
