@@ -6,6 +6,19 @@ coordinate vector and equality is coordinate equality.  All coordinates are
 arbitrary-precision integers; nothing in this module ever rounds through
 floats.
 
+The ring kernel is straight-line integer code.  A product is one closed
+form reduced mod zeta^4 + zeta^3 + zeta^2 + zeta + 1, and each Galois
+automorphism is a fixed permutation of the coordinates with a subtraction.
+Norms go through the real subfield Q(eta), eta = zeta + zeta^4: for every x,
+x * tau^2(x) = a + b*eta with integers a, b, and since eta and
+tau(eta) = zeta^2 + zeta^3 have sum -1 and product -1,
+
+    N(x) = (a + b*eta)(a + b*tau(eta)) = a^2 - a*b - b^2.
+
+The same pair gives the conjugate product that Euclidean division needs:
+tau(x) * tau^3(x) = tau(a + b*eta) = a + b*(zeta^2 + zeta^3), so
+tau(x) * tau^2(x) * tau^3(x) = tau^2(x) * (a + b*zeta^2 + b*zeta^3).
+
 The ramified prime above 5 is lambda = 1 - zeta; 5 itself is a unit times
 lambda^4.  The residue field Z[zeta]/(lambda) has five elements, realised by
 the evaluation zeta -> 1.  A class modulo lambda^k is labelled by one integer,
@@ -19,11 +32,40 @@ from dataclasses import dataclass
 from typing import Iterator, Union
 
 IntoCycInt = Union["CycInt", int]
+Coords = tuple[int, int, int, int]
 
 
-def _reduce_power_vector(v: list[int]) -> tuple[int, int, int, int]:
-    # v holds coefficients of 1, z, z^2, z^3, z^4; eliminate z^4.
-    return (v[0] - v[4], v[1] - v[4], v[2] - v[4], v[3] - v[4])
+def _mul(a: Coords, b: Coords) -> Coords:
+    # Product of two coordinate vectors: zeta^5 = 1 folds the coefficients
+    # of zeta^5 and zeta^6 onto 1 and zeta, and t, the coefficient of
+    # zeta^4, is subtracted from every coordinate.
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    t = a1 * b3 + a2 * b2 + a3 * b1
+    return (
+        a0 * b0 + a2 * b3 + a3 * b2 - t,
+        a0 * b1 + a1 * b0 + a3 * b3 - t,
+        a0 * b2 + a1 * b1 + a2 * b0 - t,
+        a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 - t,
+    )
+
+
+def _tau2(c: Coords) -> Coords:
+    # Complex conjugation, zeta -> zeta^4.
+    c0, c1, c2, c3 = c
+    return (c0 - c1, -c1, c3 - c1, c2 - c1)
+
+
+def _real_pair(c: Coords) -> tuple[int, int]:
+    # (a, b) with x * tau^2(x) = a + b*(zeta + zeta^4); in coordinates that
+    # element is (a - b, 0, -b, -b).
+    y0, _, y2, _ = _mul(c, _tau2(c))
+    return y0 - y2, -y2
+
+
+def _norm(c: Coords) -> int:
+    a, b = _real_pair(c)
+    return a * a - a * b - b * b
 
 
 class CycInt:
@@ -54,7 +96,7 @@ class CycInt:
         return cls(*(int(c) for c in coords))
 
     @property
-    def coords(self) -> tuple[int, int, int, int]:
+    def coords(self) -> Coords:
         return self._c
 
     def __repr__(self) -> str:
@@ -86,7 +128,7 @@ class CycInt:
         elif not isinstance(other, CycInt):
             return NotImplemented
         a, b = self._c, other._c
-        return CycInt(a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
+        return _new((a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]))
 
     __radd__ = __add__
 
@@ -96,7 +138,7 @@ class CycInt:
         elif not isinstance(other, CycInt):
             return NotImplemented
         a, b = self._c, other._c
-        return CycInt(a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
+        return _new((a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3]))
 
     def __rsub__(self, other: IntoCycInt) -> "CycInt":
         if not isinstance(other, int):
@@ -105,27 +147,15 @@ class CycInt:
 
     def __neg__(self) -> "CycInt":
         a = self._c
-        return CycInt(-a[0], -a[1], -a[2], -a[3])
+        return _new((-a[0], -a[1], -a[2], -a[3]))
 
     def __mul__(self, other: IntoCycInt) -> "CycInt":
+        if isinstance(other, CycInt):
+            return _new(_mul(self._c, other._c))
         if isinstance(other, int):
             a = self._c
-            return CycInt(a[0] * other, a[1] * other, a[2] * other, a[3] * other)
-        if not isinstance(other, CycInt):
-            return NotImplemented
-        a, b = self._c, other._c
-        v = [0, 0, 0, 0, 0, 0, 0]
-        for i in range(4):
-            ai = a[i]
-            if ai:
-                v[i] += ai * b[0]
-                v[i + 1] += ai * b[1]
-                v[i + 2] += ai * b[2]
-                v[i + 3] += ai * b[3]
-        # zeta^5 = 1 and zeta^6 = zeta
-        v[0] += v[5]
-        v[1] += v[6]
-        return CycInt(*_reduce_power_vector(v[:5]))
+            return _new((a[0] * other, a[1] * other, a[2] * other, a[3] * other))
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -146,25 +176,27 @@ class CycInt:
 
         tau has order 4; tau^2 is complex conjugation (zeta -> zeta^4).
         """
-        e = pow(2, j % 4, 5)
-        if e == 1:
+        try:
+            j &= 3
+        except TypeError:
+            raise TypeError(f"galois exponent must be an integer, got {j!r}") from None
+        if j == 0:
             return self
-        v = [0, 0, 0, 0, 0]
-        for i in range(4):
-            v[(e * i) % 5] += self._c[i]
-        return CycInt(*_reduce_power_vector(v))
+        c0, c1, c2, c3 = self._c
+        if j == 1:
+            return _new((c0 - c2, c3 - c2, c1 - c2, -c2))
+        if j == 2:
+            return _new((c0 - c1, -c1, c3 - c1, c2 - c1))
+        return _new((c0 - c3, c2 - c3, -c3, c1 - c3))
 
     def norm(self) -> int:
         """Field norm to Z, the product of the four Galois conjugates.
 
+        Computed as a^2 - a*b - b^2 from x * tau^2(x) = a + b*(zeta + zeta^4).
         The field is totally imaginary, so the norm of a nonzero element is
         a positive rational integer.
         """
-        p = self * self.galois(1) * self.galois(2) * self.galois(3)
-        c = p._c
-        if c[1] or c[2] or c[3]:
-            raise AssertionError(f"norm did not land in Z: {p!r}")
-        return c[0]
+        return _norm(self._c)
 
     def is_unit(self) -> bool:
         return not self.is_zero() and self.norm() == 1
@@ -183,6 +215,14 @@ class CycInt:
         return divmod(self, other)[1]
 
 
+def _new(c: Coords) -> CycInt:
+    # Wrap coordinates computed from already validated integers, skipping
+    # the type check of CycInt.__init__.
+    x = object.__new__(CycInt)
+    x._c = c
+    return x
+
+
 ZERO = CycInt(0)
 ONE = CycInt(1)
 ZETA = CycInt(0, 1)
@@ -195,11 +235,6 @@ ZETA_POWERS = (ONE, ZETA, CycInt(0, 0, 1), CycInt(0, 0, 0, 1), CycInt(-1, -1, -1
 _FIVE_OVER_LAMBDA = (ONE - ZETA_POWERS[2]) * (ONE - ZETA_POWERS[3]) * (ONE - ZETA_POWERS[4])
 
 
-def _round_ratio(num: int, den: int) -> int:
-    # Nearest integer to num/den for den > 0, ties rounding up.
-    return (2 * num + den) // (2 * den)
-
-
 _FALLBACK_OFFSETS = tuple(itertools.product((0, 1, -1), repeat=4))
 _WIDE_OFFSETS = tuple(itertools.product((0, 1, -1, 2, -2), repeat=4))
 
@@ -207,27 +242,29 @@ _WIDE_OFFSETS = tuple(itertools.product((0, 1, -1, 2, -2), repeat=4))
 def euclid_divmod(a: CycInt, b: CycInt) -> tuple[CycInt, CycInt]:
     """Division with remainder: a = q*b + r with norm(r) < norm(b).
 
-    The quotient starts from nearest-integer rounding of the exact field
-    quotient a * conj(b) / norm(b).  Z[zeta] is norm-Euclidean but rounding
-    alone carries no proof, so if the remainder is not small enough the
-    quotient is perturbed over a small offset grid until it is.
+    The quotient starts from nearest-integer rounding, ties rounding up, of
+    the exact field quotient a * conj(b) / norm(b), where conj(b) =
+    tau^2(b) * (s + t*zeta^2 + t*zeta^3) and norm(b) = s^2 - s*t - t^2 for
+    b * tau^2(b) = s + t*(zeta + zeta^4).  Z[zeta] is norm-Euclidean but
+    rounding alone carries no proof, so if the remainder is not small enough
+    the quotient is perturbed over a small offset grid until it is.
     """
-    if b.is_zero():
+    ac, bc = a._c, b._c
+    if bc == (0, 0, 0, 0):
         raise ZeroDivisionError("division by zero in Z[zeta]")
-    conj = b.galois(1) * b.galois(2) * b.galois(3)
-    nb = (b * conj).coords[0]
-    num = a * conj
-    q0 = tuple(_round_ratio(c, nb) for c in num.coords)
-    q = CycInt(*q0)
-    r = a - q * b
-    if r.norm() < nb:
-        return q, r
+    s, t = _real_pair(bc)
+    nb = s * s - s * t - t * t
+    num = _mul(ac, _mul(_tau2(bc), (s, 0, t, t)))
+    den = 2 * nb
+    q0, q1, q2, q3 = ((2 * c + nb) // den for c in num)
+    # Each grid starts with the zero offset, the rounded quotient itself.
     for offsets in (_FALLBACK_OFFSETS, _WIDE_OFFSETS):
-        for off in offsets:
-            qq = CycInt(q0[0] + off[0], q0[1] + off[1], q0[2] + off[2], q0[3] + off[3])
-            rr = a - qq * b
-            if rr.norm() < nb:
-                return qq, rr
+        for o0, o1, o2, o3 in offsets:
+            q = (q0 + o0, q1 + o1, q2 + o2, q3 + o3)
+            m = _mul(q, bc)
+            r = (ac[0] - m[0], ac[1] - m[1], ac[2] - m[2], ac[3] - m[3])
+            if _norm(r) < nb:
+                return _new(q), _new(r)
     raise ArithmeticError(f"euclidean division failed for {a!r} / {b!r}")
 
 

@@ -9,7 +9,10 @@ so they are rejected outright.
 Conventions fixed by this module (recorded in reports):
   - pi_1 is cut out by the smallest root r of X^4+X^3+X^2+X+1 mod p, via
     gcd(p, zeta - r); then pi_3 = tau^2(pi_1) and the pairing used by the
-    capitulation tables holds exactly, not just up to units.
+    capitulation tables holds exactly, not just up to units.  The roots are
+    the powers x, x^2, x^3, x^4 of x = h^((p-1)/5) for the first h = 2, 3, ...
+    with x != 1: such an x has order 5, so it generates all four, and no
+    primitive root (nor a factorisation of p - 1) is needed.
   - the unit group of Z[zeta] is (+-zeta^a) * (1+zeta)^t; 1+zeta has norm 1
     and generates the units modulo torsion, so scanning a in 0..4, t in
     -B..B, both signs, covers every associate class the search bound allows.
@@ -38,7 +41,7 @@ from .cyclotomic import (
     lambda_inverse,
     lambda_key,
 )
-from .factor import MILLER_RABIN_BOUND, factorize, is_rational_prime
+from .factor import MILLER_RABIN_BOUND, is_rational_prime
 
 
 class UnsupportedPrimeError(ValueError):
@@ -86,19 +89,16 @@ class SplittingData:
     root: int | None
 
 
-def smallest_primitive_root(p: int) -> int:
-    qs = factorize(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in qs):
-            return g
-    raise ArithmeticError(f"no primitive root found for {p}")
-
-
 def fifth_roots_of_unity(p: int) -> list[int]:
-    """The four primitive fifth roots of unity in F_p, ascending (p = 1 mod 5)."""
-    g = smallest_primitive_root(p)
-    x = pow(g, (p - 1) // 5, p)
-    return sorted(pow(x, i, p) for i in range(1, 5))
+    """The four primitive fifth roots of unity in F_p, ascending (p prime, 1 mod 5)."""
+    if p % 5 != 1:
+        raise ValueError(f"F_{p} has no primitive fifth root of unity: p != 1 (mod 5)")
+    e = (p - 1) // 5
+    for h in range(2, p):
+        x = pow(h, e, p)
+        if x != 1:
+            return sorted(pow(x, i, p) for i in range(1, 5))
+    raise ArithmeticError(f"no element of order 5 found modulo {p}")
 
 
 def factor_rational_prime(p: int) -> SplittingData:

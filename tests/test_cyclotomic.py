@@ -24,6 +24,7 @@ from quintcap.cyclotomic import (
     lambda_valuation,
 )
 
+import oracles
 from conftest import random_cycint
 
 
@@ -172,6 +173,56 @@ def test_gcd_divides_products(rng):
         q2, r2 = euclid_divmod(a, g)
         assert r1.is_zero() and r2.is_zero()
         assert q1.norm() == 1 and q2.norm() == 1
+
+
+# --- kernel, checked against the slow oracles -------------------------------
+
+def test_kernel_matches_oracles(rng):
+    # Coordinates up to 10^e for e drawn per element, so small divisors of
+    # huge dividends (the gcd steps) occur as well as balanced pairs.
+    for _ in range(10_000):
+        x, y = (
+            CycInt(*(rng.randint(-(10**e), 10**e) for _ in range(4)))
+            for e in (rng.randint(0, 30), rng.randint(0, 30))
+        )
+        assert (x * y).coords == oracles.mul(x, y).coords
+        assert x.norm() == oracles.norm(x)
+        for j in range(-5, 9):
+            assert x.galois(j).coords == oracles.galois(x, j).coords, (x, j)
+        if not y.is_zero():
+            q, r = euclid_divmod(x, y)
+            oq, orr = oracles.euclid_divmod(x, y)
+            assert (q.coords, r.coords) == (oq.coords, orr.coords), (x, y)
+
+
+# Divisions whose rounded quotient leaves too large a remainder, so the
+# answer comes from _FALLBACK_OFFSETS; found by a seeded search over
+# coordinates in -50..50, where about 1 in 5000 divisions needs the grid.
+FALLBACK_DIVISIONS = [
+    ((-32, 3, 2, -20), (-4, 4, 4, 6)),
+    ((32, -9, 33, -32), (-10, 31, 12, -43)),
+    ((2, 1, -23, -46), (-6, 34, -49, 8)),
+    ((-3, -24, -36, -44), (-30, -18, -13, -18)),
+    ((0, -16, -30, 34), (42, 18, 44, 35)),
+    ((48, 4, 9, 44), (44, -17, -45, -37)),
+    ((36, 49, 19, -4), (-45, -24, 29, 50)),
+    ((-11, 7, 4, 50), (-45, 21, 3, -10)),
+    ((-49, -13, 25, -46), (39, -47, -19, -25)),
+    ((32, -13, 29, 33), (14, -10, -42, -12)),
+    ((-23, 29, -8, 12), (10, -48, -42, 1)),
+    ((-27, -22, 24, 5), (13, -50, -36, 50)),
+]
+
+
+def test_divmod_fallback_matches_oracle():
+    for a, b in FALLBACK_DIVISIONS:
+        a, b = CycInt(*a), CycInt(*b)
+        q0, nb = oracles.rounded_quotient(a, b)
+        assert oracles.norm(a - oracles.mul(CycInt(*q0), b)) >= nb
+        q, r = euclid_divmod(a, b)
+        oq, orr = oracles.euclid_divmod(a, b)
+        assert (q.coords, r.coords) == (oq.coords, orr.coords)
+        assert q != CycInt(*q0) and r.norm() < nb
 
 
 # --- lambda-adic machinery --------------------------------------------------
@@ -427,5 +478,11 @@ def test_non_integer_operands_raise_type_error():
         for coords in ((other,), (1, other), (1, 2, 3, other)):
             with pytest.raises(TypeError):
                 CycInt(*coords)
+    with pytest.raises(TypeError):
+        x.galois(1.0)
+    with pytest.raises(TypeError):
+        CycInt(7) * 2.5
+    with pytest.raises(TypeError):
+        2.5 * CycInt(7)
     assert CycInt(7) // 2 == CycInt(7) // CycInt(2)
     assert CycInt(7) % 2 == CycInt(7) % CycInt(2)

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from quintcap.cyclotomic import CycInt, ONE, congruent_mod_lambda_pow, euclid_divmod, gcd
+from quintcap.cyclotomic import CycInt, ONE, ZETA, congruent_mod_lambda_pow, euclid_divmod, gcd
 from quintcap.primes import (
     DEFAULT_UNIT_BOUND,
     MILLER_RABIN_BOUND,
@@ -14,15 +16,49 @@ from quintcap.primes import (
     iter_units,
     normalize_associate,
     residue_field_reduce,
-    smallest_primitive_root,
     unit_residues_mod_lambda_pow,
 )
 
+import oracles
 from conftest import digits_congruent, oracle_radicands, outcome, random_cycint
+from oracles import smallest_primitive_root
 
 
 def test_fifth_roots_mod_11():
     assert fifth_roots_of_unity(11) == [3, 4, 5, 9]
+
+
+def _split_primes_below(n):
+    return [p for p in range(11, n, 10) if is_rational_prime(p)]
+
+
+def _random_large_split_primes(count, seed):
+    # p = 1 (mod 5) in the range the report-large benchmark draws from
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        p = rng.randrange(10**11, 16 * 10**12) // 10 * 10 + 1
+        if is_rational_prime(p):
+            out.append(p)
+    return out
+
+
+def test_fifth_roots_match_primitive_root_construction():
+    for p in _split_primes_below(2 * 10**5) + _random_large_split_primes(200, 1):
+        assert fifth_roots_of_unity(p) == oracles.fifth_roots_by_primitive_root(p), p
+
+
+def test_fifth_roots_reject_p_not_1_mod_5():
+    for p in (2, 3, 5, 7, 19):
+        with pytest.raises(ValueError):
+            fifth_roots_of_unity(p)
+
+
+def test_split_gcd_matches_oracle():
+    for p in _split_primes_below(10**4) + _random_large_split_primes(200, 2):
+        r = oracles.fifth_roots_by_primitive_root(p)[0]
+        args = (CycInt(p), ZETA - CycInt(r))
+        assert gcd(*args).coords == oracles.gcd(*args).coords, p
 
 
 def test_smallest_primitive_root():

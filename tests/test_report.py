@@ -2,16 +2,22 @@ import json
 
 import pytest
 
-jsonschema = pytest.importorskip("jsonschema")
-
 from quintcap.fixtures import packaged_data_path
 from quintcap.report import REPORT_SCHEMA_ID, build_report, run_report
 
 from conftest import ABOVE_BOUND_BY_TRIAL_DIVISION, BEYOND_OLD_CEILING
 
+try:
+    import jsonschema
+except ImportError:
+    jsonschema = None
+
 
 @pytest.fixture(scope="module")
 def schema():
+    # Only the tests that validate against the schema need jsonschema.
+    if jsonschema is None:
+        pytest.skip("jsonschema is not installed")
     with open(packaged_data_path("report.schema.json"), "r", encoding="utf-8") as fh:
         return json.load(fh)
 
