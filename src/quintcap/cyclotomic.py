@@ -374,31 +374,26 @@ def congruent_mod_lambda_pow(x: CycInt, y: CycInt, k: int) -> bool:
     return lambda_key(x - y, k) == 0
 
 
-def _reduce_coords(x: CycInt, m: int) -> CycInt:
-    c = x.coords
-    return CycInt(c[0] % m, c[1] % m, c[2] % m, c[3] % m)
-
-
 def lambda_inverse(x: CycInt, k: int) -> CycInt:
     """An inverse of x modulo lambda^k, for x coprime to lambda.
 
-    (Z[zeta]/lambda^k)^* has order 4*5^(k-1), so x^(4*5^(k-1) - 1) inverts
-    x.  The power is taken with coordinates reduced mod 5^ceil(k/4), which
-    lies in (lambda^k), so the result stays small.
+    x * conj(x) = N(x), where conj(x) = tau^2(x) * (s + t*zeta^2 + t*zeta^3)
+    and N(x) = s^2 - s*t - t^2 for x * tau^2(x) = s + t*(zeta + zeta^4), as
+    in ``euclid_divmod``.  N(x) is prime to 5 exactly when x is prime to
+    lambda, so conj(x) * N(x)^-1 inverts x modulo any power of 5.  It is
+    taken modulo m = 5^ceil(k/4), which lies in (lambda^k); the coordinates
+    of the result are in range(m).  Only the class modulo lambda^k is
+    meaningful, not the representative.
     """
+    if k < 1:
+        raise ValueError("expansion length must be at least 1")
     if lambda_residue(x) == 0:
         raise ValueError(f"{x!r} is not invertible modulo lambda")
     m = 5 ** ((k + 3) // 4)
-    n = 4 * 5 ** (k - 1) - 1
-    result = ONE
-    base = _reduce_coords(x, m)
-    while n:
-        if n & 1:
-            result = _reduce_coords(result * base, m)
-        n >>= 1
-        if n:
-            base = _reduce_coords(base * base, m)
-    return result
+    c = tuple(v % m for v in x._c)
+    s, t = _real_pair(c)
+    inv = pow(s * s - s * t - t * t, -1, m)
+    return _new(tuple(v * inv % m for v in _mul(_tau2(c), (s, 0, t, t))))
 
 
 def _lambda_power_basis(k: int) -> list[CycInt]:

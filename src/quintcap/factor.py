@@ -3,13 +3,17 @@
 ``factorize(n)`` divides out a fixed table of small primes, recognises exact
 perfect powers by integer k-th roots, and splits whatever is left with
 Pollard's rho in Brent's form (Brent 1980).  Primality is decided by
-deterministic Miller-Rabin over the first 13 prime bases, which is proven
-below MILLER_RABIN_BOUND (Sorenson and Webster 2015).  A cofactor at or above
-that bound which is not a perfect power is trial-divided by every prime up
-to TRIAL_DIVISION_LIMIT; if what is left is still at or above the bound, it
-can be neither proven prime nor split in bounded time, so it is refused with
-ValueError.  Every n below the bound is factored, and so is every n whose
-part free of the primes up to TRIAL_DIVISION_LIMIT is below the bound.
+deterministic Miller-Rabin: n is tested to the first t prime bases, where
+psi_t, the least strong pseudoprime to those t bases, is the first entry of
+the table psi_1..psi_13 above n (OEIS A014233; Jaeschke 1993, Jiang and
+Deng 2014, Sorenson and Webster 2015).  A prime in [10^11, 1.6*10^13) takes
+5 to 7 bases.  psi_13 is MILLER_RABIN_BOUND, above which no entry decides n.
+A cofactor at or above that bound which is not a perfect power is
+trial-divided by every prime up to TRIAL_DIVISION_LIMIT; if what is left is
+still at or above the bound, it can be neither proven prime nor split in
+bounded time, so it is refused with ValueError.  Every n below the bound is
+factored, and so is every n whose part free of the primes up to
+TRIAL_DIVISION_LIMIT is below the bound.
 
 ``factor_window(lo, hi)`` factors a whole interval with a segmented sieve,
 one block of SIEVE_BLOCK integers at a time, so its memory does not grow
@@ -19,14 +23,34 @@ with the length of the interval or the size of hi.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from itertools import compress
 from typing import Iterator
 
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-# The least strong pseudoprime to all thirteen bases above (Sorenson and
-# Webster 2015), 1287836182261 * 2575672364521; below it the test is proven.
-MILLER_RABIN_BOUND = 3317044064679887385961981
+# psi_t for t = 1..13: the least strong pseudoprime to the first t bases above
+# (OEIS A014233; Jaeschke 1993 up to psi_8, Jiang and Deng 2014 for psi_9 to
+# psi_11, Sorenson and Webster 2015 for psi_12 and psi_13).  Below psi_t the
+# first t bases decide primality.
+_PSEUDOPRIME_THRESHOLDS = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+
+# psi_13 = 1287836182261 * 2575672364521; below it the test is proven.
+MILLER_RABIN_BOUND = _PSEUDOPRIME_THRESHOLDS[-1]
 
 # Integers the segmented sieve holds at once.
 SIEVE_BLOCK = 1 << 14
@@ -63,10 +87,12 @@ _TRIAL_SQUARE = 1000 * 1000
 
 
 def is_rational_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin over the first 13 prime bases.
+    """Deterministic Miller-Rabin over the first t prime bases.
 
-    Raises ValueError for n >= MILLER_RABIN_BOUND, where those bases no
-    longer decide primality.
+    t is the least index with n < psi_t in the pseudoprime threshold table,
+    so t grows from 1 below 2047 to 13 below MILLER_RABIN_BOUND.  Raises
+    ValueError for n >= MILLER_RABIN_BOUND, where no table entry decides
+    primality.
     """
     if n >= MILLER_RABIN_BOUND:
         raise ValueError(
@@ -79,7 +105,7 @@ def is_rational_prime(n: int) -> bool:
             return n == b
     s = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> s
-    for b in _MILLER_RABIN_BASES:
+    for b in _MILLER_RABIN_BASES[: bisect_right(_PSEUDOPRIME_THRESHOLDS, n) + 1]:
         x = pow(b, d, n)
         if x == 1 or x == n - 1:
             continue

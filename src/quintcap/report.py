@@ -9,12 +9,18 @@ rendered, once per process for each such key, in a FormalTables that every
 report with that key shares read-only.  ``Report.to_json`` renders the
 per-radicand keys and splices in the stored fragments, byte for byte what
 ``json.dumps(to_json_dict(), sort_keys=True, indent=2)`` gives.
+
+Both are rendered by ``_render``, a direct writer for the few kinds of value
+a report holds.  With ``indent`` set, the stdlib encoder falls back to its
+pure-Python generator, which took about a third of a warm report's time; it
+remains the oracle the tests compare the writer against.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any
 
 from .capitulation import (
@@ -59,12 +65,31 @@ def _class_json(c: ClassWord, ws: WSymbol | None) -> dict[str, Any]:
     return {"P1": c.e1, "P3": c.e3, "Pw": c.ew, "text": c.render(ws)}
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
-
-
-def _encode_at_depth_1(value: Any) -> str:
-    """json.dumps(value, sort_keys=True, indent=2) as it reads one level down."""
-    return _ENCODER.encode(value).replace("\n", "\n  ")
+def _render(value: Any, pad: str) -> str:
+    """json.dumps(value, sort_keys=True, indent=2) with pad before every line
+    but the first, for dicts with str keys, lists, tuples, str, int, bool
+    and None; anything else raises TypeError."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        # _encode_str raises TypeError on a key that is not a str.
+        items = [
+            f"{inner}{_encode_str(key)}: {_render(value[key], inner)}" for key in sorted(value)
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [inner + _render(item, inner) for item in value]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]" if items else "[]"
+    raise TypeError(f"{type(value).__name__} is not a report JSON value")
 
 
 @dataclass(frozen=True)
@@ -87,7 +112,7 @@ class FormalTables:
 
     def __post_init__(self) -> None:
         fragments = tuple(
-            (key, _encode_at_depth_1(value)) for key, value in self.json_dict().items()
+            (key, _render(value, "  ")) for key, value in self.json_dict().items()
         )
         object.__setattr__(self, "fragments", fragments)
 
@@ -226,7 +251,7 @@ class Report:
     def to_json(self) -> str:
         """json.dumps(self.to_json_dict(), sort_keys=True, indent=2), with the
         formal tables taken already rendered from the shared FormalTables."""
-        parts = {key: _encode_at_depth_1(value) for key, value in self._radicand_json().items()}
+        parts = {key: _render(value, "  ") for key, value in self._radicand_json().items()}
         if not self.no_match:
             assert self.formal is not None
             parts.update(self.formal.fragments)

@@ -1,12 +1,14 @@
-"""Slow reference versions of the ring kernel and the fifth-root search.
+"""Slow reference versions of the ring kernel, the fifth-root search, the
+lambda-adic inverse and the primality test.
 
-These are the bodies the straight-line kernel in ``quintcap.cyclotomic`` and
-``quintcap.primes.fifth_roots_of_unity`` replaced; the tests cross-check the
-fast code against them.
+These are the bodies the straight-line kernel in ``quintcap.cyclotomic``,
+``quintcap.primes.fifth_roots_of_unity``, ``cyclotomic.lambda_inverse`` and
+``factor.is_rational_prime`` replaced; the tests cross-check the fast code
+against them.
 """
 
-from quintcap.cyclotomic import _FALLBACK_OFFSETS, _WIDE_OFFSETS, CycInt
-from quintcap.factor import factorize
+from quintcap.cyclotomic import _FALLBACK_OFFSETS, _WIDE_OFFSETS, ONE, CycInt, lambda_residue
+from quintcap.factor import MILLER_RABIN_BOUND, factorize
 
 
 def _reduce_power_vector(v):
@@ -80,3 +82,53 @@ def fifth_roots_by_primitive_root(p):
     """The powers of g^((p-1)/5) for the smallest primitive root g, ascending."""
     x = pow(smallest_primitive_root(p), (p - 1) // 5, p)
     return sorted(pow(x, i, p) for i in range(1, 5))
+
+
+def _reduce_coords(x, m):
+    c = x.coords
+    return CycInt(c[0] % m, c[1] % m, c[2] % m, c[3] % m)
+
+
+def lambda_inverse(x, k):
+    """x^(4*5^(k-1) - 1), the order of (Z[zeta]/lambda^k)^* less one, by
+    square-and-multiply with coordinates reduced mod 5^ceil(k/4)."""
+    if lambda_residue(x) == 0:
+        raise ValueError(f"{x!r} is not invertible modulo lambda")
+    m = 5 ** ((k + 3) // 4)
+    n = 4 * 5 ** (k - 1) - 1
+    result = ONE
+    base = _reduce_coords(x, m)
+    while n:
+        if n & 1:
+            result = _reduce_coords(result * base, m)
+        n >>= 1
+        if n:
+            base = _reduce_coords(base * base, m)
+    return result
+
+
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_rational_prime(n):
+    """Miller-Rabin to all thirteen bases, whatever the size of n."""
+    if n >= MILLER_RABIN_BOUND:
+        raise ValueError(f"primality is not decided at or above {MILLER_RABIN_BOUND}")
+    if n < 2:
+        return False
+    for b in MILLER_RABIN_BASES:
+        if n % b == 0:
+            return n == b
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for b in MILLER_RABIN_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True

@@ -384,15 +384,25 @@ def test_lambda_key_rejects_empty_precision():
         lambda_key(ONE, 0)
     with pytest.raises(ValueError):
         congruent_mod_lambda_pow(ONE, ONE, 0)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            lambda_inverse(ONE, k)
 
 
 def test_lambda_inverse(rng):
-    for k in range(1, 9):
-        for _ in range(10):
-            x = random_cycint(rng)
-            if lambda_residue(x) == 0:
-                continue
-            assert congruent_mod_lambda_pow(x * lambda_inverse(x, k), ONE, k)
+    # Coordinates up to 10^e for e drawn per element; x runs over units mod
+    # lambda only.
+    checked = 0
+    while checked < 2000:
+        e = rng.randint(0, 30)
+        x = CycInt(*(rng.randint(-(10**e), 10**e) for _ in range(4)))
+        if lambda_residue(x) == 0:
+            continue
+        checked += 1
+        for k in range(1, 9):
+            inverse = lambda_inverse(x, k)
+            assert lambda_key(inverse, k) == lambda_key(oracles.lambda_inverse(x, k), k), (x, k)
+            assert congruent_mod_lambda_pow(x * inverse, ONE, k), (x, k)
     with pytest.raises(ValueError):
         lambda_inverse(LAMBDA, 3)
 

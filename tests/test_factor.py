@@ -20,6 +20,7 @@ from quintcap.factor import (
     is_rational_prime,
 )
 
+import oracles
 from conftest import ABOVE_BOUND_BY_TRIAL_DIVISION
 
 # Trial division up to this divisor is the oracle wherever it finishes quickly.
@@ -104,7 +105,10 @@ def test_factorize_large_prime_powers():
 
 CARMICHAEL = (561, 41041, 825265, 321197185, 5394826801, 232250619601, 9746347772161)
 
-# Strong pseudoprimes to the first 1, 2, ..., 12 prime bases, factored.
+# psi_1, ..., psi_12, the least strong pseudoprimes to the first 1, 2, ..., 12
+# prime bases, factored; psi_7 = psi_8 and psi_9 = psi_10 = psi_11.  Each is
+# composite, so is_rational_prime must reject it: reading its base-count
+# table one row off would test psi_t to only the t bases it fools.
 STRONG_PSEUDOPRIMES = {
     2047: (23, 89),
     1373653: (829, 1657),
@@ -137,6 +141,19 @@ def test_factorize_strong_pseudoprimes():
         assert factorize(n) == dict.fromkeys(ps, 1), n
         if ps[-2] < 10**6:
             assert factorize(n) == trial_factor(n, limit=ORACLE_LIMIT), n
+
+
+def test_miller_rabin_matches_thirteen_base_oracle():
+    for n in range(-3, 200_000):
+        assert is_rational_prime(n) == oracles.is_rational_prime(n), n
+    # 1000 odd n in [psi_t/2, 2*psi_t) for each threshold psi_t, where the
+    # number of bases changes; the last window stops below psi_13.
+    rng = random.Random(20251018)
+    for psi in sorted(STRONG_PSEUDOPRIMES) + [MILLER_RABIN_BOUND]:
+        hi = min(2 * psi, MILLER_RABIN_BOUND)
+        for _ in range(1000):
+            n = 2 * rng.randrange(psi // 4, hi // 2) + 1
+            assert is_rational_prime(n) == oracles.is_rational_prime(n), n
 
 
 def test_factorize_worst_case_semiprime_is_bounded():
