@@ -4,141 +4,57 @@ capitulation analysis of pure quintic radicands with a (5,5) class group."""
 from .cyclotomic import (
     CycInt,
     LAMBDA,
-    ONE,
-    ZERO,
     ZETA,
-    LambdaExpansion,
-    congruent_mod_lambda_pow,
-    euclid_divmod,
     fifth_power_solvable_mod_lambda,
     gcd,
     lambda_expand,
     lambda_residue,
-    lambda_valuation,
 )
-from .primes import (
-    AssociateNotFound,
-    PrimeElement,
-    PrimeKind,
-    SplittingData,
-    UnitWord,
-    UnsupportedPrimeError,
-    factor_rational_prime,
-    iter_units,
-    normalize_associate,
-    residue_field_reduce,
-)
-from .symbols import (
-    DecompositionType,
-    UndefinedSymbolError,
-    decomposition_type,
-    quintic_symbol,
-)
+from .primes import factor_rational_prime
+from .symbols import decomposition_type, quintic_symbol
 from .classify import (
-    ADMISSIBLE_RESIDUES,
     ClassificationError,
     FactorizationLimitExceeded,
     NotFifthPowerFree,
-    RadicandClass,
     RadicandForm,
     classify_radicand,
 )
 from .capitulation import (
-    CapitulationType,
-    Character,
-    ClassWord,
-    ExtensionDescriptor,
-    H1SearchExhausted,
-    H1Witness,
-    RadicalWord,
-    SubgroupDescriptor,
-    WSymbol,
     correspondence,
-    find_h1,
     guaranteed_capitulations,
     hilbert_class_field_generators,
-    norm_condition_h1,
     possible_types,
-    satisfies_pair_parity,
     six_extensions,
-    subgroup_index,
     subgroup_table,
-    tau2_orbit,
-    w_symbol_for,
 )
-from .report import Report, ReportError, build_report, run_report
+from .report import build_report, run_report
 from .scanner import scan_range
-from .fixtures import FixtureEntry, VerifySummary, load_fixtures, verify_fixtures
-from .cas import CasProtocolError, CasTimeoutError, cas_adapter_check
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ADMISSIBLE_RESIDUES",
-    "AssociateNotFound",
-    "CapitulationType",
-    "CasProtocolError",
-    "CasTimeoutError",
-    "Character",
-    "ClassWord",
     "ClassificationError",
     "CycInt",
-    "DecompositionType",
-    "ExtensionDescriptor",
     "FactorizationLimitExceeded",
-    "FixtureEntry",
-    "H1SearchExhausted",
-    "H1Witness",
     "LAMBDA",
-    "LambdaExpansion",
     "NotFifthPowerFree",
-    "ONE",
-    "PrimeElement",
-    "PrimeKind",
-    "RadicalWord",
-    "RadicandClass",
     "RadicandForm",
-    "Report",
-    "ReportError",
-    "SplittingData",
-    "SubgroupDescriptor",
-    "UndefinedSymbolError",
-    "UnitWord",
-    "UnsupportedPrimeError",
-    "VerifySummary",
-    "WSymbol",
-    "ZERO",
     "ZETA",
     "build_report",
-    "cas_adapter_check",
     "classify_radicand",
-    "congruent_mod_lambda_pow",
     "correspondence",
     "decomposition_type",
-    "euclid_divmod",
     "factor_rational_prime",
     "fifth_power_solvable_mod_lambda",
-    "find_h1",
     "gcd",
     "guaranteed_capitulations",
     "hilbert_class_field_generators",
-    "iter_units",
     "lambda_expand",
     "lambda_residue",
-    "lambda_valuation",
-    "load_fixtures",
-    "norm_condition_h1",
-    "normalize_associate",
     "possible_types",
     "quintic_symbol",
-    "residue_field_reduce",
     "run_report",
-    "satisfies_pair_parity",
     "scan_range",
     "six_extensions",
-    "subgroup_index",
     "subgroup_table",
-    "tau2_orbit",
-    "verify_fixtures",
-    "w_symbol_for",
 ]

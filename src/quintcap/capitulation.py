@@ -23,21 +23,13 @@ from enum import Enum
 from typing import Iterable
 
 from .classify import RadicandClass, RadicandForm
-from .cyclotomic import (
-    CycInt,
-    LAMBDA,
-    congruent_mod_lambda_pow,
-    div_lambda_exact,
-    lambda_inverse,
-)
+from .cyclotomic import CycInt, congruent_mod_lambda_pow, lambda_inverse
 from .primes import (
-    DEFAULT_UNIT_BOUND,
     PrimeElement,
     PrimeKind,
     UnitWord,
     UnsupportedPrimeError,
     first_unit_hit,
-    unit_image_hits,
 )
 
 
@@ -479,21 +471,18 @@ _H1_TARGETS = (1, 7, 18, 24)
 
 
 class H1SearchExhausted(Exception):
-    """The bounded joint (unit, h) search found no admissible witness.
+    """No (unit, h) witness exists, and the failure is proved.
 
-    ``proven_impossible`` means the failure is proved, not a bound
-    artefact: for lambda the product u*pi_1*lambda^h has positive valuation
-    while every target is a lambda-unit; for an inert w the full unit image
-    modulo lambda^5 was exhausted.  ``norm_condition_h1`` carries the unique
-    exponent solving the norm-level necessary condition, which callers may
-    use as an explicitly unverified stand-in.
+    For lambda the product u*pi_1*lambda^h has positive valuation while
+    every target is a lambda-unit; for an inert w the unit scan, which
+    covers the full unit image modulo lambda^5, has no hit.
+    ``norm_condition_h1`` carries the unique exponent solving the
+    norm-level necessary condition, which callers may use as an explicitly
+    unverified stand-in.
     """
 
-    def __init__(
-        self, message: str, *, proven_impossible: bool, norm_condition_h1: int | None
-    ) -> None:
+    def __init__(self, message: str, *, norm_condition_h1: int | None) -> None:
         super().__init__(message)
-        self.proven_impossible = proven_impossible
         self.norm_condition_h1 = norm_condition_h1
 
 
@@ -534,20 +523,14 @@ def norm_condition_h1(p: int, w: PrimeElement, e: int = 1) -> int | None:
     return None
 
 
-def find_h1(
-    pi1: PrimeElement,
-    w: PrimeElement,
-    *,
-    e: int = 1,
-    unit_bound: int = DEFAULT_UNIT_BOUND,
-) -> H1Witness:
-    """Joint bounded search for (h, u) with u * pi_1 * w^h = +-1, +-7 (mod lambda^5).
+def find_h1(pi1: PrimeElement, w: PrimeElement, *, e: int = 1) -> H1Witness:
+    """Joint search for (h, u) with u * pi_1 * w^h = +-1, +-7 (mod lambda^5).
 
     Takes h ascending and, for each h, the first unit of the normalize_associate
     scan order that meets a target, found by looking up t * (pi_1*w^h)^-1.
-    For w = lambda the valuation proof is raised without any lookup.  On
-    exhaustion the failure is classified before raising: no silent default
-    is ever produced.
+    For w = lambda the valuation proof is raised without any lookup.  The
+    scan covers the full unit image mod lambda^5, so when no h has a hit the
+    congruence is impossible: no silent default is ever produced.
     """
     if pi1.kind is not PrimeKind.SPLIT:
         raise UnsupportedPrimeError("pi_1 must be a split prime")
@@ -559,50 +542,17 @@ def find_h1(
             "no witness exists: u*pi_1*lambda^h has lambda-valuation h >= 1 while"
             " every target is a unit mod lambda, so the congruence fails for all"
             " units and exponents",
-            proven_impossible=True,
             norm_condition_h1=fallback,
         )
     targets = [CycInt(r) for r in _H1_TARGETS]
-    inverses = []
     for h in range(1, 5):
         wh = w.value ** h
-        inverse = lambda_inverse(pi1.value * wh, 5)
-        hit = first_unit_hit(inverse, 5, targets, unit_bound)
+        hit = first_unit_hit(lambda_inverse(pi1.value * wh, 5), 5, targets)
         if hit is not None:
             word, u, i = hit
             return H1Witness(h, u, word, _H1_TARGETS[i], u * pi1.value * wh)
-        inverses.append(inverse)
-    for h, inverse in enumerate(inverses, start=1):
-        if unit_image_hits(inverse, 5, targets):
-            raise H1SearchExhausted(
-                f"a witness exists at h={h} but its unit lies beyond the"
-                f" scan bound {unit_bound}",
-                proven_impossible=False,
-                norm_condition_h1=fallback,
-            )
     raise H1SearchExhausted(
         f"no unit in the full image mod lambda^5 makes u*pi_1*{w.rational_below}^h"
         " congruent to +-1, +-7 for any h in 1..4; the congruence is impossible",
-        proven_impossible=True,
         norm_condition_h1=fallback,
     )
-
-
-def lambda_coprime_twist(
-    value: CycInt, n: int, e: int, h: int
-) -> tuple[CycInt, int, int]:
-    """Divide value * lambda^h * n^j by lambda^(5m) to reach a lambda-unit.
-
-    j is the unique exponent in 0..4 with 4*e*j + h = 0 (mod 5).  Returns
-    the twisted element together with (j, m).  Exact throughout; raises if
-    the division leaves the ring.
-    """
-    j = (-h * pow(4 * e, -1, 5)) % 5
-    total = h + 4 * e * j
-    if total % 5:
-        raise ArithmeticError("twist exponent bookkeeping failed")
-    m = total // 5
-    v = value * (LAMBDA ** h) * (CycInt(n) ** j)
-    for _ in range(5 * m):
-        v = div_lambda_exact(v)
-    return v, j, m

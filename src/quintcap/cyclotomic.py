@@ -236,7 +236,6 @@ _FIVE_OVER_LAMBDA = (ONE - ZETA_POWERS[2]) * (ONE - ZETA_POWERS[3]) * (ONE - ZET
 
 
 _FALLBACK_OFFSETS = tuple(itertools.product((0, 1, -1), repeat=4))
-_WIDE_OFFSETS = tuple(itertools.product((0, 1, -1, 2, -2), repeat=4))
 
 
 def euclid_divmod(a: CycInt, b: CycInt) -> tuple[CycInt, CycInt]:
@@ -247,7 +246,8 @@ def euclid_divmod(a: CycInt, b: CycInt) -> tuple[CycInt, CycInt]:
     tau^2(b) * (s + t*zeta^2 + t*zeta^3) and norm(b) = s^2 - s*t - t^2 for
     b * tau^2(b) = s + t*(zeta + zeta^4).  Z[zeta] is norm-Euclidean but
     rounding alone carries no proof, so if the remainder is not small enough
-    the quotient is perturbed over a small offset grid until it is.
+    the quotient is perturbed over the offset grid {0, +-1}^4 until it is,
+    and a division that no offset rescues raises ArithmeticError.
     """
     ac, bc = a._c, b._c
     if bc == (0, 0, 0, 0):
@@ -257,14 +257,13 @@ def euclid_divmod(a: CycInt, b: CycInt) -> tuple[CycInt, CycInt]:
     num = _mul(ac, _mul(_tau2(bc), (s, 0, t, t)))
     den = 2 * nb
     q0, q1, q2, q3 = ((2 * c + nb) // den for c in num)
-    # Each grid starts with the zero offset, the rounded quotient itself.
-    for offsets in (_FALLBACK_OFFSETS, _WIDE_OFFSETS):
-        for o0, o1, o2, o3 in offsets:
-            q = (q0 + o0, q1 + o1, q2 + o2, q3 + o3)
-            m = _mul(q, bc)
-            r = (ac[0] - m[0], ac[1] - m[1], ac[2] - m[2], ac[3] - m[3])
-            if _norm(r) < nb:
-                return _new(q), _new(r)
+    # The grid starts with the zero offset, the rounded quotient itself.
+    for o0, o1, o2, o3 in _FALLBACK_OFFSETS:
+        q = (q0 + o0, q1 + o1, q2 + o2, q3 + o3)
+        m = _mul(q, bc)
+        r = (ac[0] - m[0], ac[1] - m[1], ac[2] - m[2], ac[3] - m[3])
+        if _norm(r) < nb:
+            return _new(q), _new(r)
     raise ArithmeticError(f"euclidean division failed for {a!r} / {b!r}")
 
 

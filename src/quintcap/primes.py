@@ -14,11 +14,13 @@ Conventions fixed by this module (recorded in reports):
     with x != 1: such an x has order 5, so it generates all four, and no
     primitive root (nor a factorisation of p - 1) is needed.
   - the unit group of Z[zeta] is (+-zeta^a) * (1+zeta)^t; 1+zeta has norm 1
-    and generates the units modulo torsion, so scanning a in 0..4, t in
-    -B..B, both signs, covers every associate class the search bound allows.
-    Searches over that scan are table lookups: u*b = t (mod lambda^k) holds
-    exactly when u lies in the class of t * b^-1, and each class remembers
-    the first unit of the scan that lies in it.
+    and generates the units modulo torsion.  Scanning a in 0..4, t in
+    -UNIT_BOUND..UNIT_BOUND, both signs, meets every class of the unit
+    group modulo lambda^k for k <= 5; each table is checked against the
+    full unit image when it is built, so a miss is a proof.  Searches over
+    the scan are table lookups: u*b = t (mod lambda^k) holds exactly when
+    u lies in the class of t * b^-1, and each class remembers the first
+    unit of the scan that lies in it.
 
 Rational integers are factored, and tested for primality, only in
 ``factor``; ``is_rational_prime`` and ``MILLER_RABIN_BOUND`` are re-exported
@@ -49,16 +51,8 @@ class UnsupportedPrimeError(ValueError):
 
 
 class AssociateNotFound(Exception):
-    """The bounded associate search failed.
-
-    ``proven_impossible`` distinguishes a finished decision procedure (no
-    element of the full image of the unit group modulo lambda^k works) from
-    exhaustion of the scan bound.
-    """
-
-    def __init__(self, message: str, *, proven_impossible: bool) -> None:
-        super().__init__(message)
-        self.proven_impossible = proven_impossible
+    """No associate meets the congruence: the unit scan, which covers the
+    full image of the unit group modulo lambda^k, has no hit."""
 
 
 class PrimeKind(Enum):
@@ -151,7 +145,7 @@ _INV_ONE_PLUS_ZETA = (
     ONE_PLUS_ZETA.galois(1) * ONE_PLUS_ZETA.galois(2) * ONE_PLUS_ZETA.galois(3)
 )
 
-DEFAULT_UNIT_BOUND = 8
+UNIT_BOUND = 8
 
 
 @dataclass(frozen=True)
@@ -179,7 +173,7 @@ class UnitWord:
         return "*".join(parts) if parts else "1"
 
 
-def iter_units(bound: int = DEFAULT_UNIT_BOUND) -> Iterator[tuple[UnitWord, CycInt]]:
+def iter_units(bound: int = UNIT_BOUND) -> Iterator[tuple[UnitWord, CycInt]]:
     """Scan units +-zeta^a (1+zeta)^t: a ascending, t by absolute value, then sign."""
     t_order = [0]
     for t in range(1, bound + 1):
@@ -203,8 +197,7 @@ def iter_units(bound: int = DEFAULT_UNIT_BOUND) -> Iterator[tuple[UnitWord, CycI
 # Lookup tables, filled on first use and never rebuilt.  Keys are lambda_key
 # labels unless stated otherwise.
 _UNIT_IMAGE: dict[int, dict[tuple[int, ...], CycInt]] = {}  # digit-tuple keys
-_UNIT_IMAGE_KEYS: dict[int, frozenset[int]] = {}
-_FIRST_UNITS: dict[tuple[int, int], dict[int, tuple[int, UnitWord, CycInt]]] = {}
+_FIRST_UNITS: dict[int, dict[int, tuple[int, UnitWord, CycInt]]] = {}
 
 
 def unit_residues_mod_lambda_pow(k: int) -> dict[tuple[int, ...], CycInt]:
@@ -212,24 +205,25 @@ def unit_residues_mod_lambda_pow(k: int) -> dict[tuple[int, ...], CycInt]:
 
     Computed once per k by closure under the generators and returned as a
     copy; the keys are canonical digit tuples, the values small
-    representatives.  Used to turn a failed bounded search into a finished
-    impossibility proof.
+    representatives.  ``first_unit_hit`` checks its scan table against it.
     """
     image = _UNIT_IMAGE.get(k)
     if image is None:
         gens = (-ONE, ZETA, ONE_PLUS_ZETA, _INV_ONE_PLUS_ZETA)
-        seed = lambda_expand(ONE, k)
-        image = {seed.digits: ONE}
+        seen = {lambda_key(ONE, k)}
+        image = {lambda_expand(ONE, k).digits: ONE}
         frontier = [ONE]
         while frontier:
             nxt = []
             for x in frontier:
                 for g in gens:
                     y = x * g
-                    key = lambda_expand(y, k).digits
-                    if key not in image:
-                        rep = lambda_expand(y, k).reassemble()
-                        image[key] = rep
+                    key = lambda_key(y, k)
+                    if key not in seen:
+                        seen.add(key)
+                        expansion = lambda_expand(y, k)
+                        rep = expansion.reassemble()
+                        image[expansion.digits] = rep
                         nxt.append(rep)
             frontier = nxt
         _UNIT_IMAGE[k] = image
@@ -237,20 +231,26 @@ def unit_residues_mod_lambda_pow(k: int) -> dict[tuple[int, ...], CycInt]:
 
 
 def first_unit_hit(
-    inverse: CycInt, k: int, targets: Sequence[CycInt], bound: int
+    inverse: CycInt, k: int, targets: Sequence[CycInt]
 ) -> tuple[UnitWord, CycInt, int] | None:
-    """The first unit u of ``iter_units(bound)`` with u*b = t (mod lambda^k).
+    """The first unit u of ``iter_units(UNIT_BOUND)`` with u*b = t (mod lambda^k).
 
     ``inverse`` is b^-1 mod lambda^k.  Returns (word, unit, i) for the
     earliest unit and, among its targets, the first ``targets[i]`` it meets;
-    None if no scanned unit meets any target.
+    None if no unit at all meets any target.  The table's keys are classes
+    of units, so when it has as many keys as the unit image has elements it
+    is the whole image; that is checked once, when the table is built.
     """
-    table = _FIRST_UNITS.get((k, bound))
+    table = _FIRST_UNITS.get(k)
     if table is None:
         table = {}
-        for index, (word, u) in enumerate(iter_units(bound)):
+        for index, (word, u) in enumerate(iter_units(UNIT_BOUND)):
             table.setdefault(lambda_key(u, k), (index, word, u))
-        _FIRST_UNITS[(k, bound)] = table
+        if len(table) != len(unit_residues_mod_lambda_pow(k)):
+            raise ArithmeticError(
+                f"the unit scan misses part of the unit image mod lambda^{k}"
+            )
+        _FIRST_UNITS[k] = table
     hits = []
     for i, t in enumerate(targets):
         entry = table.get(lambda_key(t * inverse, k))
@@ -261,15 +261,6 @@ def first_unit_hit(
         return None
     _, i, word, u = min(hits, key=lambda hit: hit[:2])
     return word, u, i
-
-
-def unit_image_hits(inverse: CycInt, k: int, targets: Sequence[CycInt]) -> bool:
-    """True iff some unit u, unbounded, has u*b = t (mod lambda^k) for a target t."""
-    keys = _UNIT_IMAGE_KEYS.get(k)
-    if keys is None:
-        keys = frozenset(lambda_key(u, k) for u in unit_residues_mod_lambda_pow(k).values())
-        _UNIT_IMAGE_KEYS[k] = keys
-    return any(lambda_key(t * inverse, k) in keys for t in targets)
 
 
 def _coerce_targets(targets: Iterable[int | CycInt]) -> list[CycInt]:
@@ -290,36 +281,25 @@ class AssociateNormalization:
 
 
 def normalize_associate(
-    pi: PrimeElement,
-    k: int,
-    targets: Sequence[int | CycInt],
-    bound: int = DEFAULT_UNIT_BOUND,
+    pi: PrimeElement, k: int, targets: Sequence[int | CycInt]
 ) -> AssociateNormalization:
     """Find a unit u with u*pi congruent to one of ``targets`` mod lambda^k.
 
-    Returns the first hit of the bounded unit family in the fixed scan
-    order, found by looking up t * pi^-1 for each target t.  On failure the
-    full unit-image subgroup mod lambda^k is consulted: if no subgroup
-    element works either, the congruence is impossible for every associate,
-    and AssociateNotFound carries proven_impossible=True.
+    Returns the first hit of the unit scan in its fixed order, found by
+    looking up t * pi^-1 for each target t.  The scan covers the full unit
+    image mod lambda^k, so a miss proves that no associate of pi meets the
+    congruence, and AssociateNotFound is raised.
     """
     if pi.kind is not PrimeKind.SPLIT:
         raise UnsupportedPrimeError("associate normalisation is defined for split primes")
     if not 1 <= k <= 5:
         raise ValueError("modulus exponent must be in 1..5")
     target_vals = _coerce_targets(targets)
-    inverse = lambda_inverse(pi.value, k)
-    hit = first_unit_hit(inverse, k, target_vals, bound)
-    if hit is not None:
-        word, u, i = hit
-        return AssociateNormalization(u, word, u * pi.value, target_vals[i])
-    if unit_image_hits(inverse, k, target_vals):
+    hit = first_unit_hit(lambda_inverse(pi.value, k), k, target_vals)
+    if hit is None:
         raise AssociateNotFound(
-            f"a unit exists mod lambda^{k} but lies outside the scan bound {bound}",
-            proven_impossible=False,
+            f"no associate of the prime above {pi.rational_below} meets the congruence"
+            f" mod lambda^{k}; the full unit image was exhausted"
         )
-    raise AssociateNotFound(
-        f"no associate of the prime above {pi.rational_below} meets the congruence"
-        f" mod lambda^{k}; the full unit image was exhausted",
-        proven_impossible=True,
-    )
+    word, u, i = hit
+    return AssociateNormalization(u, word, u * pi.value, target_vals[i])

@@ -400,7 +400,7 @@ def _attempt_case1_normalization(split: SplittingData) -> dict[str, Any]:
         return {
             "targets": [1],
             "achieved": False,
-            "proven_impossible": exc.proven_impossible,
+            "proven_impossible": True,
             "note": str(exc),
         }
 
@@ -426,7 +426,7 @@ def _h1_section(rc: RadicandClass, pi1: PrimeElement, w: PrimeElement) -> tuple[
             "value": exc.norm_condition_h1,
             "source": "norm_condition",
             "verified": False,
-            "proven_impossible": exc.proven_impossible,
+            "proven_impossible": True,
             "note": str(exc),
         }
 

@@ -7,8 +7,13 @@ These are the bodies the straight-line kernel in ``quintcap.cyclotomic``,
 against them.
 """
 
-from quintcap.cyclotomic import _FALLBACK_OFFSETS, _WIDE_OFFSETS, ONE, CycInt, lambda_residue
+import itertools
+
+from quintcap.cyclotomic import _FALLBACK_OFFSETS, ONE, CycInt, lambda_residue
 from quintcap.factor import MILLER_RABIN_BOUND, factorize
+
+# The wider grid euclid_divmod used to try after _FALLBACK_OFFSETS.
+_WIDE_OFFSETS = tuple(itertools.product((0, 1, -1, 2, -2), repeat=4))
 
 
 def _reduce_power_vector(v):

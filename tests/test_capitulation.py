@@ -12,7 +12,6 @@ from quintcap.capitulation import (
     find_h1,
     guaranteed_capitulations,
     hilbert_class_field_generators,
-    lambda_coprime_twist,
     norm_condition_h1,
     possible_types,
     satisfies_pair_parity,
@@ -23,9 +22,8 @@ from quintcap.capitulation import (
     w_symbol_for,
 )
 from quintcap.classify import RadicandForm, classify_radicand
-from quintcap.cyclotomic import CycInt, lambda_valuation
+from quintcap.cyclotomic import LAMBDA, CycInt, div_lambda_exact, lambda_valuation
 from quintcap.primes import (
-    DEFAULT_UNIT_BOUND,
     PrimeKind,
     factor_rational_prime,
     iter_units,
@@ -443,7 +441,7 @@ def test_find_h1_exhausts_with_proof_case2():
     w = factor_rational_prime(rc.q).factors[0]
     with pytest.raises(H1SearchExhausted) as exc:
         find_h1(pi1, w, e=rc.e)
-    assert exc.value.proven_impossible
+    assert "the congruence is impossible" in str(exc.value)
     assert exc.value.norm_condition_h1 == 4
 
 
@@ -453,7 +451,7 @@ def test_find_h1_lambda_valuation_proof():
     lam = factor_rational_prime(5).factors[0]
     with pytest.raises(H1SearchExhausted) as exc:
         find_h1(pi1, lam, e=rc.e)
-    assert exc.value.proven_impossible
+    assert "no witness exists" in str(exc.value)
     assert exc.value.norm_condition_h1 == 1
 
 
@@ -461,6 +459,25 @@ def test_find_h1_rejects_bad_arguments(split_11):
     pi1 = split_11.factors[0]
     with pytest.raises(Exception):
         find_h1(pi1, pi1)
+
+
+def lambda_coprime_twist(value, n, e, h):
+    """Divide value * lambda^h * n^j by lambda^(5m) to reach a lambda-unit.
+
+    j is the unique exponent in 0..4 with 4*e*j + h = 0 (mod 5).  Returns
+    the twisted element together with (j, m).  Exact throughout; raises if
+    the division leaves the ring.  A starting point for a local criterion
+    at the ramified prime of the 5^e*p shape.
+    """
+    j = (-h * pow(4 * e, -1, 5)) % 5
+    total = h + 4 * e * j
+    if total % 5:
+        raise ArithmeticError("twist exponent bookkeeping failed")
+    m = total // 5
+    v = value * (LAMBDA ** h) * (CycInt(n) ** j)
+    for _ in range(5 * m):
+        v = div_lambda_exact(v)
+    return v, j, m
 
 
 def test_lambda_coprime_twist_exact():
@@ -474,13 +491,13 @@ def test_lambda_coprime_twist_exact():
 
 # --- the lookups against the original (h, unit, target) scan ------------------
 
-def scan_find_h1(pi1, w, *, e=1, unit_bound=DEFAULT_UNIT_BOUND):
+def scan_find_h1(pi1, w, *, e=1):
     # The original joint scan and image exhaustion, kept as the oracle.
     residues = (1, 7, 18, 24)
     targets = [CycInt(r) for r in residues]
     for h in range(1, 5):
         wh = w.value ** h
-        for word, u in iter_units(unit_bound):
+        for word, u in iter_units():
             v = u * pi1.value * wh
             for r, t in zip(residues, targets):
                 if digits_congruent(v, t, 5):
@@ -491,7 +508,6 @@ def scan_find_h1(pi1, w, *, e=1, unit_bound=DEFAULT_UNIT_BOUND):
             "no witness exists: u*pi_1*lambda^h has lambda-valuation h >= 1 while"
             " every target is a unit mod lambda, so the congruence fails for all"
             " units and exponents",
-            proven_impossible=True,
             norm_condition_h1=fallback,
         )
     for h in range(1, 5):
@@ -501,37 +517,28 @@ def scan_find_h1(pi1, w, *, e=1, unit_bound=DEFAULT_UNIT_BOUND):
             for t in targets:
                 if digits_congruent(v, t, 5):
                     raise H1SearchExhausted(
-                        f"a witness exists at h={h} but its unit lies beyond the"
-                        f" scan bound {unit_bound}",
-                        proven_impossible=False,
+                        f"a witness exists at h={h} but its unit lies beyond the scan",
                         norm_condition_h1=fallback,
                     )
     raise H1SearchExhausted(
         f"no unit in the full image mod lambda^5 makes u*pi_1*{w.rational_below}^h"
         " congruent to +-1, +-7 for any h in 1..4; the congruence is impossible",
-        proven_impossible=True,
         norm_condition_h1=fallback,
     )
 
 
 def test_find_h1_matches_scan():
-    calls = []
+    kinds = set()
     for rc in oracle_radicands():
         if rc.form is RadicandForm.PRIME_POWER:
             continue
         pi1 = factor_rational_prime(rc.p).factors[0]
         w = factor_rational_prime(rc.q or 5).factors[0]
-        calls.append((pi1, w, rc.e, DEFAULT_UNIT_BOUND))
-        if rc.n == 843:
-            # the witness zeta^4*(1+zeta)^-2 lies beyond bound 1
-            calls.append((pi1, w, rc.e, 1))
-    kinds = set()
-    for pi1, w, e, bound in calls:
-        expected = outcome(scan_find_h1, pi1, w, e=e, unit_bound=bound)
-        assert outcome(find_h1, pi1, w, e=e, unit_bound=bound) == expected
-        kinds.add(expected[0] if expected[0] == "returned" else expected[3])
-    # a witness, a witness beyond the bound and a proven impossibility all occur
-    assert kinds == {"returned", False, True}
+        expected = outcome(scan_find_h1, pi1, w, e=rc.e)
+        assert outcome(find_h1, pi1, w, e=rc.e) == expected
+        kinds.add(expected[0])
+    # a witness and a proven impossibility both occur
+    assert kinds == {"returned", "raised"}
 
 
 # --- independent oracle for the frozen impossibility ---------------------------

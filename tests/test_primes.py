@@ -3,8 +3,8 @@ import random
 import pytest
 
 from quintcap.cyclotomic import CycInt, ONE, ZETA, congruent_mod_lambda_pow, euclid_divmod, gcd
+from quintcap import primes
 from quintcap.primes import (
-    DEFAULT_UNIT_BOUND,
     MILLER_RABIN_BOUND,
     AssociateNormalization,
     AssociateNotFound,
@@ -189,14 +189,15 @@ def test_unit_words_evaluate(rng):
 
 
 def test_unit_image_subgroup_size():
-    # the image of the unit group in (Z[zeta]/lambda^5)* has order 100 and the
-    # default scan covers it completely
-    image = unit_residues_mod_lambda_pow(5)
-    assert len(image) == 100
+    # the image of the unit group in (Z[zeta]/lambda^k)* has order 4, 20, 100,
+    # 100, 100 for k = 1..5, and the default scan covers each completely
     from quintcap.cyclotomic import lambda_expand
 
-    scanned = {lambda_expand(u, 5).digits for _, u in iter_units()}
-    assert scanned == set(image.keys())
+    for k, order in zip(range(1, 6), (4, 20, 100, 100, 100)):
+        image = unit_residues_mod_lambda_pow(k)
+        assert len(image) == order
+        scanned = {lambda_expand(u, k).digits for _, u in iter_units()}
+        assert scanned == set(image.keys())
 
 
 def test_normalize_trivial_targets(split_31):
@@ -221,15 +222,23 @@ def test_normalize_151_target_one_impossible(split_151):
     # Computed once by exhausting the full 100-element unit image mod lambda^5:
     # no associate of the prime above 151 is congruent to 1, despite
     # 151 = 1 (mod 25).  The obstruction is a unit condition, not a bound.
-    with pytest.raises(AssociateNotFound) as exc:
+    with pytest.raises(AssociateNotFound, match="full unit image was exhausted"):
         normalize_associate(split_151.factors[0], 5, [1])
-    assert exc.value.proven_impossible
 
 
 def test_normalize_31_target_one_impossible(split_31):
-    with pytest.raises(AssociateNotFound) as exc:
+    with pytest.raises(AssociateNotFound, match="full unit image was exhausted"):
         normalize_associate(split_31.factors[0], 5, [1])
-    assert exc.value.proven_impossible
+
+
+def test_short_unit_scan_is_refused_not_read_as_a_proof(split_151, monkeypatch):
+    # A scan table smaller than the unit image must not turn a miss into a
+    # false impossibility: building it raises instead.
+    original = primes.iter_units
+    monkeypatch.setattr(primes, "iter_units", lambda bound=primes.UNIT_BOUND: original(0))
+    monkeypatch.setattr(primes, "_FIRST_UNITS", {})
+    with pytest.raises(ArithmeticError, match="misses part of the unit image"):
+        normalize_associate(split_151.factors[0], 5, [1])
 
 
 def test_normalize_pair_product_succeeds(split_151):
@@ -298,10 +307,10 @@ def test_unit_image_is_returned_as_a_copy():
     assert len(unit_residues_mod_lambda_pow(3)) == size > 0
 
 
-def scan_normalize_associate(pi, k, targets, bound=DEFAULT_UNIT_BOUND):
+def scan_normalize_associate(pi, k, targets):
     # The original bounded scan and image exhaustion, kept as the oracle.
     target_vals = [t if isinstance(t, CycInt) else CycInt(t) for t in targets]
-    for word, u in iter_units(bound):
+    for word, u in iter_units():
         v = u * pi.value
         for t in target_vals:
             if digits_congruent(v, t, k):
@@ -311,13 +320,11 @@ def scan_normalize_associate(pi, k, targets, bound=DEFAULT_UNIT_BOUND):
         for t in target_vals:
             if digits_congruent(v, t, k):
                 raise AssociateNotFound(
-                    f"a unit exists mod lambda^{k} but lies outside the scan bound {bound}",
-                    proven_impossible=False,
+                    f"a unit exists mod lambda^{k} but lies outside the scan"
                 )
     raise AssociateNotFound(
         f"no associate of the prime above {pi.rational_below} meets the congruence"
-        f" mod lambda^{k}; the full unit image was exhausted",
-        proven_impossible=True,
+        f" mod lambda^{k}; the full unit image was exhausted"
     )
 
 
@@ -329,15 +336,14 @@ def test_normalize_associate_matches_scan():
             continue
         seen.add(rc.p)
         pi1 = factor_rational_prime(rc.p).factors[0]
-        for k, targets, bound in [
-            (5, [1], DEFAULT_UNIT_BOUND),
-            (3, [1, 2, 3, 4], DEFAULT_UNIT_BOUND),
-            (3, [1, 2, 3, 4], 1),
-            (2, [7, 1], 0),
-            (4, [1, 7, 18, 24], DEFAULT_UNIT_BOUND),
+        for k, targets in [
+            (5, [1]),
+            (3, [1, 2, 3, 4]),
+            (2, [7, 1]),
+            (4, [1, 7, 18, 24]),
         ]:
-            expected = outcome(scan_normalize_associate, pi1, k, targets, bound)
-            assert outcome(normalize_associate, pi1, k, targets, bound) == expected
-            kinds.add(expected[0] if expected[0] == "returned" else expected[3])
-    # found, out of bound and proven impossible all occur
-    assert kinds == {"returned", False, True}
+            expected = outcome(scan_normalize_associate, pi1, k, targets)
+            assert outcome(normalize_associate, pi1, k, targets) == expected
+            kinds.add(expected[0])
+    # found and proven impossible both occur
+    assert kinds == {"returned", "raised"}
