@@ -23,7 +23,7 @@ from enum import Enum
 from typing import Iterable
 
 from .classify import RadicandClass, RadicandForm
-from .cyclotomic import CycInt, congruent_mod_lambda_pow, lambda_inverse
+from .cyclotomic import CycInt, congruent_mod_lambda_pow
 from .primes import (
     PrimeElement,
     PrimeKind,
@@ -110,9 +110,6 @@ class RadicalWord:
             self.ew + times * other.ew,
         )
 
-    def exponents(self) -> dict[str, int]:
-        return {"pi1": self.e1, "pi3": self.e3, "w": self.ew}
-
     def render(self, w: WSymbol | None) -> str:
         wname = w.radical_name if w else "w"
         return _render_word(self.e1, self.e3, self.ew, ("pi1", "pi3", wname))
@@ -144,9 +141,6 @@ class ClassWord:
 
     def times(self, other: "ClassWord") -> "ClassWord":
         return ClassWord(self.e1 + other.e1, self.e3 + other.e3, self.ew + other.ew)
-
-    def exponents(self) -> dict[str, int]:
-        return {"P1": self.e1, "P3": self.e3, "Pw": self.ew}
 
     def render(self, w: WSymbol | None) -> str:
         wname = w.ideal_name if w else "Pw"
@@ -547,7 +541,7 @@ def find_h1(pi1: PrimeElement, w: PrimeElement, *, e: int = 1) -> H1Witness:
     targets = [CycInt(r) for r in _H1_TARGETS]
     for h in range(1, 5):
         wh = w.value ** h
-        hit = first_unit_hit(lambda_inverse(pi1.value * wh, 5), 5, targets)
+        hit = first_unit_hit(pi1.value * wh, 5, targets)
         if hit is not None:
             word, u, i = hit
             return H1Witness(h, u, word, _H1_TARGETS[i], u * pi1.value * wh)

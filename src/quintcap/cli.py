@@ -15,7 +15,7 @@ import argparse
 import sys
 
 from .cas import CasProtocolError, CasTimeoutError, cas_adapter_check
-from .classify import ClassificationError, classify_radicand
+from .classify import classify_radicand
 from .fixtures import packaged_data_path, load_fixtures, verify_fixtures
 from .report import ReportError, run_report
 from .scanner import iter_scan, render_scan
@@ -121,9 +121,6 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ClassificationError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

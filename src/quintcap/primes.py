@@ -14,17 +14,17 @@ Conventions fixed by this module (recorded in reports):
     with x != 1: such an x has order 5, so it generates all four, and no
     primitive root (nor a factorisation of p - 1) is needed.
   - the unit group of Z[zeta] is (+-zeta^a) * (1+zeta)^t; 1+zeta has norm 1
-    and generates the units modulo torsion.  Scanning a in 0..4, t in
-    -UNIT_BOUND..UNIT_BOUND, both signs, meets every class of the unit
-    group modulo lambda^k for k <= 5; each table is checked against the
-    full unit image when it is built, so a miss is a proof.  Searches over
-    the scan are table lookups: u*b = t (mod lambda^k) holds exactly when
-    u lies in the class of t * b^-1, and each class remembers the first
-    unit of the scan that lies in it.
+    and generates the units modulo torsion.  The scan takes a in 0..4, t in
+    -UNIT_BOUND..UNIT_BOUND, both signs; one table per k maps each class mod
+    lambda^k that it meets to the first scanned unit in it.  The keys are
+    classes of units, 1 among them, and the table is checked, when built, to
+    be closed under multiplication by -1, zeta and 1+zeta: so it is the
+    subgroup they generate, the whole unit image mod lambda^k, and a miss is
+    a proof.  u*b = t (mod lambda^k) holds exactly when u lies in the class
+    of t * b^-1, so a search over the scan is one lookup per target.
 
 Rational integers are factored, and tested for primality, only in
-``factor``; ``is_rational_prime`` and ``MILLER_RABIN_BOUND`` are re-exported
-here under their old names.
+``factor``; ``is_rational_prime`` is re-exported here under its old name.
 """
 
 from __future__ import annotations
@@ -39,11 +39,10 @@ from .cyclotomic import (
     ONE,
     ZETA,
     gcd,
-    lambda_expand,
     lambda_inverse,
     lambda_key,
 )
-from .factor import MILLER_RABIN_BOUND, is_rational_prime
+from .factor import is_rational_prime
 
 
 class UnsupportedPrimeError(ValueError):
@@ -146,6 +145,8 @@ _INV_ONE_PLUS_ZETA = (
 )
 
 UNIT_BOUND = 8
+# How reports describe the scan order of ``iter_units``.
+UNIT_SCAN = f"sign * zeta^a * (1+zeta)^t; a ascending 0..4, t by |t| <= {UNIT_BOUND}, sign +,-"
 
 
 @dataclass(frozen=True)
@@ -173,15 +174,15 @@ class UnitWord:
         return "*".join(parts) if parts else "1"
 
 
-def iter_units(bound: int = UNIT_BOUND) -> Iterator[tuple[UnitWord, CycInt]]:
-    """Scan units +-zeta^a (1+zeta)^t: a ascending, t by absolute value, then sign."""
+def iter_units() -> Iterator[tuple[UnitWord, CycInt]]:
+    """Scan units +-zeta^a (1+zeta)^t: a ascending, t by |t| <= UNIT_BOUND, then sign."""
     t_order = [0]
-    for t in range(1, bound + 1):
+    for t in range(1, UNIT_BOUND + 1):
         t_order.append(t)
         t_order.append(-t)
     fund_powers = {0: ONE}
     pos = neg = ONE
-    for t in range(1, bound + 1):
+    for t in range(1, UNIT_BOUND + 1):
         pos = pos * ONE_PLUS_ZETA
         neg = neg * _INV_ONE_PLUS_ZETA
         fund_powers[t] = pos
@@ -194,63 +195,46 @@ def iter_units(bound: int = UNIT_BOUND) -> Iterator[tuple[UnitWord, CycInt]]:
                 yield UnitWord(a, t, sign), (base if sign > 0 else -base)
 
 
-# Lookup tables, filled on first use and never rebuilt.  Keys are lambda_key
-# labels unless stated otherwise.
-_UNIT_IMAGE: dict[int, dict[tuple[int, ...], CycInt]] = {}  # digit-tuple keys
-_FIRST_UNITS: dict[int, dict[int, tuple[int, UnitWord, CycInt]]] = {}
+# Per k, lambda_key class -> (scan index, word, unit) of the first scanned
+# unit in that class; filled on first use and never rebuilt.
+_UNIT_TABLES: dict[int, dict[int, tuple[int, UnitWord, CycInt]]] = {}
 
 
-def unit_residues_mod_lambda_pow(k: int) -> dict[tuple[int, ...], CycInt]:
-    """The full image of the unit group in (Z[zeta]/lambda^k)^*.
+def _unit_table(k: int) -> dict[int, tuple[int, UnitWord, CycInt]]:
+    table = _UNIT_TABLES.get(k)
+    if table is None:
+        table = {}
+        for index, (word, u) in enumerate(iter_units()):
+            table.setdefault(lambda_key(u, k), (index, word, u))
+        # Keys closed under the generators, 1 among them: the whole image.
+        for _, _, u in table.values():
+            for g in (-ONE, ZETA, ONE_PLUS_ZETA):
+                if lambda_key(u * g, k) not in table:
+                    raise ArithmeticError(
+                        f"the unit scan misses part of the unit image mod lambda^{k}"
+                    )
+        _UNIT_TABLES[k] = table
+    return table
 
-    Computed once per k by closure under the generators and returned as a
-    copy; the keys are canonical digit tuples, the values small
-    representatives.  ``first_unit_hit`` checks its scan table against it.
-    """
-    image = _UNIT_IMAGE.get(k)
-    if image is None:
-        gens = (-ONE, ZETA, ONE_PLUS_ZETA, _INV_ONE_PLUS_ZETA)
-        seen = {lambda_key(ONE, k)}
-        image = {lambda_expand(ONE, k).digits: ONE}
-        frontier = [ONE]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = x * g
-                    key = lambda_key(y, k)
-                    if key not in seen:
-                        seen.add(key)
-                        expansion = lambda_expand(y, k)
-                        rep = expansion.reassemble()
-                        image[expansion.digits] = rep
-                        nxt.append(rep)
-            frontier = nxt
-        _UNIT_IMAGE[k] = image
-    return dict(image)
+
+def unit_residues_mod_lambda_pow(k: int) -> dict[int, CycInt]:
+    """The image of the unit group in (Z[zeta]/lambda^k)^*, as a copy of the
+    unit table: lambda_key of each class -> the first scanned unit in it."""
+    return {key: u for key, (_, _, u) in _unit_table(k).items()}
 
 
 def first_unit_hit(
-    inverse: CycInt, k: int, targets: Sequence[CycInt]
+    b: CycInt, k: int, targets: Sequence[CycInt]
 ) -> tuple[UnitWord, CycInt, int] | None:
-    """The first unit u of ``iter_units(UNIT_BOUND)`` with u*b = t (mod lambda^k).
+    """The first unit u of ``iter_units()`` with u*b = t (mod lambda^k).
 
-    ``inverse`` is b^-1 mod lambda^k.  Returns (word, unit, i) for the
-    earliest unit and, among its targets, the first ``targets[i]`` it meets;
-    None if no unit at all meets any target.  The table's keys are classes
-    of units, so when it has as many keys as the unit image has elements it
-    is the whole image; that is checked once, when the table is built.
+    b is coprime to lambda.  Returns (word, unit, i) for the earliest unit
+    and, among its targets, the first ``targets[i]`` it meets, by looking up
+    the class of t * b^-1 for each target t; None if no unit at all meets
+    any target, since the table holds the whole unit image.
     """
-    table = _FIRST_UNITS.get(k)
-    if table is None:
-        table = {}
-        for index, (word, u) in enumerate(iter_units(UNIT_BOUND)):
-            table.setdefault(lambda_key(u, k), (index, word, u))
-        if len(table) != len(unit_residues_mod_lambda_pow(k)):
-            raise ArithmeticError(
-                f"the unit scan misses part of the unit image mod lambda^{k}"
-            )
-        _FIRST_UNITS[k] = table
+    table = _unit_table(k)
+    inverse = lambda_inverse(b, k)
     hits = []
     for i, t in enumerate(targets):
         entry = table.get(lambda_key(t * inverse, k))
@@ -295,7 +279,7 @@ def normalize_associate(
     if not 1 <= k <= 5:
         raise ValueError("modulus exponent must be in 1..5")
     target_vals = _coerce_targets(targets)
-    hit = first_unit_hit(lambda_inverse(pi.value, k), k, target_vals)
+    hit = first_unit_hit(pi.value, k, target_vals)
     if hit is None:
         raise AssociateNotFound(
             f"no associate of the prime above {pi.rational_below} meets the congruence"

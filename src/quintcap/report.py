@@ -42,8 +42,10 @@ from .capitulation import (
 from .classify import RadicandClass, RadicandForm, classify_radicand
 from .cyclotomic import CycInt
 from .primes import (
+    UNIT_SCAN,
     AssociateNotFound,
     PrimeElement,
+    PrimeKind,
     SplittingData,
     factor_rational_prime,
     normalize_associate,
@@ -222,7 +224,7 @@ class Report:
         out["w_symbol"] = self.w_symbol.radical_name if self.w_symbol else None
         out["primes"] = [
             {
-                "label": _prime_label(pe, self.w_symbol),
+                "label": _prime_label(pe),
                 "kind": pe.kind.value,
                 "rational_below": pe.rational_below,
                 "coords": list(pe.value.coords),
@@ -235,7 +237,7 @@ class Report:
         out["symbol"] = self.symbol_exponent
         out["conventions"] = {
             "root": self.root,
-            "unit_scan": "sign * zeta^a * (1+zeta)^t; a ascending 0..4, t by |t| <= 8, sign +,-",
+            "unit_scan": UNIT_SCAN,
             "notes": self.notes,
         }
         return out
@@ -277,7 +279,7 @@ class Report:
         for pe in self.primes:
             root = f"  zeta->{pe.root}" if pe.root is not None else ""
             lines.append(
-                f"  {_prime_label(pe, self.w_symbol):>6} = {pe.value.coords}"
+                f"  {_prime_label(pe):>6} = {pe.value.coords}"
                 f"  ({pe.kind.value} above {pe.rational_below}){root}"
             )
         if self.normalization is not None:
@@ -368,8 +370,8 @@ _EXPLAIN = {
 }
 
 
-def _prime_label(pe: PrimeElement, w: WSymbol | None) -> str:
-    if pe.kind.value == "lambda":
+def _prime_label(pe: PrimeElement) -> str:
+    if pe.kind is PrimeKind.LAMBDA:
         return "lambda"
     if pe.label == 5:
         return "pi5"

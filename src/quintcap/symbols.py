@@ -8,8 +8,7 @@ from .cyclotomic import (
     CycInt,
     euclid_divmod,
     fifth_power_solvable_mod_lambda,
-    lambda_residue,
-    div_lambda_exact,
+    lambda_valuation,
 )
 from .primes import PrimeElement, PrimeKind, UnsupportedPrimeError, residue_field_reduce
 
@@ -82,10 +81,7 @@ def decomposition_type(theta: CycInt, at: PrimeElement) -> DecompositionType:
             return DecompositionType.SPLIT
         return DecompositionType.INERT
     if at.kind is PrimeKind.LAMBDA:
-        v = 0
-        while lambda_residue(theta) == 0:
-            theta = div_lambda_exact(theta)
-            v += 1
+        v = lambda_valuation(theta)
         if v >= 5:
             raise ValueError("theta must be fifth-power-free at lambda")
         if v:

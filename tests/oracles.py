@@ -1,15 +1,23 @@
 """Slow reference versions of the ring kernel, the fifth-root search, the
-lambda-adic inverse and the primality test.
+lambda-adic inverse, the unit image and the primality test.
 
 These are the bodies the straight-line kernel in ``quintcap.cyclotomic``,
-``quintcap.primes.fifth_roots_of_unity``, ``cyclotomic.lambda_inverse`` and
-``factor.is_rational_prime`` replaced; the tests cross-check the fast code
-against them.
+``quintcap.primes.fifth_roots_of_unity``, ``cyclotomic.lambda_inverse``, the
+unit tables of ``quintcap.primes`` and ``factor.is_rational_prime`` replaced;
+the tests cross-check the fast code against them.
 """
 
+import functools
 import itertools
 
-from quintcap.cyclotomic import _FALLBACK_OFFSETS, ONE, CycInt, lambda_residue
+from quintcap.cyclotomic import (
+    _FALLBACK_OFFSETS,
+    ONE,
+    ZETA,
+    CycInt,
+    lambda_expand,
+    lambda_residue,
+)
 from quintcap.factor import MILLER_RABIN_BOUND, factorize
 
 # The wider grid euclid_divmod used to try after _FALLBACK_OFFSETS.
@@ -110,6 +118,29 @@ def lambda_inverse(x, k):
         if n:
             base = _reduce_coords(base * base, m)
     return result
+
+
+@functools.cache
+def unit_image(k):
+    """The image of the unit group in (Z[zeta]/lambda^k)^*, by breadth-first
+    closure from 1 under -1, zeta, 1+zeta and (1+zeta)^-1.  Keys are the
+    digit tuples of ``lambda_expand``, values the representatives the digits
+    reassemble to.  Shared between calls: do not mutate."""
+    f = ONE + ZETA
+    gens = (-ONE, ZETA, f, mul(mul(galois(f, 1), galois(f, 2)), galois(f, 3)))
+    image = {lambda_expand(ONE, k).digits: ONE}
+    frontier = [ONE]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                expansion = lambda_expand(mul(x, g), k)
+                if expansion.digits not in image:
+                    rep = expansion.reassemble()
+                    image[expansion.digits] = rep
+                    nxt.append(rep)
+        frontier = nxt
+    return image
 
 
 MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

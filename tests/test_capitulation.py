@@ -27,9 +27,9 @@ from quintcap.primes import (
     PrimeKind,
     factor_rational_prime,
     iter_units,
-    unit_residues_mod_lambda_pow,
 )
 
+import oracles
 from conftest import digits_congruent, oracle_radicands, outcome
 
 CASE1 = classify_radicand(151)
@@ -512,7 +512,7 @@ def scan_find_h1(pi1, w, *, e=1):
         )
     for h in range(1, 5):
         wh = w.value ** h
-        for urep in unit_residues_mod_lambda_pow(5).values():
+        for urep in oracles.unit_image(5).values():
             v = urep * pi1.value * wh
             for t in targets:
                 if digits_congruent(v, t, 5):

@@ -4,8 +4,8 @@ import pytest
 
 from quintcap.cyclotomic import CycInt, ONE, ZETA, congruent_mod_lambda_pow, euclid_divmod, gcd
 from quintcap import primes
+from quintcap.factor import MILLER_RABIN_BOUND
 from quintcap.primes import (
-    MILLER_RABIN_BOUND,
     AssociateNormalization,
     AssociateNotFound,
     PrimeKind,
@@ -171,33 +171,36 @@ def test_residue_reduce_surjective(split_11):
 
 
 def test_unit_scan_order():
-    units = list(iter_units(bound=1))
-    words = [w for w, _ in units[:6]]
-    assert (words[0].zeta_exp, words[0].fund_exp, words[0].sign) == (0, 0, 1)
-    assert (words[1].zeta_exp, words[1].fund_exp, words[1].sign) == (0, 0, -1)
-    assert (words[2].zeta_exp, words[2].fund_exp, words[2].sign) == (0, 1, 1)
-    assert (words[3].zeta_exp, words[3].fund_exp, words[3].sign) == (0, 1, -1)
-    assert (words[4].zeta_exp, words[4].fund_exp, words[4].sign) == (0, -1, 1)
+    units = list(iter_units())
+    assert len(units) == 5 * (2 * primes.UNIT_BOUND + 1) * 2
+    words = [(w.zeta_exp, w.fund_exp, w.sign) for w, _ in units]
+    assert words[:5] == [(0, 0, 1), (0, 0, -1), (0, 1, 1), (0, 1, -1), (0, -1, 1)]
     # a increments only after the whole t range
-    assert len({w.zeta_exp for w, _ in units[:6]}) == 1
+    boundary = 2 * (2 * primes.UNIT_BOUND + 1)
+    assert {a for a, _, _ in words[:boundary]} == {0}
+    assert words[boundary - 1] == (0, -primes.UNIT_BOUND, -1)
+    assert words[boundary] == (1, 0, 1)
 
 
-def test_unit_words_evaluate(rng):
-    for word, u in list(iter_units(bound=3))[:40]:
+def test_unit_words_evaluate():
+    units = list(iter_units())
+    assert len(units) == 170
+    for word, u in units:
         assert u.norm() == 1
         assert word.value() == u
 
 
 def test_unit_image_subgroup_size():
     # the image of the unit group in (Z[zeta]/lambda^k)* has order 4, 20, 100,
-    # 100, 100 for k = 1..5, and the default scan covers each completely
-    from quintcap.cyclotomic import lambda_expand
+    # 100, 100 for k = 1..5; the scan table is that image, class for class,
+    # against the breadth-first closure of the oracle
+    from quintcap.cyclotomic import lambda_expand, lambda_key
 
     for k, order in zip(range(1, 6), (4, 20, 100, 100, 100)):
         image = unit_residues_mod_lambda_pow(k)
-        assert len(image) == order
-        scanned = {lambda_expand(u, k).digits for _, u in iter_units()}
-        assert scanned == set(image.keys())
+        assert len(image) == order == len(oracles.unit_image(k))
+        assert all(lambda_key(u, k) == key for key, u in image.items())
+        assert {lambda_expand(u, k).digits for u in image.values()} == set(oracles.unit_image(k))
 
 
 def test_normalize_trivial_targets(split_31):
@@ -231,12 +234,13 @@ def test_normalize_31_target_one_impossible(split_31):
         normalize_associate(split_31.factors[0], 5, [1])
 
 
-def test_short_unit_scan_is_refused_not_read_as_a_proof(split_151, monkeypatch):
+@pytest.mark.parametrize("bound", [0, 2, 4])
+def test_short_unit_scan_is_refused_not_read_as_a_proof(split_151, monkeypatch, bound):
     # A scan table smaller than the unit image must not turn a miss into a
-    # false impossibility: building it raises instead.
-    original = primes.iter_units
-    monkeypatch.setattr(primes, "iter_units", lambda bound=primes.UNIT_BOUND: original(0))
-    monkeypatch.setattr(primes, "_FIRST_UNITS", {})
+    # false impossibility: building it raises instead.  At k = 5 these scans
+    # meet 10, 50 and 90 of the 100 classes.
+    monkeypatch.setattr(primes, "UNIT_BOUND", bound)
+    monkeypatch.setattr(primes, "_UNIT_TABLES", {})
     with pytest.raises(ArithmeticError, match="misses part of the unit image"):
         normalize_associate(split_151.factors[0], 5, [1])
 
@@ -315,7 +319,7 @@ def scan_normalize_associate(pi, k, targets):
         for t in target_vals:
             if digits_congruent(v, t, k):
                 return AssociateNormalization(u, word, v, t)
-    for urep in unit_residues_mod_lambda_pow(k).values():
+    for urep in oracles.unit_image(k).values():
         v = urep * pi.value
         for t in target_vals:
             if digits_congruent(v, t, k):
