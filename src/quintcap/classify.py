@@ -8,7 +8,10 @@ A fifth-power-free n > 1 is admissible when it matches one of:
   5^e * p    with p = 1 (mod 5), p != 1 (mod 25), and n not in {+-1, +-7}
 
 with 1 <= e <= 4 throughout.  These are exactly the shapes for which the
-downstream capitulation tables apply; everything else is NO_MATCH.
+downstream capitulation tables apply; everything else is NO_MATCH.  The
+rules fix n mod 25 to SHAPE_RESIDUES = {0, 1, 5, 7, 18, 24}, so a
+fifth-power-free n in any other class is NO_MATCH before it is factored;
+the scanner factors only those six classes.
 
 n is factored by ``factor.factorize`` (Miller-Rabin and Brent's rho), so
 every n below ``factor.MILLER_RABIN_BOUND`` is classified.  So is a larger
@@ -31,6 +34,12 @@ from enum import Enum
 from .factor import TRIAL_DIVISION_LIMIT, factorize
 
 ADMISSIBLE_RESIDUES = frozenset({1, 7, 18, 24})
+
+# n mod 25 of every n that can have a shape.  p^e and p^e*q need n in
+# ADMISSIBLE_RESIDUES.  5^e*p needs p = 1 (mod 5), so 5p = 5 (mod 25): n = 5
+# (mod 25) when e = 1 and n = 0 when e >= 2.  A fifth-power-free n in any
+# other class is NO_MATCH.
+SHAPE_RESIDUES = ADMISSIBLE_RESIDUES | {0, 5}
 
 # q = +-7 (mod 25) is excluded in the p^e*q shape.
 _EXCLUDED_Q_RESIDUES = frozenset({7, 18})

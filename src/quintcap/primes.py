@@ -100,9 +100,16 @@ def factor_rational_prime(p: int) -> SplittingData:
     Split case: pi_1 = gcd(p, zeta - r) for the smallest root r, and
     pi_{1+j} = tau^j(pi_1).  The stored residue root of pi_{1+j} is
     r^(inverse of 2^j mod 5), so each factor carries its own evaluation map.
+    Raises ValueError when p is not prime.
     """
     if not is_rational_prime(p):
         raise ValueError(f"{p} is not a rational prime")
+    return _split_prime(p)
+
+
+def _split_prime(p: int) -> SplittingData:
+    """factor_rational_prime(p) for a p already proven prime, such as the p
+    and q of a classification: p is not tested again."""
     if p == 5:
         lam = PrimeElement(LAMBDA, PrimeKind.LAMBDA, 0, 5)
         return SplittingData(5, (lam,), None)

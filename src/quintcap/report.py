@@ -47,7 +47,7 @@ from .primes import (
     PrimeElement,
     PrimeKind,
     SplittingData,
-    factor_rational_prime,
+    _split_prime,
     normalize_associate,
 )
 from .symbols import quintic_symbol
@@ -379,11 +379,12 @@ def _prime_label(pe: PrimeElement) -> str:
 
 
 def _w_prime(rc: RadicandClass) -> PrimeElement | None:
+    # classify_radicand proved q prime; 5 is.
     if rc.form is RadicandForm.PRIME_POWER_TIMES_Q:
         assert rc.q is not None
-        return factor_rational_prime(rc.q).factors[0]
+        return _split_prime(rc.q).factors[0]
     if rc.form is RadicandForm.FIVE_POWER_TIMES_P:
-        return factor_rational_prime(5).factors[0]
+        return _split_prime(5).factors[0]
     return None
 
 
@@ -440,7 +441,7 @@ def build_report(n: int) -> Report:
         return Report(n, rc, True)
     report = Report(n, rc, False)
     assert rc.p is not None
-    split = factor_rational_prime(rc.p)
+    split = _split_prime(rc.p)  # classify_radicand proved p prime
     report.root = split.root
     report.primes = list(split.factors)
     w = _w_prime(rc)

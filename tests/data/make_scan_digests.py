@@ -1,0 +1,41 @@
+"""Write scan_digests.json: sha256 digests of scan output, one row per window.
+
+Usage: PYTHONPATH=src python3 tests/data/make_scan_digests.py
+
+The windows cover three sieve blocks from 2, the block edges around 10^7
+and 3163^2, both sides of 2^32, a window of 12-digit and one of 21-digit
+integers, and 2^80, the first integer at which the sieve no longer proves
+an n fifth-power-free.  Each row holds the digest of
+``render_scan(scan_range(lo, hi))``.  tests/test_scanner.py compares the
+current output at jobs 1 and 2 against the file, so rerun this only when a
+change alters scan output on purpose.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+from quintcap.scanner import render_scan, scan_range
+
+WINDOWS = (
+    (2, 10**5),
+    (10**7 - 2**14, 10**7 + 6000),
+    (2**32 - 3000, 2**32 + 3000),
+    (10**12, 10**12 + 20000),
+    (10**20, 10**20 + 300),
+    (2**80 - 6, 2**80 + 3),
+)
+
+
+def digest(lo: int, hi: int) -> str:
+    return hashlib.sha256(render_scan(scan_range(lo, hi)).encode()).hexdigest()
+
+
+def main() -> None:
+    rows = [{"lo": lo, "hi": hi, "sha256": digest(lo, hi)} for lo, hi in WINDOWS]
+    path = Path(__file__).with_name("scan_digests.json")
+    path.write_text(json.dumps(rows, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

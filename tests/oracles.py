@@ -1,14 +1,16 @@
 """Slow reference versions of the ring kernel, the fifth-root search, the
-lambda-adic inverse, the unit image and the primality test.
+lambda-adic inverse, the unit image, the primality test and the scan.
 
 These are the bodies the straight-line kernel in ``quintcap.cyclotomic``,
 ``quintcap.primes.fifth_roots_of_unity``, ``cyclotomic.lambda_inverse``, the
-unit tables of ``quintcap.primes`` and ``factor.is_rational_prime`` replaced;
-the tests cross-check the fast code against them.
+unit tables of ``quintcap.primes``, ``factor.is_rational_prime`` and the
+scanner's restricted sieve replaced; the tests cross-check the fast code
+against them.
 """
 
 import functools
 import itertools
+import math
 
 from quintcap.cyclotomic import (
     _FALLBACK_OFFSETS,
@@ -18,7 +20,14 @@ from quintcap.cyclotomic import (
     lambda_expand,
     lambda_residue,
 )
-from quintcap.factor import MILLER_RABIN_BOUND, factorize
+from quintcap.classify import NotFifthPowerFree, radicand_shape
+from quintcap.factor import (
+    MILLER_RABIN_BOUND,
+    SIEVE_BLOCK,
+    SIEVE_PRIME_LIMIT,
+    factorize,
+    primes_up_to,
+)
 
 # The wider grid euclid_divmod used to try after _FALLBACK_OFFSETS.
 _WIDE_OFFSETS = tuple(itertools.product((0, 1, -1, 2, -2), repeat=4))
@@ -168,3 +177,44 @@ def is_rational_prime(n):
         else:
             return False
     return True
+
+
+def factor_window(lo, hi):
+    """Yield (n, factorize(n)) for every n = lo..hi, from a segmented sieve
+    over every integer: each block is sieved by every prime power p^k <= its
+    top with p <= min(isqrt(hi), SIEVE_PRIME_LIMIT)."""
+    primes = primes_up_to(min(math.isqrt(hi), SIEVE_PRIME_LIMIT))
+    for start in range(lo, hi + 1, SIEVE_BLOCK):
+        end = min(start + SIEVE_BLOCK - 1, hi)
+        size = end - start + 1
+        rest = list(range(start, end + 1))
+        found = [[] for _ in range(size)]
+        for p in primes:
+            pk = p
+            while pk <= end:
+                for i in range(-start % pk, size, pk):
+                    rest[i] //= p
+                    found[i].append(p)
+                pk *= p
+        for i in range(size):
+            factors = {}
+            for p in found[i]:
+                factors[p] = factors.get(p, 0) + 1
+            if rest[i] >= SIEVE_PRIME_LIMIT * SIEVE_PRIME_LIMIT:
+                factors.update(factorize(rest[i]))
+            elif rest[i] > 1:
+                factors[rest[i]] = 1
+            yield start + i, factors
+
+
+def scan_all(lo, hi):
+    """scan_range(lo, hi) with every n factored and classified: the full
+    sieve, then radicand_shape on every n, skipping those it finds not
+    fifth-power-free."""
+    out = []
+    for n, factors in factor_window(lo, hi):
+        try:
+            out.append((n, radicand_shape(n, factors)[0].value))
+        except NotFifthPowerFree:
+            pass
+    return out

@@ -2,6 +2,7 @@ import pytest
 
 from quintcap.classify import (
     ADMISSIBLE_RESIDUES,
+    SHAPE_RESIDUES,
     ClassificationError,
     FactorizationLimitExceeded,
     NotFifthPowerFree,
@@ -11,13 +12,30 @@ from quintcap.classify import (
     trial_factor,
 )
 from quintcap.cli import main
-from quintcap.factor import MILLER_RABIN_BOUND
+from quintcap.factor import MILLER_RABIN_BOUND, factorize
 
 from conftest import ABOVE_BOUND_BY_TRIAL_DIVISION, BEYOND_OLD_CEILING
 
 
 def test_residue_set():
     assert ADMISSIBLE_RESIDUES == {1, 7, 18, 24}
+    assert SHAPE_RESIDUES == {0, 1, 5, 7, 18, 24}
+
+
+def test_only_shape_residues_have_shapes():
+    # The scanner writes a fifth-power-free n outside SHAPE_RESIDUES as
+    # no_match without factoring it.  Class 24 holds no shape at all:
+    # p^e = 1 (mod 25) and p^e*q = +-2 (mod 5).
+    seen = set()
+    for n in range(2, 2 * 10**5 + 1):
+        factors = factorize(n)
+        if max(factors.values()) >= 5:
+            continue
+        form = radicand_shape(n, factors)[0]
+        if form is not RadicandForm.NO_MATCH:
+            assert n % 25 in SHAPE_RESIDUES, n
+            seen.add(n % 25)
+    assert seen == {0, 1, 5, 7, 18}
 
 
 def test_classify_55():

@@ -226,6 +226,23 @@ def test_factor_window_matches_factorize(lo, hi):
     assert ns == list(range(lo, hi + 1))
 
 
+@pytest.mark.parametrize(
+    "lo,hi,modulus,residues",
+    [
+        (1, 2 * SIEVE_BLOCK + 5, 25, {0, 1, 5, 7, 18, 24}),  # 5^k lands in classes 0 and 5
+        (10**7 - SIEVE_BLOCK, 10**7 + 3_000, 25, {0, 5}),
+        (2**32 - 1_000, 2**32 + 1_000, 25, {1, 7, 18, 24}),
+        (1, 5_000, 12, {0, 3, 4, 11}),  # 2 and 3 divide the modulus
+        (1, 5_000, 25, range(25)),  # a full set of residues is every n
+    ],
+)
+def test_factor_window_restricted_to_residues(lo, hi, modulus, residues):
+    got = list(factor_window(lo, hi, modulus, residues))
+    assert [n for n, _ in got] == [n for n in range(lo, hi + 1) if n % modulus in residues]
+    for n, factors in got:
+        assert factors == factorize(n), n
+
+
 def test_factor_window_far_above_its_sieve_primes():
     # hi is far beyond SIEVE_PRIME_LIMIT^2: cofactors go to factorize, and
     # the sieve stays as small as it is at SIEVE_PRIME_LIMIT^2.

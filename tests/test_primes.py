@@ -120,6 +120,8 @@ def test_factor_rejects_degree_two_case():
 def test_factor_rejects_composites():
     with pytest.raises(ValueError):
         factor_rational_prime(21)
+    with pytest.raises(ValueError, match="not a rational prime"):
+        factor_rational_prime(91)  # 7 * 13, 91 = 1 (mod 5)
 
 
 @pytest.mark.parametrize("p", [11, 31, 41, 61, 71, 101, 131, 151, 191])

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from quintcap import factor, primes
 from quintcap.fixtures import packaged_data_path
 from quintcap.report import REPORT_SCHEMA_ID, build_report, run_report
 
@@ -28,6 +29,29 @@ REPORT_NS = [55, 93, 151, 1775, 382]
 @pytest.fixture(scope="module")
 def reports():
     return {n: build_report(n) for n in REPORT_NS}
+
+
+@pytest.mark.parametrize(
+    "n,proofs",
+    [
+        (93, []),  # 3 * 31: both below 1000^2, proven by trial division
+        (151, []),
+        (100000000801, [100000000801]),  # prime = 1 (mod 25), proven once
+    ],
+)
+def test_report_proves_each_prime_once(monkeypatch, n, proofs):
+    # classify_radicand proves p and q prime; splitting them in Z[zeta]
+    # does not prove them again.
+    calls = []
+
+    def counted(m, original=factor.is_rational_prime):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(factor, "is_rational_prime", counted)
+    monkeypatch.setattr(primes, "is_rational_prime", counted)
+    build_report(n)
+    assert calls == proofs
 
 
 def test_schema_validates_reports(schema, reports):

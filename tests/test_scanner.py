@@ -1,17 +1,29 @@
+import hashlib
+import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from quintcap import scanner
 from quintcap.classify import (
+    SHAPE_RESIDUES,
     FactorizationLimitExceeded,
     NotFifthPowerFree,
     classify_radicand,
+    radicand_shape,
 )
 from quintcap.cli import main
-from quintcap.factor import SIEVE_BLOCK
+from quintcap.factor import SIEVE_BLOCK, SIEVE_PRIME_LIMIT
 from quintcap.scanner import iter_scan, render_scan, scan_range
+
+import oracles
+
+# sha256 of render_scan(scan_range(lo, hi)) per window, written by
+# data/make_scan_digests.py before the scanner factored only the classes
+# mod 25 that can have a shape.
+SCAN_DIGESTS = json.loads((Path(__file__).parent / "data" / "scan_digests.json").read_text())
 
 
 def test_scan_contains_known_rows():
@@ -126,3 +138,49 @@ def test_scan_refuses_undecided_cofactor(capsys):
         scan_range(m89 - 1, m89)
     assert main(["scan", str(m89), str(m89)]) == 2
     assert "not decided" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", SCAN_DIGESTS, ids=lambda row: f"{row['lo']}-{row['hi']}")
+def test_scan_output_matches_digest(row):
+    for jobs in (1, 2):
+        text = render_scan(scan_range(row["lo"], row["hi"], jobs))
+        assert hashlib.sha256(text.encode()).hexdigest() == row["sha256"], jobs
+
+
+@pytest.mark.parametrize(
+    "lo,hi",
+    [
+        (2, 6 * SIEVE_BLOCK),  # block edges; multiples of 2^5, 3^5, 5^5, 5^7 = 78125
+        (610 * SIEVE_BLOCK - 700, 610 * SIEVE_BLOCK + 700),  # a block edge near 10^7
+        (9_985_162 - 2_000, 9_985_162 + 2_000),  # 11^5 * 62
+        (2**32 - 2_000, 2**32 + 2_000),
+        (3 * 10**12, 3 * 10**12 + 2_000),
+    ],
+)
+def test_scan_matches_full_sieve_oracle(lo, hi):
+    want = oracles.scan_all(lo, hi)
+    for jobs in (1, 2):
+        assert scan_range(lo, hi, jobs) == want, jobs
+
+
+def test_every_class_is_classified_from_the_certification_bound(monkeypatch):
+    # Below SIEVE_PRIME_LIMIT^5 = 2^80 the p^5 marks prove the unmarked n
+    # fifth-power-free, so only SHAPE_RESIDUES are classified; a chunk that
+    # reaches 2^80 classifies every n.
+    bound = SIEVE_PRIME_LIMIT**5
+    assert scanner.CERTIFIED_BELOW == bound == 2**80
+    classified = []
+
+    def counted(n, factors):
+        classified.append(n)
+        return radicand_shape(n, factors)
+
+    monkeypatch.setattr(scanner, "radicand_shape", counted)
+    lo = bound - 10
+    below = scan_range(lo, bound - 1)
+    assert classified == [n for n in range(lo, bound) if n % 25 in SHAPE_RESIDUES]
+    assert below == oracles.scan_all(lo, bound - 1)
+    classified.clear()
+    # 2^80 = (2^16)^5 is skipped, so the row list does not change.
+    assert scan_range(lo, bound) == below
+    assert classified == list(range(lo, bound + 1))
