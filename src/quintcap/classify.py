@@ -9,9 +9,9 @@ A fifth-power-free n > 1 is admissible when it matches one of:
 
 with 1 <= e <= 4 throughout.  These are exactly the shapes for which the
 downstream capitulation tables apply; everything else is NO_MATCH.  The
-rules fix n mod 25 to SHAPE_RESIDUES = {0, 1, 5, 7, 18, 24}, so a
+rules fix n mod 25 to SHAPE_RESIDUES = {0, 1, 5, 7, 18}, so a
 fifth-power-free n in any other class is NO_MATCH before it is factored;
-the scanner factors only those six classes.
+the scanner factors only those five classes.
 
 n is factored by ``factor.factorize`` (Miller-Rabin and Brent's rho), so
 every n below ``factor.MILLER_RABIN_BOUND`` is classified.  So is a larger
@@ -35,11 +35,13 @@ from .factor import TRIAL_DIVISION_LIMIT, factorize
 
 ADMISSIBLE_RESIDUES = frozenset({1, 7, 18, 24})
 
-# n mod 25 of every n that can have a shape.  p^e and p^e*q need n in
-# ADMISSIBLE_RESIDUES.  5^e*p needs p = 1 (mod 5), so 5p = 5 (mod 25): n = 5
-# (mod 25) when e = 1 and n = 0 when e >= 2.  A fifth-power-free n in any
-# other class is NO_MATCH.
-SHAPE_RESIDUES = ADMISSIBLE_RESIDUES | {0, 5}
+# n mod 25 of every n that can have a shape.  p^e needs p = 1 (mod 25), so
+# n = 1.  p^e*q needs n in ADMISSIBLE_RESIDUES, and n = p^e*q = q = +-2
+# (mod 5) leaves 7 and 18 of those.  5^e*p needs p = 1 (mod 5), so
+# 5p = 5 (mod 25): n = 5 (mod 25) when e = 1 and n = 0 when e >= 2.  Class
+# 24 of ADMISSIBLE_RESIDUES holds no shape.  A fifth-power-free n in any
+# class outside these five is NO_MATCH.
+SHAPE_RESIDUES = frozenset({0, 1, 5, 7, 18})
 
 # q = +-7 (mod 25) is excluded in the p^e*q shape.
 _EXCLUDED_Q_RESIDUES = frozenset({7, 18})

@@ -19,6 +19,13 @@ The same pair gives the conjugate product that Euclidean division needs:
 tau(x) * tau^3(x) = tau(a + b*eta) = a + b*(zeta^2 + zeta^3), so
 tau(x) * tau^2(x) * tau^3(x) = tau^2(x) * (a + b*zeta^2 + b*zeta^3).
 
+Euclidean division is one private kernel, ``_divide``, on coordinate
+tuples.  It takes the divisor's pair and norm and returns, with the quotient
+and remainder, the remainder's pair and norm.  ``euclid_divmod`` computes
+the divisor's pair once per call; ``gcd`` hands each remainder's pair and
+norm to the next step, so a step of Euclid's algorithm computes one pair and
+builds no CycInt.
+
 The ramified prime above 5 is lambda = 1 - zeta; 5 itself is a unit times
 lambda^4.  The residue field Z[zeta]/(lambda) has five elements, realised by
 the evaluation zeta -> 1.  A class modulo lambda^k is labelled by one integer,
@@ -50,17 +57,26 @@ def _mul(a: Coords, b: Coords) -> Coords:
     )
 
 
-def _tau2(c: Coords) -> Coords:
-    # Complex conjugation, zeta -> zeta^4.
-    c0, c1, c2, c3 = c
-    return (c0 - c1, -c1, c3 - c1, c2 - c1)
-
-
 def _real_pair(c: Coords) -> tuple[int, int]:
-    # (a, b) with x * tau^2(x) = a + b*(zeta + zeta^4); in coordinates that
-    # element is (a - b, 0, -b, -b).
-    y0, _, y2, _ = _mul(c, _tau2(c))
-    return y0 - y2, -y2
+    # (a, b) with x * tau^2(x) = a + b*(zeta + zeta^4): the coordinates 0
+    # and 2 of that product are a - b and -b, written out in x's coordinates.
+    c0, c1, c2, c3 = c
+    return (
+        c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3 - c0 * (c2 + c3) - c1 * c3,
+        c0 * (c1 - c2 - c3) + c1 * (c2 - c3) + c2 * c3,
+    )
+
+
+def _conj(c: Coords, s: int, t: int) -> Coords:
+    # tau(x) * tau^2(x) * tau^3(x) = tau^2(x) * (s + t*zeta^2 + t*zeta^3)
+    # for x's real pair (s, t), written out; x times it is N(x).
+    c0, c1, c2, c3 = c
+    return (
+        (c0 - c1) * s + c2 * t,
+        (c1 + c2 - c3) * t - c1 * s,
+        (c3 - c1) * s + (c0 + c1 - c3) * t,
+        (c2 - c1) * s + (c0 - c3) * t,
+    )
 
 
 def _norm(c: Coords) -> int:
@@ -238,6 +254,41 @@ _FIVE_OVER_LAMBDA = (ONE - ZETA_POWERS[2]) * (ONE - ZETA_POWERS[3]) * (ONE - ZET
 _FALLBACK_OFFSETS = tuple(itertools.product((0, 1, -1), repeat=4))
 
 
+def _divide(
+    ac: Coords, bc: Coords, s: int, t: int, nb: int
+) -> tuple[Coords, Coords, int, int, int]:
+    # One Euclidean step a = q*b + r on coordinates, given b's real pair
+    # (s, t) and nb = N(b) > 0.  Returns q, r, r's real pair and N(r), so a
+    # gcd hands the remainder's pair and norm on to the next step.
+    a0, a1, a2, a3 = ac
+    b0, b1, b2, b3 = bc
+    k0, k1, k2, k3 = _conj(bc, s, t)
+    # Nearest-integer rounding, ties up, of a * conj(b) / nb, as _mul(a, k).
+    u = a1 * k3 + a2 * k2 + a3 * k1
+    den = 2 * nb
+    q0 = (2 * (a0 * k0 + a2 * k3 + a3 * k2 - u) + nb) // den
+    q1 = (2 * (a0 * k1 + a1 * k0 + a3 * k3 - u) + nb) // den
+    q2 = (2 * (a0 * k2 + a1 * k1 + a2 * k0 - u) + nb) // den
+    q3 = (2 * (a0 * k3 + a1 * k2 + a2 * k1 + a3 * k0 - u) + nb) // den
+    # The grid starts with the zero offset, the rounded quotient itself.
+    for o0, o1, o2, o3 in _FALLBACK_OFFSETS:
+        x0, x1, x2, x3 = q0 + o0, q1 + o1, q2 + o2, q3 + o3
+        # r = a - _mul(x, b), then r's real pair as in _real_pair.
+        u = x1 * b3 + x2 * b2 + x3 * b1
+        r0 = a0 - x0 * b0 - x2 * b3 - x3 * b2 + u
+        r1 = a1 - x0 * b1 - x1 * b0 - x3 * b3 + u
+        r2 = a2 - x0 * b2 - x1 * b1 - x2 * b0 + u
+        r3 = a3 - x0 * b3 - x1 * b2 - x2 * b1 - x3 * b0 + u
+        sr = r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3 - r0 * (r2 + r3) - r1 * r3
+        tr = r0 * (r1 - r2 - r3) + r1 * (r2 - r3) + r2 * r3
+        nr = sr * sr - sr * tr - tr * tr
+        if nr < nb:
+            return (x0, x1, x2, x3), (r0, r1, r2, r3), sr, tr, nr
+    raise ArithmeticError(
+        f"euclidean division failed for {_new(ac)!r} / {_new(bc)!r}"
+    )
+
+
 def euclid_divmod(a: CycInt, b: CycInt) -> tuple[CycInt, CycInt]:
     """Division with remainder: a = q*b + r with norm(r) < norm(b).
 
@@ -248,36 +299,40 @@ def euclid_divmod(a: CycInt, b: CycInt) -> tuple[CycInt, CycInt]:
     rounding alone carries no proof, so if the remainder is not small enough
     the quotient is perturbed over the offset grid {0, +-1}^4 until it is,
     and a division that no offset rescues raises ArithmeticError.
+
+    The step is the private kernel ``_divide`` on coordinate tuples: it
+    takes b's pair (s, t) and norm, computed here once, and returns the
+    remainder's pair and norm along with q and r, which ``gcd`` reuses.
     """
-    ac, bc = a._c, b._c
+    bc = b._c
     if bc == (0, 0, 0, 0):
         raise ZeroDivisionError("division by zero in Z[zeta]")
     s, t = _real_pair(bc)
-    nb = s * s - s * t - t * t
-    num = _mul(ac, _mul(_tau2(bc), (s, 0, t, t)))
-    den = 2 * nb
-    q0, q1, q2, q3 = ((2 * c + nb) // den for c in num)
-    # The grid starts with the zero offset, the rounded quotient itself.
-    for o0, o1, o2, o3 in _FALLBACK_OFFSETS:
-        q = (q0 + o0, q1 + o1, q2 + o2, q3 + o3)
-        m = _mul(q, bc)
-        r = (ac[0] - m[0], ac[1] - m[1], ac[2] - m[2], ac[3] - m[3])
-        if _norm(r) < nb:
-            return _new(q), _new(r)
-    raise ArithmeticError(f"euclidean division failed for {a!r} / {b!r}")
+    q, r = _divide(a._c, bc, s, t, s * s - s * t - t * t)[:2]
+    return _new(q), _new(r)
 
 
 def gcd(a: CycInt, b: CycInt) -> CycInt:
     """Greatest common divisor, defined up to a unit.
 
+    Euclid's algorithm on coordinate tuples with the kernel of
+    ``euclid_divmod``: each step returns the remainder's real pair and norm,
+    which are the divisor's pair and norm in the next step, so every step
+    computes one pair.  The loop ends at the remainder of norm 0, which is 0.
     The result is not unit-normalised; callers that need a particular
     associate must fix one themselves.
     """
-    if a.is_zero() and b.is_zero():
-        raise ValueError("gcd(0, 0) is undefined")
-    while not b.is_zero():
-        a, b = b, euclid_divmod(a, b)[1]
-    return a
+    ac, bc = a._c, b._c
+    if bc == (0, 0, 0, 0):
+        if ac == (0, 0, 0, 0):
+            raise ValueError("gcd(0, 0) is undefined")
+        return a
+    s, t = _real_pair(bc)
+    nb = s * s - s * t - t * t
+    while nb:
+        _, r, s, t, nr = _divide(ac, bc, s, t, nb)
+        ac, bc, nb = bc, r, nr
+    return _new(ac)
 
 
 def lambda_residue(x: CycInt) -> int:
@@ -392,7 +447,7 @@ def lambda_inverse(x: CycInt, k: int) -> CycInt:
     c = tuple(v % m for v in x._c)
     s, t = _real_pair(c)
     inv = pow(s * s - s * t - t * t, -1, m)
-    return _new(tuple(v * inv % m for v in _mul(_tau2(c), (s, 0, t, t))))
+    return _new(tuple(v * inv % m for v in _conj(c, s, t)))
 
 
 def _lambda_power_basis(k: int) -> list[CycInt]:

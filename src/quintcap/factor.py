@@ -77,8 +77,24 @@ def _prime_flags(limit: int) -> bytearray:
     return flags
 
 
+# (limit, primes up to limit) for the largest limit sieved so far, in one
+# tuple so that a reader never sees a limit with another limit's primes.
+_SIEVED: tuple[int, list[int]] = (-1, [])
+
+
 def primes_up_to(limit: int) -> list[int]:
-    return list(compress(range(limit + 1), _prime_flags(limit)))
+    """The primes up to limit, ascending, in a new list.
+
+    The longest list sieved so far is kept, and a smaller limit is answered
+    by a slice of it, so a scan sieves its sieve primes once per process.
+    Nothing is sieved past the largest limit asked for.
+    """
+    global _SIEVED
+    top, primes = _SIEVED
+    if limit > top:
+        primes = list(compress(range(limit + 1), _prime_flags(limit)))
+        _SIEVED = (limit, primes)
+    return primes[: bisect_right(primes, limit)]
 
 
 _TRIAL_PRIMES = tuple(primes_up_to(1000))

@@ -1,7 +1,7 @@
 """Range scanner: classify every fifth-power-free n in an interval.
 
 Only an n whose residue mod 25 lies in ``classify.SHAPE_RESIDUES`` can have
-a shape, so only those six classes of 25 are factored, by the segmented
+a shape, so only those five classes of 25 are factored, by the segmented
 sieve of ``factor.factor_window``, and classified by ``radicand_shape``, the
 shape rules of ``classify_radicand``.  Every other n is written as no_match
 unless some p^5 divides it: the multiples of p^5 are marked for every sieve
@@ -81,20 +81,24 @@ def iter_scan(lo: int, hi: int, jobs: int = 1) -> Iterator[list[tuple[int, str]]
     """The results of scan_range(lo, hi, jobs), one contiguous piece at a time.
 
     With one job a piece is one sieve block, so a caller that writes each
-    piece out holds no more than a block's results at once.
+    piece out holds no more than a block's results at once.  Raises
+    ValueError for jobs < 1; the pool has no more workers than chunks.
     """
     if not 1 < lo <= hi:
         raise ValueError("need 1 < lo <= hi")
-    if jobs <= 1:
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if jobs == 1:
         for start in range(lo, hi + 1, SIEVE_BLOCK):
             yield _scan_chunk((start, min(start + SIEVE_BLOCK - 1, hi)))
         return
     from concurrent.futures import ProcessPoolExecutor
 
     chunk = max(1, min((hi - lo + 1) // (jobs * 4), MAX_CHUNK))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    starts = range(lo, hi + 1, chunk)
+    with ProcessPoolExecutor(max_workers=min(jobs, len(starts))) as pool:
         pending: deque = deque()
-        for start in range(lo, hi + 1, chunk):
+        for start in starts:
             pending.append(pool.submit(_scan_chunk, (start, min(start + chunk - 1, hi))))
             if len(pending) == 2 * jobs:
                 yield pending.popleft().result()

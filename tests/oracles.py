@@ -13,7 +13,6 @@ import itertools
 import math
 
 from quintcap.cyclotomic import (
-    _FALLBACK_OFFSETS,
     ONE,
     ZETA,
     CycInt,
@@ -29,7 +28,9 @@ from quintcap.factor import (
     primes_up_to,
 )
 
-# The wider grid euclid_divmod used to try after _FALLBACK_OFFSETS.
+# The offset grid of euclid_divmod, in its order, kept here so that the
+# oracle pins the order; and the wider grid it used to try after that one.
+_FALLBACK_OFFSETS = tuple(itertools.product((0, 1, -1), repeat=4))
 _WIDE_OFFSETS = tuple(itertools.product((0, 1, -1, 2, -2), repeat=4))
 
 

@@ -19,13 +19,14 @@ from conftest import ABOVE_BOUND_BY_TRIAL_DIVISION, BEYOND_OLD_CEILING
 
 def test_residue_set():
     assert ADMISSIBLE_RESIDUES == {1, 7, 18, 24}
-    assert SHAPE_RESIDUES == {0, 1, 5, 7, 18, 24}
+    assert SHAPE_RESIDUES == {0, 1, 5, 7, 18}
 
 
 def test_only_shape_residues_have_shapes():
     # The scanner writes a fifth-power-free n outside SHAPE_RESIDUES as
-    # no_match without factoring it.  Class 24 holds no shape at all:
-    # p^e = 1 (mod 25) and p^e*q = +-2 (mod 5).
+    # no_match without factoring it.  Every class of SHAPE_RESIDUES holds a
+    # shape, so none of them is factored for nothing; class 24 of
+    # ADMISSIBLE_RESIDUES holds none: p^e = 1 (mod 25) and p^e*q = +-2 (mod 5).
     seen = set()
     for n in range(2, 2 * 10**5 + 1):
         factors = factorize(n)
@@ -35,7 +36,7 @@ def test_only_shape_residues_have_shapes():
         if form is not RadicandForm.NO_MATCH:
             assert n % 25 in SHAPE_RESIDUES, n
             seen.add(n % 25)
-    assert seen == {0, 1, 5, 7, 18}
+    assert seen == SHAPE_RESIDUES
 
 
 def test_classify_55():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from quintcap import cyclotomic
 from quintcap.cyclotomic import (
     CycInt,
     LAMBDA,
@@ -23,6 +24,8 @@ from quintcap.cyclotomic import (
     lambda_residue,
     lambda_valuation,
 )
+from quintcap.factor import is_rational_prime
+from quintcap.primes import fifth_roots_of_unity
 
 import oracles
 from conftest import random_cycint
@@ -223,6 +226,57 @@ def test_divmod_fallback_matches_oracle():
         oq, orr = oracles.euclid_divmod(a, b)
         assert (q.coords, r.coords) == (oq.coords, orr.coords)
         assert q != CycInt(*q0) and r.norm() < nb
+
+
+def _assert_gcd_matches_oracle(a, b):
+    # Walks the oracle's chain of remainders, checks euclid_divmod at every
+    # step, and checks that gcd ends where the oracle does.
+    x, y = a, b
+    while not y.is_zero():
+        oq, orr = oracles.euclid_divmod(x, y)
+        q, r = euclid_divmod(x, y)
+        assert (q.coords, r.coords) == (oq.coords, orr.coords), (x, y)
+        x, y = y, orr
+    assert gcd(a, b).coords == x.coords, (a, b)
+    return x
+
+
+def _split_pair(p):
+    # The pair whose gcd is pi_1 in primes._split_prime.
+    return CycInt(p), ZETA - CycInt(fifth_roots_of_unity(p)[0])
+
+
+def test_gcd_matches_oracle_on_small_split_primes():
+    for p in range(11, 2 * 10**5, 10):
+        if is_rational_prime(p):
+            assert _assert_gcd_matches_oracle(*_split_pair(p)).norm() == p
+
+
+def test_gcd_matches_oracle_on_large_split_primes(rng):
+    # The range of p in the report-large benchmark workload.
+    count = 0
+    while count < 2000:
+        p = rng.randrange(10**11, 16 * 10**12) // 10 * 10 + 1
+        if is_rational_prime(p):
+            assert _assert_gcd_matches_oracle(*_split_pair(p)).norm() == p
+            count += 1
+
+
+def test_gcd_with_fallback_first_step_matches_oracle():
+    for a, b in FALLBACK_DIVISIONS:
+        _assert_gcd_matches_oracle(CycInt(*a), CycInt(*b))
+
+
+def test_fallback_grid_is_what_rescues_the_fallback_divisions(monkeypatch):
+    # Without the grid past the rounded quotient, each of these divisions
+    # has no proven remainder, and both entry points must say so.
+    monkeypatch.setattr(cyclotomic, "_FALLBACK_OFFSETS", ((0, 0, 0, 0),))
+    for a, b in FALLBACK_DIVISIONS:
+        a, b = CycInt(*a), CycInt(*b)
+        with pytest.raises(ArithmeticError, match="euclidean division failed"):
+            euclid_divmod(a, b)
+        with pytest.raises(ArithmeticError, match="euclidean division failed"):
+            gcd(a, b)
 
 
 # --- lambda-adic machinery --------------------------------------------------

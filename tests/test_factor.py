@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from quintcap import factor
 from quintcap.classify import (
     FactorizationLimitExceeded,
     classify_radicand,
@@ -18,6 +19,7 @@ from quintcap.factor import (
     factorize,
     integer_root,
     is_rational_prime,
+    primes_up_to,
 )
 
 import oracles
@@ -256,6 +258,23 @@ def test_factor_window_far_above_its_sieve_primes():
     # above MILLER_RABIN_BOUND a cofactor may be refused, as by factorize
     with pytest.raises(ValueError, match="not decided"):
         list(factor_window(M89 - 1, M89))
+
+
+def test_primes_up_to_sieves_only_past_the_longest_list(monkeypatch):
+    limits = []
+
+    def counted(limit):
+        limits.append(limit)
+        return sieve(limit)
+
+    sieve = factor._prime_flags
+    monkeypatch.setattr(factor, "_SIEVED", (-1, []))
+    monkeypatch.setattr(factor, "_prime_flags", counted)
+    for limit in (100, 50, 2, 1, 0, 1000, 101, 997, 998, 1000):
+        got = primes_up_to(limit)
+        assert got == [n for n in range(limit + 1) if is_rational_prime(n)], limit
+        got.append(-1)  # the caller's list is its own
+    assert limits == [100, 1000]
 
 
 def test_factor_window_rejects_bad_bounds():

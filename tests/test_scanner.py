@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from quintcap import scanner
+from quintcap import factor, scanner
 from quintcap.classify import (
     SHAPE_RESIDUES,
     FactorizationLimitExceeded,
@@ -15,7 +16,7 @@ from quintcap.classify import (
     radicand_shape,
 )
 from quintcap.cli import main
-from quintcap.factor import SIEVE_BLOCK, SIEVE_PRIME_LIMIT
+from quintcap.factor import SIEVE_BLOCK, SIEVE_PRIME_LIMIT, integer_root
 from quintcap.scanner import iter_scan, render_scan, scan_range
 
 import oracles
@@ -74,6 +75,65 @@ def test_scan_capped_chunks_match_sequential(monkeypatch):
         pieces = list(iter_scan(lo, hi, jobs))
         assert len(pieces) == 30, jobs
         assert [row for piece in pieces for row in piece] == want, jobs
+
+
+def test_scan_rejects_jobs_below_one(capsys):
+    for jobs in (0, -5):
+        with pytest.raises(ValueError, match="jobs"):
+            next(iter_scan(2, 10, jobs))
+        assert main(["scan", "2", "10", "--jobs", str(jobs)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "jobs must be at least 1" in captured.err
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: runs each chunk in this process and
+    records the pool size asked for, so no worker is ever started."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def test_scan_pool_has_no_more_workers_than_chunks(monkeypatch):
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    # 10 integers at 1000 jobs make 10 one-integer chunks.
+    assert scan_range(2, 11, jobs=1000) == scan_range(2, 11)
+    assert scan_range(2, 4000, jobs=3) == scan_range(2, 4000)
+    assert _InProcessPool.sizes == [10, 3]
+
+
+def test_scan_sieves_its_primes_once_per_process(monkeypatch):
+    # Every block of a scan needs the primes up to hi^(1/5) for the p^5
+    # marks and up to SIEVE_PRIME_LIMIT for the sieve; each list is sieved
+    # once, however many blocks the scan has.
+    limits = []
+
+    def counted(limit):
+        limits.append(limit)
+        return sieve(limit)
+
+    sieve = factor._prime_flags
+    monkeypatch.setattr(factor, "_SIEVED", (-1, []))
+    monkeypatch.setattr(factor, "_prime_flags", counted)
+    lo, hi = 2**32, 2**32 + 3 * SIEVE_BLOCK
+    rows = scan_range(lo, hi)
+    assert len(list(iter_scan(lo, hi))) == 4
+    assert limits == [integer_root(hi, 5), SIEVE_PRIME_LIMIT]
+    assert rows == oracles.scan_all(lo, hi)
 
 
 def test_import_leaves_out_process_pools():
