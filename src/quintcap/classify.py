@@ -26,6 +26,7 @@ reference.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -121,8 +122,10 @@ def classify_radicand(n: int) -> RadicandClass:
     Raises NotFifthPowerFree when some prime divides n at least five times,
     and FactorizationLimitExceeded when factorize refuses n: a cofactor
     at or above MILLER_RABIN_BOUND stays there after trial division up to
-    TRIAL_DIVISION_LIMIT and is no perfect power.
+    TRIAL_DIVISION_LIMIT and is no perfect power.  Raises TypeError for an
+    n that is not an integer, such as a float, str or Fraction.
     """
+    n = operator.index(n)
     if n <= 1:
         raise ClassificationError(f"radicand must exceed 1, got {n}")
     try:

@@ -30,13 +30,20 @@ The ramified prime above 5 is lambda = 1 - zeta; 5 itself is a unit times
 lambda^4.  The residue field Z[zeta]/(lambda) has five elements, realised by
 the evaluation zeta -> 1.  A class modulo lambda^k is labelled by one integer,
 ``lambda_key``, and every lambda-adic decision compares such labels.
+
+Fifth powers need no search: for theta prime to lambda with residue d and
+1 <= k <= 8, theta is a fifth power mod lambda^k exactly when
+theta = d^5 (mod lambda^min(k, 6)), since (1 + lambda*y)^5 = 1 (mod lambda^6)
+and (1 + lambda^2*y)^5 = 1 + 5*lambda^2*y (mod lambda^8) meets every class
+that is 1 mod lambda^6; ``fifth_power_solvable_mod_lambda`` has the proof.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Union
 
 IntoCycInt = Union["CycInt", int]
 Coords = tuple[int, int, int, int]
@@ -107,9 +114,11 @@ class CycInt:
 
     @classmethod
     def from_coords(cls, coords: "list[int] | tuple[int, ...]") -> "CycInt":
+        """The element with these four integer coordinates; like the
+        constructor, raises TypeError for a float or other non-integer."""
         if len(coords) != 4:
             raise ValueError("CycInt needs exactly 4 coordinates")
-        return cls(*(int(c) for c in coords))
+        return cls(*map(operator.index, coords))
 
     @property
     def coords(self) -> Coords:
@@ -450,48 +459,28 @@ def lambda_inverse(x: CycInt, k: int) -> CycInt:
     return _new(tuple(v * inv % m for v in _conj(c, s, t)))
 
 
-def _lambda_power_basis(k: int) -> list[CycInt]:
-    powers = [ONE]
-    for _ in range(k - 1):
-        powers.append(powers[-1] * LAMBDA)
-    return powers
-
-
-def iter_residues_mod_lambda_pow(k: int) -> Iterator[CycInt]:
-    """All 5^k residues modulo lambda^k in digit order."""
-    powers = _lambda_power_basis(k)
-    for digs in itertools.product(range(5), repeat=k):
-        x = CycInt(digs[0])
-        for i in range(1, k):
-            if digs[i]:
-                x = x + powers[i] * digs[i]
-        yield x
-
-
-# Keys of the fifth powers of units modulo lambda^k, filled per k on first use.
-_FIFTH_POWER_KEYS: dict[int, frozenset[int]] = {}
+# omega = d^5 mod 25 for each residue d mod lambda.
+_TEICHMULLER = tuple(d**5 % 25 for d in range(5))
 
 
 def fifth_power_solvable_mod_lambda(theta: CycInt, k: int) -> bool:
-    """Decide x^5 = theta (mod lambda^k) by looking up theta's key.
+    """Decide x^5 = theta (mod lambda^k) by the Teichmueller rule.
 
-    Requires lambda coprime to theta and k <= 8.  Since
-    (a + lambda^m*y)^5 = a^5 (mod lambda^(m+4)), x^5 mod lambda^k depends
-    only on x mod lambda^max(1, k-4); the keys of those at most 500 fifth
-    powers are computed once per k.
+    Requires lambda coprime to theta and 1 <= k <= 8.  With d theta's
+    residue mod lambda and omega = d^5 mod 25, theta is a fifth power mod
+    lambda^k exactly when theta = omega (mod lambda^min(k, 6)).  Proof:
+    5 = -lambda^4 * (1 mod lambda) and y^5 = y (mod lambda), so
+    (1 + lambda*y)^5 = 1 (mod lambda^6) and x^5 = omega (mod lambda^6);
+    and (1 + lambda^2*y)^5 = 1 + 5*lambda^2*y (mod lambda^8) meets every
+    class that is 1 mod lambda^6.  The key of the integer omega mod lambda^j
+    is omega mod 5^ceil(j/4), so the test is one key comparison.
     """
     if k < 1:
         raise ValueError("modulus exponent must be at least 1")
     if k > 8:
         raise ValueError("modulus exponent beyond supported bound 8")
-    if lambda_residue(theta) == 0:
+    d = lambda_residue(theta)
+    if d == 0:
         raise ValueError("theta must be coprime to lambda")
-    keys = _FIFTH_POWER_KEYS.get(k)
-    if keys is None:
-        keys = frozenset(
-            lambda_key(x ** 5, k)
-            for x in iter_residues_mod_lambda_pow(max(1, k - 4))
-            if lambda_residue(x)
-        )
-        _FIFTH_POWER_KEYS[k] = keys
-    return lambda_key(theta, k) in keys
+    j = min(k, 6)
+    return lambda_key(theta, j) == _TEICHMULLER[d] % 5 ** ((j + 3) // 4)

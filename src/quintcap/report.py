@@ -388,24 +388,27 @@ def _w_prime(rc: RadicandClass) -> PrimeElement | None:
     return None
 
 
-def _attempt_case1_normalization(split: SplittingData) -> dict[str, Any]:
+def _attempt_case1_normalization(
+    split: SplittingData,
+) -> tuple[dict[str, Any], CycInt | None]:
+    # The report section, and the normalized pi1 when one exists.
     pi1 = split.factors[0]
     try:
         res = normalize_associate(pi1, 5, [1])
-        return {
-            "targets": [1],
-            "achieved": True,
-            "unit_word": res.unit_word.render(),
-            "unit_coords": list(res.unit.coords),
-            "normalized_coords": list(res.normalized.coords),
-        }
     except AssociateNotFound as exc:
         return {
             "targets": [1],
             "achieved": False,
             "proven_impossible": True,
             "note": str(exc),
-        }
+        }, None
+    return {
+        "targets": [1],
+        "achieved": True,
+        "unit_word": res.unit_word.render(),
+        "unit_coords": list(res.unit.coords),
+        "normalized_coords": list(res.normalized.coords),
+    }, res.normalized
 
 
 def _h1_section(rc: RadicandClass, pi1: PrimeElement, w: PrimeElement) -> tuple[int, dict[str, Any]]:
@@ -450,11 +453,9 @@ def build_report(n: int) -> Report:
     h1: int | None = None
     symbol_argument = split.factors[0].value
     if rc.form is RadicandForm.PRIME_POWER:
-        report.normalization = _attempt_case1_normalization(split)
-        if report.normalization.get("achieved"):
-            symbol_argument = CycInt.from_coords(
-                report.normalization["normalized_coords"]
-            )
+        report.normalization, normalized = _attempt_case1_normalization(split)
+        if normalized is not None:
+            symbol_argument = normalized
         else:
             report.notes.append(
                 "unit normalization of pi1 to 1 mod lambda^5 is impossible;"

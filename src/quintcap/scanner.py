@@ -12,14 +12,16 @@ reaches it factors and classifies every n.
 
 Output order is by n regardless of worker count; chunks are contiguous and
 reassembled in submission order, so the parallel path is bit-identical to
-the sequential one.  A chunk holds at most MAX_CHUNK integers and at most
-2*jobs chunks are in flight, so a worker's result list, and the memory of a
-long parallel scan, stay small.  ``concurrent.futures`` is imported only
-when a scan runs with jobs > 1.
+the sequential one.  The pool has at most one worker per CPU, however many
+jobs are asked for.  A chunk holds at most MAX_CHUNK integers and at most
+two chunks per worker are in flight, so a worker's result list, and the
+memory of a long parallel scan, stay small.  ``concurrent.futures`` is
+imported only when a scan runs with jobs > 1.
 """
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from itertools import compress
 from typing import Collection, Iterator
@@ -82,7 +84,8 @@ def iter_scan(lo: int, hi: int, jobs: int = 1) -> Iterator[list[tuple[int, str]]
 
     With one job a piece is one sieve block, so a caller that writes each
     piece out holds no more than a block's results at once.  Raises
-    ValueError for jobs < 1; the pool has no more workers than chunks.
+    ValueError for jobs < 1; the pool has no more workers than jobs, chunks
+    or CPUs.  The chunk size depends on jobs, not on the CPU count.
     """
     if not 1 < lo <= hi:
         raise ValueError("need 1 < lo <= hi")
@@ -96,11 +99,12 @@ def iter_scan(lo: int, hi: int, jobs: int = 1) -> Iterator[list[tuple[int, str]]
 
     chunk = max(1, min((hi - lo + 1) // (jobs * 4), MAX_CHUNK))
     starts = range(lo, hi + 1, chunk)
-    with ProcessPoolExecutor(max_workers=min(jobs, len(starts))) as pool:
+    workers = min(jobs, len(starts), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         pending: deque = deque()
         for start in starts:
             pending.append(pool.submit(_scan_chunk, (start, min(start + chunk - 1, hi))))
-            if len(pending) == 2 * jobs:
+            if len(pending) == 2 * workers:
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()

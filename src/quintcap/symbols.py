@@ -67,7 +67,11 @@ def decomposition_type(theta: CycInt, at: PrimeElement) -> DecompositionType:
     Split prime: ramified when the valuation of theta is nonzero mod 5,
     otherwise split exactly when the symbol of the coprime part vanishes.
     Lambda: split iff theta is a fifth power mod lambda^6, inert iff mod
-    lambda^5 but not lambda^6, else ramified.  Inert primes are out of scope.
+    lambda^5 but not lambda^6, else ramified.  By the Teichmueller rule
+    (``fifth_power_solvable_mod_lambda``, with its proof), theta is a fifth
+    power mod lambda^k, k <= 6, iff theta = d^5 (mod lambda^k) for its
+    residue d mod lambda, as (1 + lambda*y)^5 = 1 (mod lambda^6): two key
+    comparisons.  Inert primes are out of scope.
     """
     if theta.is_zero():
         raise ValueError("theta must be nonzero")

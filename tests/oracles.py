@@ -1,8 +1,10 @@
 """Slow reference versions of the ring kernel, the fifth-root search, the
-lambda-adic inverse, the unit image, the primality test and the scan.
+lambda-adic inverse, the residue enumeration and its fifth powers, the unit
+image, the primality test and the scan.
 
 These are the bodies the straight-line kernel in ``quintcap.cyclotomic``,
 ``quintcap.primes.fifth_roots_of_unity``, ``cyclotomic.lambda_inverse``, the
+Teichmueller rule of ``cyclotomic.fifth_power_solvable_mod_lambda``, the
 unit tables of ``quintcap.primes``, ``factor.is_rational_prime`` and the
 scanner's restricted sieve replaced; the tests cross-check the fast code
 against them.
@@ -13,10 +15,12 @@ import itertools
 import math
 
 from quintcap.cyclotomic import (
+    LAMBDA,
     ONE,
     ZETA,
     CycInt,
     lambda_expand,
+    lambda_key,
     lambda_residue,
 )
 from quintcap.classify import NotFifthPowerFree, radicand_shape
@@ -128,6 +132,31 @@ def lambda_inverse(x, k):
         if n:
             base = _reduce_coords(base * base, m)
     return result
+
+
+def iter_residues_mod_lambda_pow(k):
+    """All 5^k residues modulo lambda^k, sum d_i lambda^i, in digit order."""
+    powers = [ONE]
+    for _ in range(k - 1):
+        powers.append(powers[-1] * LAMBDA)
+    for digs in itertools.product(range(5), repeat=k):
+        x = CycInt(digs[0])
+        for i in range(1, k):
+            if digs[i]:
+                x = x + powers[i] * digs[i]
+        yield x
+
+
+@functools.cache
+def fifth_power_keys(k):
+    """The lambda_key mod lambda^k of every unit's fifth power, by
+    enumeration.  (a + lambda^m*y)^5 = a^5 (mod lambda^(m+4)), so x^5 mod
+    lambda^k depends only on x mod lambda^max(1, k-4)."""
+    return frozenset(
+        lambda_key(x ** 5, k)
+        for x in iter_residues_mod_lambda_pow(max(1, k - 4))
+        if lambda_residue(x)
+    )
 
 
 @functools.cache

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from quintcap.classify import (
@@ -80,6 +82,13 @@ def test_classify_2131_squared_no_match():
 def test_classify_rejects_small_inputs():
     for n in (-5, 0, 1):
         with pytest.raises(ClassificationError):
+            classify_radicand(n)
+
+
+def test_classify_rejects_non_integers():
+    # A float must not pass as a radicand: 93.0 would factor into p = 31.0.
+    for n in (93.0, 151.0, "93", Fraction(93)):
+        with pytest.raises(TypeError):
             classify_radicand(n)
 
 

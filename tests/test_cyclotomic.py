@@ -17,7 +17,6 @@ from quintcap.cyclotomic import (
     euclid_divmod,
     fifth_power_solvable_mod_lambda,
     gcd,
-    iter_residues_mod_lambda_pow,
     lambda_expand,
     lambda_inverse,
     lambda_key,
@@ -405,7 +404,7 @@ def test_solvable_rejects_lambda_multiples():
 
 
 def test_residue_enumeration_is_complete():
-    seen = {lambda_expand(x, 2).digits for x in iter_residues_mod_lambda_pow(2)}
+    seen = {lambda_expand(x, 2).digits for x in oracles.iter_residues_mod_lambda_pow(2)}
     assert len(seen) == 25
 
 
@@ -426,7 +425,7 @@ def test_lambda_key_matches_digit_expansion(rng):
 
 def test_lambda_key_labels_every_class():
     for k in range(1, 5):
-        keys = {lambda_key(x, k) for x in iter_residues_mod_lambda_pow(k)}
+        keys = {lambda_key(x, k) for x in oracles.iter_residues_mod_lambda_pow(k)}
         assert keys == set(range(5 ** k))
     for k in range(1, 9):
         assert lambda_key(LAMBDA ** k, k) == 0
@@ -467,7 +466,7 @@ def enumerate_solvable(theta, k):
     # The original decision procedure, kept as the oracle: try every residue
     # mod lambda^k and compare digit expansions.
     target = lambda_expand(theta, k).digits
-    for x in iter_residues_mod_lambda_pow(k):
+    for x in oracles.iter_residues_mod_lambda_pow(k):
         if lambda_residue(x) == 0:
             continue
         if lambda_expand(x ** 5, k).digits == target:
@@ -528,6 +527,51 @@ def test_solvable_k7_k8_agrees_with_coordinate_search(rng):
                 assert fifth_power_solvable_mod_lambda(theta, k) == coordinate_solvable(theta, k)
 
 
+# --- the Teichmueller rule against the enumerated fifth powers --------------------
+
+def rule_mismatches(thetas, k):
+    # The units among thetas on which the rule and the enumeration disagree.
+    keys = oracles.fifth_power_keys(k)
+    return [
+        theta
+        for theta in thetas
+        if lambda_residue(theta)
+        and fifth_power_solvable_mod_lambda(theta, k) != (lambda_key(theta, k) in keys)
+    ]
+
+
+def test_teichmuller_rule_matches_enumeration_on_every_class():
+    for k in range(1, 7):
+        assert rule_mismatches(oracles.iter_residues_mod_lambda_pow(k), k) == [], k
+
+
+def test_teichmuller_rule_matches_enumeration_at_k7_k8():
+    # The fifth-power classes mod lambda^k, k = 7, 8, are exactly the lifts
+    # omega + lambda^6*y of the four omega = d^5 mod 25: the enumeration's key
+    # set equals theirs, so the rule holds on all 5^k classes without visiting
+    # them.  The function must say yes on every lift, and agree with the keys
+    # on one lift of every unit class mod lambda^6.
+    omegas = [CycInt(d ** 5 % 25) for d in range(1, 5)]
+    lambda6 = LAMBDA ** 6
+    classes = list(oracles.iter_residues_mod_lambda_pow(6))
+    for k, count in ((7, 20), (8, 100)):
+        ys = list(oracles.iter_residues_mod_lambda_pow(k - 6))
+        lifts = [w + lambda6 * y for w in omegas for y in ys]
+        assert {lambda_key(x, k) for x in lifts} == oracles.fifth_power_keys(k)
+        assert len(oracles.fifth_power_keys(k)) == count
+        assert all(fifth_power_solvable_mod_lambda(x, k) for x in lifts)
+        thetas = (x + lambda6 * ys[i % len(ys)] for i, x in enumerate(classes))
+        assert rule_mismatches(thetas, k) == [], k
+
+
+def test_teichmuller_rule_needs_the_fifth_powers_mod_25(monkeypatch):
+    # Plain residues d in place of d^5 mod 25 agree with them mod 5, that is
+    # mod lambda^4, so the rule only sees the difference from k = 5 on.
+    monkeypatch.setattr(cyclotomic, "_TEICHMULLER", (0, 1, 2, 3, 4))
+    assert rule_mismatches(oracles.iter_residues_mod_lambda_pow(4), 4) == []
+    assert rule_mismatches(oracles.iter_residues_mod_lambda_pow(5), 5) != []
+
+
 # --- operands ---------------------------------------------------------------
 
 def test_non_integer_operands_raise_type_error():
@@ -550,3 +594,14 @@ def test_non_integer_operands_raise_type_error():
         2.5 * CycInt(7)
     assert CycInt(7) // 2 == CycInt(7) // CycInt(2)
     assert CycInt(7) % 2 == CycInt(7) % CycInt(2)
+
+
+def test_from_coords_rejects_non_integers():
+    # No coordinate is truncated: [1.9, 0, 0, 0] is an error, not CycInt(1).
+    for coords in ([1.9, 0, 0, 0], (1, 2, 3, 4.0), [1, Fraction(1, 2), 0, 0], ["1", 0, 0, 0]):
+        with pytest.raises(TypeError):
+            CycInt.from_coords(coords)
+    assert CycInt.from_coords([1, -2, 3, 0]) == CycInt(1, -2, 3, 0)
+    assert CycInt.from_coords((True, 0, 0, 0)) == ONE
+    with pytest.raises(ValueError):
+        CycInt.from_coords([1, 2, 3])

@@ -140,6 +140,13 @@ def test_report_rejects_bad_input():
         run_report(32)
 
 
+def test_report_rejects_non_integer_radicand():
+    with pytest.raises(TypeError):
+        build_report(151.0)
+    with pytest.raises(TypeError):
+        run_report(93.0, fmt="json")
+
+
 def test_schema_id_stable(reports):
     for report in reports.values():
         assert report.to_json_dict()["schema"] == REPORT_SCHEMA_ID

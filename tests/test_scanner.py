@@ -1,6 +1,7 @@
 import concurrent.futures
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -110,10 +111,18 @@ class _InProcessPool:
 def test_scan_pool_has_no_more_workers_than_chunks(monkeypatch):
     monkeypatch.setattr(_InProcessPool, "sizes", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4096)
     # 10 integers at 1000 jobs make 10 one-integer chunks.
     assert scan_range(2, 11, jobs=1000) == scan_range(2, 11)
     assert scan_range(2, 4000, jobs=3) == scan_range(2, 4000)
     assert _InProcessPool.sizes == [10, 3]
+    # Nor more workers than CPUs, one when os.cpu_count() cannot tell.
+    _InProcessPool.sizes.clear()
+    for cpus in (2, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert scan_range(2, 11, jobs=1000) == scan_range(2, 11)
+        assert scan_range(2, 4000, jobs=3) == scan_range(2, 4000)
+    assert _InProcessPool.sizes == [2, 2, 1, 1]
 
 
 def test_scan_sieves_its_primes_once_per_process(monkeypatch):
