@@ -17,6 +17,7 @@ any executable that speaks these two lines.
 from __future__ import annotations
 
 import json
+import math
 import shlex
 import subprocess
 from typing import Sequence
@@ -39,6 +40,10 @@ class CasTimeoutError(RuntimeError):
 def cas_adapter_check(
     n: int, command: "str | Sequence[str]", timeout: float = DEFAULT_TIMEOUT
 ) -> FixtureEntry:
+    if not (timeout > 0 and math.isfinite(timeout)):
+        raise ValueError(
+            f"the CAS timeout must be a positive finite number of seconds, got {timeout}"
+        )
     argv = shlex.split(command) if isinstance(command, str) else list(command)
     try:
         proc = subprocess.Popen(

@@ -12,6 +12,7 @@ output carries the flag), 2 for input errors, 1 for anything unexpected.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .cas import CasProtocolError, CasTimeoutError, cas_adapter_check
@@ -78,6 +79,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if failed == 0 and cas_failures == 0 else 1
 
 
+def _seconds(text: str) -> float:
+    value = float(text)
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number of seconds, got {text}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quintcap",
@@ -111,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--fixtures", default=None, help="fixtures JSON path")
     p_verify.add_argument("--anomalies", default=None, help="override anomaly list")
     p_verify.add_argument("--cas-cmd", default=None, help="external adapter command")
-    p_verify.add_argument("--cas-timeout", type=float, default=600.0)
+    p_verify.add_argument("--cas-timeout", type=_seconds, default=600.0)
     p_verify.set_defaults(func=_cmd_verify)
     return parser
 

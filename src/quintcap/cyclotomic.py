@@ -420,6 +420,10 @@ def lambda_key(x: CycInt, k: int) -> int:
     valuations differ mod 4, so x lies in (lambda^k) exactly when each a_j is
     divisible by 5^ceil((k-j)/4).  The key packs the a_j modulo those powers,
     whose product is 5^k, in mixed radix; key 0 is the class of 0.
+
+    The a_j are Z-linear in the coordinates, so for an integer c the digits
+    of c*x are c*a_j modulo the same powers: the key of x gives the key of
+    every integer multiple of x without a ring product.
     """
     if k < 1:
         raise ValueError("expansion length must be at least 1")

@@ -203,14 +203,22 @@ def _brent_rho(n: int) -> int:
         c += 1
 
 
+# The prime flags up to TRIAL_DIVISION_LIMIT, 4 MB, sieved by the first
+# _trial_divide and kept: sieving them takes about 30 ms.
+_TRIAL_FLAGS: bytearray | None = None
+
+
 def _trial_divide(m: int, factors: dict[int, int], k: int) -> int:
     """Divide the primes from 1000 to TRIAL_DIVISION_LIMIT out of m.
 
     Each prime found goes into ``factors`` with k times its exponent.  Stops
     early once m is below MILLER_RABIN_BOUND, and returns what is left.
     """
-    flags = _prime_flags(TRIAL_DIVISION_LIMIT)
-    for p in compress(range(1000, TRIAL_DIVISION_LIMIT + 1), flags[1000:]):
+    global _TRIAL_FLAGS
+    if _TRIAL_FLAGS is None:
+        _TRIAL_FLAGS = _prime_flags(TRIAL_DIVISION_LIMIT)
+    flags = memoryview(_TRIAL_FLAGS)[1000:]
+    for p in compress(range(1000, TRIAL_DIVISION_LIMIT + 1), flags):
         if m % p == 0:
             e = 0
             while m % p == 0:

@@ -6,14 +6,19 @@ formal part (genus generators, extensions K1..K6, subgroups H1..H6,
 guaranteed capitulations, possible capitulation types) depends only on the
 radicand's shape, h1 and the quintic symbol.  It is built, and its JSON
 rendered, once per process for each such key, in a FormalTables that every
-report with that key shares read-only.  ``Report.to_json`` renders the
-per-radicand keys and splices in the stored fragments, byte for byte what
-``json.dumps(to_json_dict(), sort_keys=True, indent=2)`` gives.
+report with that key shares read-only.
 
-Both are rendered by ``_render``, a direct writer for the few kinds of value
-a report holds.  With ``indent`` set, the stdlib encoder falls back to its
-pure-Python generator, which took about a third of a warm report's time; it
-remains the oracle the tests compare the writer against.
+``Report.to_json`` writes the document in one pass, byte for byte what
+``json.dumps(to_json_dict(), sort_keys=True, indent=2)`` gives.  The keys
+of the per-radicand part have a fixed layout: classification, conventions,
+n, no_match, schema, symbol, w_symbol and each entry of primes are filled
+into f-string templates in sorted-key order, and the formal tables' stored
+fragments are spliced in between.  Only the values whose keys vary (h1,
+normalization and the notes) and the formal tables go through ``_render``,
+a direct writer for the few kinds of value a report holds.  With
+``indent`` set, the stdlib encoder falls back to its pure-Python generator,
+which took about a third of a warm report's time; ``to_json_dict`` and that
+encoder remain the oracle the tests compare the writer against.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ from .primes import (
 from .symbols import quintic_symbol
 
 REPORT_SCHEMA_ID = "quintcap-report/1"
+_UNIT_SCAN_JSON = _encode_str(UNIT_SCAN)
 
 
 class ReportError(RuntimeError):
@@ -100,8 +106,9 @@ class FormalTables:
 
     ``capitulations`` pairs each extension word with the class that dies
     there; ``type_lists`` pairs each K6 candidate with its admissible
-    capitulation types.  ``fragments`` holds the five JSON keys of
-    ``json_dict()``, each value rendered at depth 1 of the report document.
+    capitulation types.  ``fragments`` holds the five keys of
+    ``json_dict()`` as lines of the report document, ``  "key": value``
+    with the value rendered at depth 1, in sorted-key order.
     """
 
     w_symbol: WSymbol | None
@@ -110,11 +117,12 @@ class FormalTables:
     subgroups: tuple[SubgroupDescriptor, ...]
     capitulations: tuple[tuple[RadicalWord, ClassWord], ...]
     type_lists: tuple[tuple[RadicalWord, tuple[tuple[int, ...], ...]], ...]
-    fragments: tuple[tuple[str, str], ...] = field(init=False, repr=False)
+    fragments: tuple[str, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        tables = self.json_dict()
         fragments = tuple(
-            (key, _render(value, "  ")) for key, value in self.json_dict().items()
+            f'  "{key}": {_render(tables[key], "  ")}' for key in sorted(tables)
         )
         object.__setattr__(self, "fragments", fragments)
 
@@ -204,8 +212,8 @@ class Report:
 
     # -- serialisation -----------------------------------------------------
 
-    def _radicand_json(self) -> dict[str, Any]:
-        """Every key of to_json_dict() that is not one of the formal tables."""
+    def to_json_dict(self) -> dict[str, Any]:
+        """The report as a JSON object; the oracle of ``to_json``."""
         rc = self.classification
         out: dict[str, Any] = {
             "schema": REPORT_SCHEMA_ID,
@@ -221,6 +229,7 @@ class Report:
         }
         if self.no_match:
             return out
+        assert self.formal is not None
         out["w_symbol"] = self.w_symbol.radical_name if self.w_symbol else None
         out["primes"] = [
             {
@@ -235,6 +244,7 @@ class Report:
         out["normalization"] = self.normalization
         out["h1"] = self.h1
         out["symbol"] = self.symbol_exponent
+        out.update(self.formal.json_dict())
         out["conventions"] = {
             "root": self.root,
             "unit_scan": UNIT_SCAN,
@@ -242,22 +252,37 @@ class Report:
         }
         return out
 
-    def to_json_dict(self) -> dict[str, Any]:
-        out = self._radicand_json()
-        if self.no_match:
-            return out
-        assert self.formal is not None
-        conventions = out.pop("conventions")
-        return {**out, **self.formal.json_dict(), "conventions": conventions}
-
     def to_json(self) -> str:
-        """json.dumps(self.to_json_dict(), sort_keys=True, indent=2), with the
-        formal tables taken already rendered from the shared FormalTables."""
-        parts = {key: _render(value, "  ") for key, value in self._radicand_json().items()}
-        if not self.no_match:
-            assert self.formal is not None
-            parts.update(self.formal.fragments)
-        return "{\n" + ",\n".join(f'  "{key}": {parts[key]}' for key in sorted(parts)) + "\n}"
+        """json.dumps(self.to_json_dict(), sort_keys=True, indent=2), written
+        in one fixed layout; only the dicts whose keys vary go through
+        _render, and the formal tables come already rendered."""
+        rc = self.classification
+        classification = (
+            f'{{\n    "e": {_scalar(rc.e)},\n    "form": "{rc.form.value}",\n'
+            f'    "p": {_scalar(rc.p)},\n    "q": {_scalar(rc.q)},\n'
+            f'    "residue_mod_25": {rc.residue_mod_25}\n  }}'
+        )
+        if self.no_match:
+            return (
+                f'{{\n  "classification": {classification},\n  "n": {self.n},\n'
+                f'  "no_match": true,\n  "schema": "{REPORT_SCHEMA_ID}"\n}}'
+            )
+        assert self.formal is not None
+        extensions, generators, capitulations, types, subgroups = self.formal.fragments
+        primes = ",\n".join(map(_prime_json, self.primes))
+        primes = f"[\n{primes}\n  ]" if primes else "[]"
+        w_symbol = f'"{self.w_symbol.radical_name}"' if self.w_symbol else "null"
+        return (
+            f'{{\n  "classification": {classification},\n'
+            f'  "conventions": {{\n    "notes": {_render(self.notes, "    ")},\n'
+            f'    "root": {_scalar(self.root)},\n    "unit_scan": {_UNIT_SCAN_JSON}\n  }},\n'
+            f"{extensions},\n{generators},\n{capitulations},\n"
+            f'  "h1": {_render(self.h1, "  ")},\n  "n": {self.n},\n  "no_match": false,\n'
+            f'  "normalization": {_render(self.normalization, "  ")},\n{types},\n'
+            f'  "primes": {primes},\n  "schema": "{REPORT_SCHEMA_ID}",\n'
+            f'{subgroups},\n  "symbol": {_scalar(self.symbol_exponent)},\n'
+            f'  "w_symbol": {w_symbol}\n}}'
+        )
 
     def to_text(self, explain: bool = False) -> str:
         rc = self.classification
@@ -368,6 +393,22 @@ _EXPLAIN = {
         " tau^2 exchanges the corresponding fields"
     ),
 }
+
+
+def _scalar(value: int | None) -> str:
+    return "null" if value is None else int.__repr__(value)
+
+
+def _prime_json(pe: PrimeElement) -> str:
+    # One entry of "primes", as _render writes it at depth 2.
+    c0, c1, c2, c3 = pe.value.coords
+    return (
+        f'    {{\n      "coords": [\n        {c0},\n        {c1},\n        {c2},\n'
+        f'        {c3}\n      ],\n      "kind": "{pe.kind.value}",\n'
+        f'      "label": "{_prime_label(pe)}",\n'
+        f'      "rational_below": {pe.rational_below},\n'
+        f'      "root": {_scalar(pe.root)}\n    }}'
+    )
 
 
 def _prime_label(pe: PrimeElement) -> str:

@@ -1,29 +1,33 @@
 """Slow reference versions of the ring kernel, the fifth-root search, the
 lambda-adic inverse, the residue enumeration and its fifth powers, the unit
-image, the primality test and the scan.
+image, the unit searches by ring products, the primality test and the scan.
 
 These are the bodies the straight-line kernel in ``quintcap.cyclotomic``,
 ``quintcap.primes.fifth_roots_of_unity``, ``cyclotomic.lambda_inverse``, the
 Teichmueller rule of ``cyclotomic.fifth_power_solvable_mod_lambda``, the
-unit tables of ``quintcap.primes``, ``factor.is_rational_prime`` and the
-scanner's restricted sieve replaced; the tests cross-check the fast code
-against them.
+unit tables of ``quintcap.primes``, the integer keys of
+``primes.first_unit_hit`` and ``capitulation.find_h1``,
+``factor.is_rational_prime`` and the scanner's restricted sieve replaced;
+the tests cross-check the fast code against them.
 """
 
 import functools
 import itertools
 import math
 
+from quintcap.capitulation import H1SearchExhausted, H1Witness, norm_condition_h1
 from quintcap.cyclotomic import (
     LAMBDA,
     ONE,
     ZETA,
     CycInt,
     lambda_expand,
+    lambda_inverse as fast_lambda_inverse,
     lambda_key,
     lambda_residue,
 )
 from quintcap.classify import NotFifthPowerFree, radicand_shape
+from quintcap.primes import PrimeKind, UnsupportedPrimeError, _unit_table
 from quintcap.factor import (
     MILLER_RABIN_BOUND,
     SIEVE_BLOCK,
@@ -180,6 +184,55 @@ def unit_image(k):
                     nxt.append(rep)
         frontier = nxt
     return image
+
+
+def first_unit_hit(b, k, targets):
+    """The first scanned unit u with u*b = t (mod lambda^k), by the key of
+    the ring product t * b^-1 for each CycInt target t."""
+    table = _unit_table(k)
+    inverse = fast_lambda_inverse(b, k)
+    hits = []
+    for i, t in enumerate(targets):
+        entry = table.get(lambda_key(t * inverse, k))
+        if entry is not None:
+            index, word, u = entry
+            hits.append((index, i, word, u))
+    if not hits:
+        return None
+    _, i, word, u = min(hits, key=lambda hit: hit[:2])
+    return word, u, i
+
+
+H1_TARGETS = (1, 7, 18, 24)
+
+
+def find_h1(pi1, w, *, e=1):
+    """For h = 1..4, first_unit_hit(pi_1 * w^h, 5, targets): one inverse and
+    four ring products per h."""
+    if pi1.kind is not PrimeKind.SPLIT:
+        raise UnsupportedPrimeError("pi_1 must be a split prime")
+    if w.kind not in (PrimeKind.INERT, PrimeKind.LAMBDA):
+        raise UnsupportedPrimeError("w must be an inert prime or lambda")
+    fallback = norm_condition_h1(pi1.rational_below, w, e)
+    if w.kind is PrimeKind.LAMBDA:
+        raise H1SearchExhausted(
+            "no witness exists: u*pi_1*lambda^h has lambda-valuation h >= 1 while"
+            " every target is a unit mod lambda, so the congruence fails for all"
+            " units and exponents",
+            norm_condition_h1=fallback,
+        )
+    targets = [CycInt(r) for r in H1_TARGETS]
+    for h in range(1, 5):
+        wh = w.value ** h
+        hit = first_unit_hit(pi1.value * wh, 5, targets)
+        if hit is not None:
+            word, u, i = hit
+            return H1Witness(h, u, word, H1_TARGETS[i], u * pi1.value * wh)
+    raise H1SearchExhausted(
+        f"no unit in the full image mod lambda^5 makes u*pi_1*{w.rational_below}^h"
+        " congruent to +-1, +-7 for any h in 1..4; the congruence is impossible",
+        norm_condition_h1=fallback,
+    )
 
 
 MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

@@ -22,10 +22,18 @@ from quintcap.capitulation import (
     w_symbol_for,
 )
 from quintcap.classify import RadicandForm, classify_radicand
-from quintcap.cyclotomic import LAMBDA, CycInt, div_lambda_exact, lambda_valuation
+from quintcap.cyclotomic import (
+    LAMBDA,
+    CycInt,
+    div_lambda_exact,
+    lambda_residue,
+    lambda_valuation,
+)
 from quintcap.primes import (
+    PrimeElement,
     PrimeKind,
     factor_rational_prime,
+    first_unit_hit,
     iter_units,
 )
 
@@ -539,6 +547,59 @@ def test_find_h1_matches_scan():
         kinds.add(expected[0])
     # a witness and a proven impossibility both occur
     assert kinds == {"returned", "raised"}
+
+
+# --- the integer keys against the ring-product oracle -------------------------
+
+# The least prime in each class mod 25 that the inert q of a p^e*q radicand
+# can lie in: q = +-2 (mod 5) and q^4 != 1 (mod 25).
+INERT_Q_BY_CLASS = (2, 3, 83, 37, 13, 17, 47, 23)
+
+
+def h1_grid():
+    """(pi1, w): pi1 runs through one element of every unit class mod
+    lambda^5 (2500), each against two of the eight q, taken in turn so
+    that every q meets 625 classes; the whole product would take the
+    oracle about 3 s.  find_h1 reads pi1's value and kind and, for the
+    norm condition, its rational_below, here its norm."""
+    ws = [PrimeElement(CycInt(q), PrimeKind.INERT, 5, q) for q in INERT_Q_BY_CLASS]
+    classes = [x for x in oracles.iter_residues_mod_lambda_pow(5) if lambda_residue(x)]
+    for i, x in enumerate(classes):
+        pi1 = PrimeElement(x, PrimeKind.SPLIT, 1, x.norm())
+        yield pi1, ws[2 * i % 8]
+        yield pi1, ws[(2 * i + 1) % 8]
+
+
+def mutant_h1(pi1, w):
+    """find_h1's lookups with the fold t * q^h in place of t * q^-h:
+    (h, word, residue) of the first hit, or None."""
+    q = w.rational_below
+    for h in range(1, 5):
+        scale = pow(q, h, 25)
+        hit = first_unit_hit(pi1.value, 5, [t * scale for t in oracles.H1_TARGETS])
+        if hit is not None:
+            word, _, i = hit
+            return h, word, oracles.H1_TARGETS[i]
+    return None
+
+
+def test_find_h1_matches_product_oracle_on_every_class():
+    admissible = {c for c in range(25) if c % 5 in (2, 3) and pow(c, 4, 25) != 1}
+    assert {q % 25 for q in INERT_Q_BY_CLASS} == admissible
+    kinds = set()
+    mutant_caught = False
+    for pi1, w in h1_grid():
+        expected = outcome(oracles.find_h1, pi1, w)
+        assert outcome(find_h1, pi1, w) == expected, (pi1, w)
+        kinds.add(expected[0])
+        if not mutant_caught:
+            found = expected[1] if expected[0] == "returned" else None
+            mutant_caught = mutant_h1(pi1, w) != (
+                found and (found.h1, found.unit_word, found.residue)
+            )
+    assert kinds == {"returned", "raised"}
+    # The grid tells the fold q^-h from q^h.
+    assert mutant_caught
 
 
 # --- independent oracle for the frozen impossibility ---------------------------

@@ -43,6 +43,13 @@ def test_adapter_timeout():
     assert exc.value.n == 55
 
 
+@pytest.mark.parametrize("timeout", [0, -1, 0.0, float("nan"), float("inf"), -float("inf")])
+def test_adapter_refuses_bad_timeout_before_spawning(timeout):
+    # A spawned command would raise CasProtocolError: nothing is spawned.
+    with pytest.raises(ValueError, match="positive finite"):
+        cas_adapter_check(55, ["/nonexistent/adapter"], timeout=timeout)
+
+
 def test_adapter_unspawnable_command():
     with pytest.raises(CasProtocolError):
         cas_adapter_check(55, ["/nonexistent/adapter"])

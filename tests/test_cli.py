@@ -1,7 +1,10 @@
 import json
 import sys
 
-from quintcap.cli import main
+import pytest
+
+from quintcap import cli
+from quintcap.cli import build_parser, main
 from quintcap.fixtures import packaged_data_path
 
 
@@ -86,3 +89,23 @@ def test_verify_failing_fixture(tmp_path, capsys):
     path = tmp_path / "f.json"
     path.write_text(json.dumps([{"n": 56, "h_k5": 25, "type": [5, 5], "rank_ambiguous": 2}]))
     assert main(["verify", "--fixtures", str(path)]) == 1
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "-inf", "soon"])
+def test_verify_refuses_bad_cas_timeout_before_any_work(value, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "verify_fixtures", no_work)
+    monkeypatch.setattr(cli, "cas_adapter_check", no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--cas-cmd", "true", f"--cas-timeout={value}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--cas-timeout" in captured.err
+
+
+def test_verify_accepts_positive_cas_timeout():
+    assert build_parser().parse_args(["verify", "--cas-timeout", "2.5"]).cas_timeout == 2.5
+    assert build_parser().parse_args(["verify"]).cas_timeout == 600.0

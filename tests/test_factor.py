@@ -1,5 +1,7 @@
 import math
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -275,6 +277,30 @@ def test_primes_up_to_sieves_only_past_the_longest_list(monkeypatch):
         assert got == [n for n in range(limit + 1) if is_rational_prime(n)], limit
         got.append(-1)  # the caller's list is its own
     assert limits == [100, 1000]
+
+
+def test_trial_division_sieves_its_flags_once(monkeypatch):
+    limits = []
+
+    def counted(limit):
+        limits.append(limit)
+        return sieve(limit)
+
+    sieve = factor._prime_flags
+    monkeypatch.setattr(factor, "_TRIAL_FLAGS", None)
+    monkeypatch.setattr(factor, "_prime_flags", counted)
+    primes = (1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049, 1051)
+    n = math.prod(primes)
+    assert n >= MILLER_RABIN_BOUND
+    for _ in range(2):
+        assert factorize(n) == dict.fromkeys(primes, 1)
+    assert limits == [factor.TRIAL_DIVISION_LIMIT]
+
+
+def test_trial_division_flags_are_not_sieved_at_import():
+    code = "import quintcap, quintcap.factor as f; print(f._TRIAL_FLAGS)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.stdout == "None\n", out.stderr
 
 
 def test_factor_window_rejects_bad_bounds():

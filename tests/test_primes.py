@@ -2,12 +2,21 @@ import random
 
 import pytest
 
-from quintcap.cyclotomic import CycInt, ONE, ZETA, congruent_mod_lambda_pow, euclid_divmod, gcd
+from quintcap.cyclotomic import (
+    CycInt,
+    ONE,
+    ZETA,
+    congruent_mod_lambda_pow,
+    euclid_divmod,
+    gcd,
+    lambda_residue,
+)
 from quintcap import primes
 from quintcap.factor import MILLER_RABIN_BOUND
 from quintcap.primes import (
     AssociateNormalization,
     AssociateNotFound,
+    PrimeElement,
     PrimeKind,
     UnsupportedPrimeError,
     factor_rational_prime,
@@ -353,3 +362,28 @@ def test_normalize_associate_matches_scan():
             kinds.add(expected[0])
     # found and proven impossible both occur
     assert kinds == {"returned", "raised"}
+
+
+def test_normalize_associate_matches_product_oracle_for_every_k():
+    # One element of every unit class mod lambda^k for k = 1..5, against
+    # integer targets, whose keys come from b^-1 by integer arithmetic, and
+    # a list that mixes in a target outside Z, which costs a ring product.
+    target_lists = ([1], [1, 7, 18, 24], [2, CycInt(2, 1), 3])
+    found = set()
+    for k in range(1, 6):
+        for x in oracles.iter_residues_mod_lambda_pow(k):
+            if not lambda_residue(x):
+                continue
+            pi = PrimeElement(x, PrimeKind.SPLIT, 1, x.norm())
+            for targets in target_lists:
+                vals = [t if isinstance(t, CycInt) else CycInt(t) for t in targets]
+                hit = oracles.first_unit_hit(x, k, vals)
+                got = outcome(normalize_associate, pi, k, targets)
+                if hit is None:
+                    assert got[:2] == ("raised", AssociateNotFound), (x, k, targets)
+                else:
+                    word, u, i = hit
+                    expected = AssociateNormalization(u, word, u * x, vals[i])
+                    assert got == ("returned", expected), (x, k, targets)
+                found.add(hit is not None)
+    assert found == {True, False}

@@ -4,16 +4,20 @@ data/report_digests.json holds the sha256 of ``run_report(n, "json")`` and
 of ``run_report(n, "text", explain=True)`` for the corpus rows, 843, 7157
 and 60 seeded random admissible radicands (data/make_report_digests.py
 wrote it before the formal tables were shared between reports).  The
-report's JSON writer is also checked against the stdlib encoder on edge
-values directly.
+report's fixed-layout writer is checked against the stdlib encoder on
+those rows and on 300 seeded radicands of every kind, and ``_render`` on
+edge values directly.
 """
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+from quintcap.classify import RadicandForm, classify_radicand
+from quintcap.factor import is_rational_prime
 from quintcap.report import _render, build_report, run_report
 
 ROWS = json.loads((Path(__file__).parent / "data" / "report_digests.json").read_text())
@@ -35,11 +39,68 @@ def test_report_output_matches_digest(row):
     assert _sha(run_report(row["n"], "text", explain=True)) == row["text_explain"]
 
 
+def _next_prime(m, residues):
+    while not (m % 5 in residues and is_rational_prime(m)):
+        m += 1
+    return m
+
+
+def generated_radicands(seed=20261019, per_shape=95, no_match=15):
+    """per_shape radicands of each shape, with p log-uniform in about
+    [10^2, 1.6*10^13), e in 1..4 and q < 200, then no_match integers."""
+    rng = random.Random(seed)
+    out = []
+    for form in (
+        RadicandForm.PRIME_POWER,
+        RadicandForm.PRIME_POWER_TIMES_Q,
+        RadicandForm.FIVE_POWER_TIMES_P,
+    ):
+        found = []
+        while len(found) < per_shape:
+            p = _next_prime(int(10 ** rng.uniform(2, 13.2)), (1,))
+            n = p ** rng.randint(1, 4)
+            if form is RadicandForm.PRIME_POWER_TIMES_Q:
+                n *= _next_prime(rng.randrange(2, 200), (2, 3))
+            elif form is RadicandForm.FIVE_POWER_TIMES_P:
+                n *= 5 ** rng.randint(1, 4)
+            if n not in found and classify_radicand(n).form is form:
+                found.append(n)
+        out += found
+    while len(out) < 3 * per_shape + no_match:
+        n = rng.randrange(2, 10**9)
+        if n % 5 and classify_radicand(n).form is RadicandForm.NO_MATCH:
+            out.append(n)
+    return out
+
+
 def test_to_json_matches_stdlib_oracle():
-    for row in ROWS:
-        report = build_report(row["n"])
+    seen = set()
+    for n in [row["n"] for row in ROWS] + generated_radicands():
+        report = build_report(n)
         oracle = json.dumps(report.to_json_dict(), sort_keys=True, indent=2)
-        assert report.to_json() == oracle, row["n"]
+        assert report.to_json() == oracle, n
+        seen.add(
+            (
+                report.classification.form,
+                report.h1 and report.h1["source"],
+                report.normalization and report.normalization["achieved"],
+                bool(report.notes),
+            )
+        )
+    # every shape, h1 source and normalization outcome, notes or none
+    assert seen == {
+        (RadicandForm.PRIME_POWER, None, True, False),
+        (RadicandForm.PRIME_POWER, None, False, True),
+        (RadicandForm.PRIME_POWER_TIMES_Q, "search", None, False),
+        (RadicandForm.PRIME_POWER_TIMES_Q, "norm_condition", None, True),
+        (RadicandForm.FIVE_POWER_TIMES_P, "norm_condition", None, True),
+        (RadicandForm.NO_MATCH, None, None, False),
+    }
+    # a report whose lists and variable sections are emptied by hand
+    report = build_report(93)
+    report.primes, report.notes, report.h1, report.root = [], [], {}, None
+    oracle = json.dumps(report.to_json_dict(), sort_keys=True, indent=2)
+    assert report.to_json() == oracle
 
 
 WRITER_CASES = [
