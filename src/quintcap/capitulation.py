@@ -1,13 +1,21 @@
 """Genus generators, the six unramified quintic extensions, their subgroup
 correspondence, and the enumeration of possible capitulation types.
 
-Everything here is formal linear algebra over F_5.  An extension of the
-degree-20 base field is described by a radical word: exponents of pi_1,
-pi_3 and an auxiliary symbol w, which is the inert prime (p^e*q shape) or
-lambda (5^e*p shape) and is absent for the p^e shape.  Two radical words
-describe the same extension exactly when one is a nonzero scalar multiple
-of the other, so RadicalWord compares projectively.  Ideal-class words
-(ClassWord) are genuine group elements and compare exactly.
+Everything here is formal linear algebra over F_5.  A word is a vector of
+three exponents mod 5, of pi_1, pi_3 and an auxiliary symbol w, which is
+the inert prime (p^e*q shape) or lambda (5^e*p shape) and is absent for
+the p^e shape.  One base class holds the exponents, their reduction, the
+projective key and the rendering; its two subclasses differ in equality.
+A radical word (RadicalWord) describes an extension of the degree-20 base
+field, and two describe the same extension exactly when one is a nonzero
+scalar multiple of the other, so RadicalWord compares projectively.
+Ideal-class words (ClassWord) are genuine group elements and compare
+exactly.
+
+Each shape has one table of the paper's six words S_1..S_6, where S_j
+generates H_j; the w-exponents are multiples of h1.  The generators, the
+extension candidates, the subgroup table, the guaranteed capitulations and
+the K_6 words of the type lists all read that table, each in its own order.
 
 The class group is (5,5), generated by a tau^2-fixed class A and a
 tau^2-inverted class X.  Its six order-5 subgroups H_1..H_6 correspond to
@@ -18,9 +26,10 @@ the six extensions K_1..K_6; H_1 = <A>, H_6 = <X>.  The capitulation type
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import ClassVar, Iterable
 
 from .classify import RadicandClass, RadicandForm
 from .cyclotomic import CycInt, congruent_mod_lambda_pow, lambda_inverse
@@ -59,42 +68,45 @@ def w_symbol_for(rc: RadicandClass) -> WSymbol | None:
     raise ValueError("unclassified radicand has no extension data")
 
 
-def _render_word(e1: int, e3: int, ew: int, names: tuple[str, str, str]) -> str:
-    parts = []
-    for e, name in zip((e1, e3, ew), names):
-        if e == 1:
-            parts.append(name)
-        elif e:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts) if parts else "1"
-
-
-def _proj_key(e1: int, e3: int, ew: int) -> tuple[int, int, int]:
-    for lead in (e1, e3, ew):
-        if lead:
-            inv = pow(lead, -1, 5)
-            return ((e1 * inv) % 5, (e3 * inv) % 5, (ew * inv) % 5)
-    return (0, 0, 0)
-
-
 @dataclass(frozen=True)
-class RadicalWord:
-    """Formal fifth-root generator pi_1^e1 * pi_3^e3 * w^ew, compared projectively."""
+class _Word:
+    """Integer exponents of pi_1, pi_3 and w, or of their classes, mod 5.
+
+    ``KEYS`` name the exponents in report JSON, and in the rendering when
+    no w symbol is given.  Equality is exact; RadicalWord overrides it.
+    """
+
+    KEYS: ClassVar[tuple[str, str, str]]
 
     e1: int
     e3: int
     ew: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "e1", self.e1 % 5)
-        object.__setattr__(self, "e3", self.e3 % 5)
-        object.__setattr__(self, "ew", self.ew % 5)
+        for name in ("e1", "e3", "ew"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)) % 5)
 
     def is_zero(self) -> bool:
         return self.e1 == self.e3 == self.ew == 0
 
     def proj_key(self) -> tuple[int, int, int]:
-        return _proj_key(self.e1, self.e3, self.ew)
+        """The exponents scaled so that the first nonzero one is 1."""
+        for lead in (self.e1, self.e3, self.ew):
+            if lead:
+                inv = pow(lead, -1, 5)
+                return (self.e1 * inv % 5, self.e3 * inv % 5, self.ew * inv % 5)
+        return (0, 0, 0)
+
+    def _render(self, wname: str) -> str:
+        names = (self.KEYS[0], self.KEYS[1], wname)
+        exps = (self.e1, self.e3, self.ew)
+        return "*".join(n if e == 1 else f"{n}^{e}" for e, n in zip(exps, names) if e) or "1"
+
+
+class RadicalWord(_Word):
+    """Formal fifth-root generator pi_1^e1 * pi_3^e3 * w^ew, compared projectively."""
+
+    KEYS = ("pi1", "pi3", "w")
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, RadicalWord):
@@ -112,30 +124,16 @@ class RadicalWord:
         )
 
     def render(self, w: WSymbol | None) -> str:
-        wname = w.radical_name if w else "w"
-        return _render_word(self.e1, self.e3, self.ew, ("pi1", "pi3", wname))
+        return self._render(w.radical_name if w else "w")
 
 
-@dataclass(frozen=True)
-class ClassWord:
+class ClassWord(_Word):
     """Ideal-class word P1^e1 * P3^e3 * Pw^ew; a group element, compared exactly."""
 
-    e1: int
-    e3: int
-    ew: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "e1", self.e1 % 5)
-        object.__setattr__(self, "e3", self.e3 % 5)
-        object.__setattr__(self, "ew", self.ew % 5)
-
-    def is_zero(self) -> bool:
-        return self.e1 == self.e3 == self.ew == 0
+    KEYS = ("P1", "P3", "Pw")
 
     def generates_same_subgroup(self, other: "ClassWord") -> bool:
-        return _proj_key(self.e1, self.e3, self.ew) == _proj_key(
-            other.e1, other.e3, other.ew
-        )
+        return self.proj_key() == other.proj_key()
 
     def power(self, k: int) -> "ClassWord":
         return ClassWord(self.e1 * k, self.e3 * k, self.ew * k)
@@ -144,8 +142,7 @@ class ClassWord:
         return ClassWord(self.e1 + other.e1, self.e3 + other.e3, self.ew + other.ew)
 
     def render(self, w: WSymbol | None) -> str:
-        wname = w.ideal_name if w else "Pw"
-        return "[" + _render_word(self.e1, self.e3, self.ew, ("P1", "P3", wname)) + "]"
+        return "[" + self._render(w.ideal_name if w else "Pw") + "]"
 
 
 class Character(Enum):
@@ -202,12 +199,24 @@ def satisfies_pair_parity(ct: CapitulationType) -> bool:
     return ((e[1] == 0) == (e[4] == 0)) and ((e[2] == 0) == (e[3] == 0))
 
 
-def _require_h1(rc: RadicandClass, h1: int | None) -> int:
+# The paper's six words S_1..S_6 per shape; S_j generates H_j, S_1 is the
+# tau^2-fixed (plus) word and S_6 the tau^2-inverted (minus) word.  Written
+# (e1, e3, m) with w-exponent m*h1; the p^e shape has no w.
+_PE_WORDS = ((1, 1, 0), (1, 0, 0), (1, 3, 0), (1, 2, 0), (0, 1, 0), (1, 4, 0))
+_W_WORDS = ((1, 1, 2), (1, 0, 1), (2, 4, 1), (4, 2, 1), (0, 1, 1), (1, 4, 0))
+_CHARACTERS = (Character.PLUS,) + (Character.MIXED,) * 4 + (Character.MINUS,)
+
+
+def _paper_words(rc: RadicandClass, h1: int | None) -> dict[int, tuple[int, int, int]]:
+    """S_j of rc's shape by j = 1..6, as (e1, e3, ew); refuses NO_MATCH and,
+    for the shapes with a w, a missing h1 or one divisible by 5."""
+    if w_symbol_for(rc) is None:
+        return dict(enumerate(_PE_WORDS, 1))
     if h1 is None:
         raise ValueError(f"h1 is required for the {rc.form.value} shape")
-    if not 1 <= h1 % 5 <= 4:
+    if h1 % 5 == 0:
         raise ValueError("h1 must be nonzero mod 5")
-    return h1 % 5
+    return {j: (e1, e3, m * h1) for j, (e1, e3, m) in enumerate(_W_WORDS, 1)}
 
 
 def hilbert_class_field_generators(
@@ -217,14 +226,11 @@ def hilbert_class_field_generators(
 
     p^e shape: (pi_1, pi_3).  Other shapes: (pi_1 * w^h1, pi_1 * pi_3^4),
     with w = pi_5 or lambda respectively; the pi_3-exponent 4 is the fixed
-    labelling convention used by every table downstream.
+    labelling convention used by every table downstream.  These are S_2 and
+    S_5 (p^e) or S_6 (other shapes).
     """
-    if rc.form is RadicandForm.NO_MATCH:
-        raise ValueError("no generators for an unclassified radicand")
-    if rc.form is RadicandForm.PRIME_POWER:
-        return RadicalWord(1, 0, 0), RadicalWord(0, 1, 0)
-    h = _require_h1(rc, h1)
-    return RadicalWord(1, 0, h), RadicalWord(1, 4, 0)
+    s = _paper_words(rc, h1)
+    return RadicalWord(*s[2]), RadicalWord(*s[5 if rc.form is RadicandForm.PRIME_POWER else 6])
 
 
 def six_extensions(x1: RadicalWord, x2: RadicalWord) -> list[RadicalWord]:
@@ -238,24 +244,13 @@ def six_extensions(x1: RadicalWord, x2: RadicalWord) -> list[RadicalWord]:
     out = [x1, x2]
     for j in range(1, 5):
         combined = x1.combine(x2, j)
-        lead = _proj_key(combined.e1, combined.e3, combined.ew)
-        out.append(RadicalWord(*lead))
+        out.append(RadicalWord(*combined.proj_key()))
     return out
 
 
 def tau2_orbit(word: RadicalWord) -> RadicalWord:
     """The image of a radical word under tau^2: swap the pi_1, pi_3 exponents."""
     return RadicalWord(word.e3, word.e1, word.ew)
-
-
-_CASE1_SUBGROUPS = (
-    (1, (1, 1, 0), Character.PLUS),
-    (2, (1, 0, 0), Character.MIXED),
-    (3, (1, 3, 0), Character.MIXED),
-    (4, (1, 2, 0), Character.MIXED),
-    (5, (0, 1, 0), Character.MIXED),
-    (6, (1, 4, 0), Character.MINUS),
-)
 
 
 def subgroup_table(rc: RadicandClass, h1: int | None = None) -> list[SubgroupDescriptor]:
@@ -265,23 +260,11 @@ def subgroup_table(rc: RadicandClass, h1: int | None = None) -> list[SubgroupDes
     H5=<[P3]>, H6=<[P1P3^4]>.  Other shapes carry w-exponents: H1 gains
     Pw^(2*h1), H2..H5 gain Pw^h1, and H6 stays [P1P3^4].
     """
-    if rc.form is RadicandForm.NO_MATCH:
-        raise ValueError("no subgroup table for an unclassified radicand")
-    if rc.form is RadicandForm.PRIME_POWER:
-        return [
-            SubgroupDescriptor(i, ClassWord(*exps), ch)
-            for i, exps, ch in _CASE1_SUBGROUPS
-        ]
-    h = _require_h1(rc, h1)
-    rows = (
-        (1, (1, 1, 2 * h), Character.PLUS),
-        (2, (1, 0, h), Character.MIXED),
-        (3, (2, 4, h), Character.MIXED),
-        (4, (4, 2, h), Character.MIXED),
-        (5, (0, 1, h), Character.MIXED),
-        (6, (1, 4, 0), Character.MINUS),
-    )
-    return [SubgroupDescriptor(i, ClassWord(*exps), ch) for i, exps, ch in rows]
+    s = _paper_words(rc, h1)
+    return [
+        SubgroupDescriptor(j, ClassWord(*s[j]), character)
+        for j, character in zip(s, _CHARACTERS)
+    ]
 
 
 def subgroup_index(word: ClassWord, table: Iterable[SubgroupDescriptor]) -> int:
@@ -302,37 +285,20 @@ def correspondence(
     p^e shape: the symbol (pi_1/pi_3) resolves K_2 and K_5 (exponent 0 puts
     K_2 = fifth root of pi_3, otherwise of pi_1); the K_1/K_6 and K_3/K_4
     assignments stay two-candidate.  Other shapes: all six stay
-    two-candidate, ordered as the tables state them.
+    two-candidate, ordered as the tables state them.  Each row lists the j
+    of its candidates S_j.
     """
-    if rc.form is RadicandForm.NO_MATCH:
-        raise ValueError("no correspondence for an unclassified radicand")
+    s = _paper_words(rc, h1)
     if rc.form is RadicandForm.PRIME_POWER:
         if symbol_exponent is None:
             raise ValueError("the p^e shape needs the (pi_1/pi_3) symbol exponent")
-        pi1 = RadicalWord(1, 0, 0)
-        pi3 = RadicalWord(0, 1, 0)
-        k2, k5 = (pi3, pi1) if symbol_exponent % 5 == 0 else (pi1, pi3)
-        return [
-            ExtensionDescriptor(1, (RadicalWord(1, 1, 0), RadicalWord(1, 4, 0)), False),
-            ExtensionDescriptor(2, (k2,), True),
-            ExtensionDescriptor(3, (RadicalWord(1, 2, 0), RadicalWord(1, 3, 0)), False),
-            ExtensionDescriptor(4, (RadicalWord(1, 3, 0), RadicalWord(1, 2, 0)), False),
-            ExtensionDescriptor(5, (k5,), True),
-            ExtensionDescriptor(6, (RadicalWord(1, 4, 0), RadicalWord(1, 1, 0)), False),
-        ]
-    h = _require_h1(rc, h1)
-    x1 = RadicalWord(1, 0, h)
-    x2 = RadicalWord(1, 4, 0)
-    plus_word = RadicalWord(1, 1, 2 * h)
-    k3a, k4a = RadicalWord(2, 4, h), RadicalWord(4, 2, h)
-    k5a = RadicalWord(0, 1, h)
+        k2, k5 = (5, 2) if symbol_exponent % 5 == 0 else (2, 5)
+        rows = ((1, 6), (k2,), (4, 3), (3, 4), (k5,), (6, 1))
+    else:
+        rows = ((6, 1), (2, 5), (3, 4), (4, 3), (5, 2), (1, 6))
     return [
-        ExtensionDescriptor(1, (x2, plus_word), False),
-        ExtensionDescriptor(2, (x1, k5a), False),
-        ExtensionDescriptor(3, (k3a, k4a), False),
-        ExtensionDescriptor(4, (k4a, k3a), False),
-        ExtensionDescriptor(5, (k5a, x1), False),
-        ExtensionDescriptor(6, (plus_word, x2), False),
+        ExtensionDescriptor(i, tuple(RadicalWord(*s[j]) for j in row), len(row) == 1)
+        for i, row in enumerate(rows, 1)
     ]
 
 
@@ -345,21 +311,9 @@ def guaranteed_capitulations(
     so extending the ideal makes it principal: the class [P1^a P3^b Pw^c]
     capitulates in the fifth-root field of pi_1^a pi_3^b w^c.
     """
-    if rc.form is RadicandForm.NO_MATCH:
-        raise ValueError("no capitulation data for an unclassified radicand")
-    if rc.form is RadicandForm.PRIME_POWER:
-        words = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0), (1, 3, 0), (1, 4, 0)]
-    else:
-        h = _require_h1(rc, h1)
-        words = [
-            (1, 0, h),
-            (1, 4, 0),
-            (1, 1, 2 * h),
-            (2, 4, h),
-            (4, 2, h),
-            (0, 1, h),
-        ]
-    return {RadicalWord(*w): ClassWord(*w) for w in words}
+    s = _paper_words(rc, h1)
+    order = (2, 5, 1, 4, 3, 6) if rc.form is RadicandForm.PRIME_POWER else (2, 6, 1, 3, 4, 5)
+    return {RadicalWord(*s[j]): ClassWord(*s[j]) for j in order}
 
 
 # Possible-type tables.  Brace alternatives in the source tables are already
@@ -434,21 +388,11 @@ def possible_types(
     shape a nonzero symbol exponent exchanges the roles of positions 2 and 5
     (values included); for the other shapes the symbol plays no role.
     """
-    if rc.form is RadicandForm.NO_MATCH:
-        raise ValueError("no capitulation types for an unclassified radicand")
-    if rc.form is RadicandForm.PRIME_POWER:
-        minus_word = RadicalWord(1, 4, 0)
-        plus_word = RadicalWord(1, 1, 0)
-    else:
-        h = _require_h1(rc, h1)
-        minus_word = RadicalWord(1, 4, 0)
-        plus_word = RadicalWord(1, 1, 2 * h)
-    if k6_choice == minus_word:
-        tuples: list[tuple[int, ...]] = list(
-            _CASE1_BASE if rc.form is RadicandForm.PRIME_POWER else _CASE2_BASE
-        )
-    elif k6_choice == plus_word:
-        base = _CASE1_BASE if rc.form is RadicandForm.PRIME_POWER else _CASE2_BASE
+    s = _paper_words(rc, h1)
+    base = _CASE1_BASE if rc.form is RadicandForm.PRIME_POWER else _CASE2_BASE
+    if k6_choice == RadicalWord(*s[6]):
+        tuples = list(base)
+    elif k6_choice == RadicalWord(*s[1]):
         tuples = _alternate_k6_expansion(base)
     else:
         raise ValueError("k6_choice is not one of the two K6 candidates")

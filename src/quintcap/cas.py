@@ -22,7 +22,7 @@ import shlex
 import subprocess
 from typing import Sequence
 
-from .fixtures import FixtureEntry
+from .fixtures import FixtureEntry, FixtureFormatError, _parse_entry
 
 DEFAULT_TIMEOUT = 600.0
 
@@ -75,15 +75,7 @@ def cas_adapter_check(
         raise CasProtocolError(f"adapter response is not JSON: {line!r}") from exc
     if not isinstance(payload, dict):
         raise CasProtocolError(f"adapter response must be an object: {line!r}")
-    h = payload.get("h_k5")
-    gtype = payload.get("type")
-    rank = payload.get("rank_ambiguous")
-    if (
-        not isinstance(h, int)
-        or not isinstance(rank, int)
-        or not isinstance(gtype, list)
-        or len(gtype) != 2
-        or not all(isinstance(v, int) for v in gtype)
-    ):
-        raise CasProtocolError(f"adapter response has a bad shape: {line!r}")
-    return FixtureEntry(n, h, (gtype[0], gtype[1]), rank)
+    try:
+        return _parse_entry(dict(payload, n=n, label=None))
+    except FixtureFormatError as exc:
+        raise CasProtocolError(f"adapter response has a bad shape: {line!r}") from exc

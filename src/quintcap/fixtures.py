@@ -71,18 +71,23 @@ def _parse_entry(raw: Any) -> FixtureEntry:
     return FixtureEntry(n, h, (gtype[0], gtype[1]), rank, label)
 
 
+def _read_json(path: "str | Path") -> Any:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise FixtureFormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
 def load_fixtures(path: "str | Path") -> list[FixtureEntry]:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     if not isinstance(data, list):
         raise FixtureFormatError("fixtures file must hold a JSON array")
     return [_parse_entry(row) for row in data]
 
 
 def load_anomalies(path: "str | Path | None" = None) -> frozenset[int]:
-    p = Path(path) if path is not None else packaged_data_path("anomalies.json")
-    with open(p, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _read_json(path if path is not None else packaged_data_path("anomalies.json"))
     values = data.get("no_match_expected", []) if isinstance(data, dict) else None
     if values is None or not all(isinstance(v, int) for v in values):
         raise FixtureFormatError("anomalies file must map no_match_expected to ints")

@@ -65,12 +65,8 @@ class ReportError(RuntimeError):
     pass
 
 
-def _word_json(w: RadicalWord, ws: WSymbol | None) -> dict[str, Any]:
-    return {"pi1": w.e1, "pi3": w.e3, "w": w.ew, "text": w.render(ws)}
-
-
-def _class_json(c: ClassWord, ws: WSymbol | None) -> dict[str, Any]:
-    return {"P1": c.e1, "P3": c.e3, "Pw": c.ew, "text": c.render(ws)}
+def _word_json(w: RadicalWord | ClassWord, ws: WSymbol | None) -> dict[str, Any]:
+    return dict(zip(w.KEYS, (w.e1, w.e3, w.ew)), text=w.render(ws))
 
 
 def _render(value: Any, pad: str) -> str:
@@ -142,12 +138,12 @@ class FormalTables:
                 {
                     "label": sub.label,
                     "character": sub.character.value,
-                    "generator": _class_json(sub.generator, ws),
+                    "generator": _word_json(sub.generator, ws),
                 }
                 for sub in self.subgroups
             ],
             "guaranteed_capitulations": [
-                {"extension": _word_json(w, ws), "class": _class_json(c, ws)}
+                {"extension": _word_json(w, ws), "class": _word_json(c, ws)}
                 for w, c in self.capitulations
             ],
             "possible_types": [

@@ -8,14 +8,32 @@ Teichmueller rule of ``cyclotomic.fifth_power_solvable_mod_lambda``, the
 unit tables of ``quintcap.primes``, the integer keys of
 ``primes.first_unit_hit`` and ``capitulation.find_h1``,
 ``factor.is_rational_prime`` and the scanner's restricted sieve replaced;
-the tests cross-check the fast code against them.
+the tests cross-check the fast code against them.  The formal tables of
+``quintcap.capitulation`` are kept as they were written before each shape
+had one table of the paper's six words: every word spelled out in every
+table.
 """
 
 import functools
 import itertools
 import math
 
-from quintcap.capitulation import H1SearchExhausted, H1Witness, norm_condition_h1
+from quintcap.capitulation import (
+    _CASE1_BASE,
+    _CASE2_BASE,
+    CapitulationType,
+    Character,
+    ClassWord,
+    ExtensionDescriptor,
+    H1SearchExhausted,
+    H1Witness,
+    RadicalWord,
+    SubgroupDescriptor,
+    _alternate_k6_expansion,
+    _swap_positions_and_values_2_5,
+    norm_condition_h1,
+)
+from quintcap.classify import RadicandForm
 from quintcap.cyclotomic import (
     LAMBDA,
     ONE,
@@ -233,6 +251,129 @@ def find_h1(pi1, w, *, e=1):
         " congruent to +-1, +-7 for any h in 1..4; the congruence is impossible",
         norm_condition_h1=fallback,
     )
+
+
+def _require_h1(rc, h1):
+    if h1 is None:
+        raise ValueError(f"h1 is required for the {rc.form.value} shape")
+    if not 1 <= h1 % 5 <= 4:
+        raise ValueError("h1 must be nonzero mod 5")
+    return h1 % 5
+
+
+def hilbert_class_field_generators(rc, h1=None):
+    if rc.form is RadicandForm.NO_MATCH:
+        raise ValueError("no generators for an unclassified radicand")
+    if rc.form is RadicandForm.PRIME_POWER:
+        return RadicalWord(1, 0, 0), RadicalWord(0, 1, 0)
+    h = _require_h1(rc, h1)
+    return RadicalWord(1, 0, h), RadicalWord(1, 4, 0)
+
+
+_CASE1_SUBGROUPS = (
+    (1, (1, 1, 0), Character.PLUS),
+    (2, (1, 0, 0), Character.MIXED),
+    (3, (1, 3, 0), Character.MIXED),
+    (4, (1, 2, 0), Character.MIXED),
+    (5, (0, 1, 0), Character.MIXED),
+    (6, (1, 4, 0), Character.MINUS),
+)
+
+
+def subgroup_table(rc, h1=None):
+    if rc.form is RadicandForm.NO_MATCH:
+        raise ValueError("no subgroup table for an unclassified radicand")
+    if rc.form is RadicandForm.PRIME_POWER:
+        return [
+            SubgroupDescriptor(i, ClassWord(*exps), ch)
+            for i, exps, ch in _CASE1_SUBGROUPS
+        ]
+    h = _require_h1(rc, h1)
+    rows = (
+        (1, (1, 1, 2 * h), Character.PLUS),
+        (2, (1, 0, h), Character.MIXED),
+        (3, (2, 4, h), Character.MIXED),
+        (4, (4, 2, h), Character.MIXED),
+        (5, (0, 1, h), Character.MIXED),
+        (6, (1, 4, 0), Character.MINUS),
+    )
+    return [SubgroupDescriptor(i, ClassWord(*exps), ch) for i, exps, ch in rows]
+
+
+def correspondence(rc, symbol_exponent, h1=None):
+    if rc.form is RadicandForm.NO_MATCH:
+        raise ValueError("no correspondence for an unclassified radicand")
+    if rc.form is RadicandForm.PRIME_POWER:
+        if symbol_exponent is None:
+            raise ValueError("the p^e shape needs the (pi_1/pi_3) symbol exponent")
+        pi1 = RadicalWord(1, 0, 0)
+        pi3 = RadicalWord(0, 1, 0)
+        k2, k5 = (pi3, pi1) if symbol_exponent % 5 == 0 else (pi1, pi3)
+        return [
+            ExtensionDescriptor(1, (RadicalWord(1, 1, 0), RadicalWord(1, 4, 0)), False),
+            ExtensionDescriptor(2, (k2,), True),
+            ExtensionDescriptor(3, (RadicalWord(1, 2, 0), RadicalWord(1, 3, 0)), False),
+            ExtensionDescriptor(4, (RadicalWord(1, 3, 0), RadicalWord(1, 2, 0)), False),
+            ExtensionDescriptor(5, (k5,), True),
+            ExtensionDescriptor(6, (RadicalWord(1, 4, 0), RadicalWord(1, 1, 0)), False),
+        ]
+    h = _require_h1(rc, h1)
+    x1 = RadicalWord(1, 0, h)
+    x2 = RadicalWord(1, 4, 0)
+    plus_word = RadicalWord(1, 1, 2 * h)
+    k3a, k4a = RadicalWord(2, 4, h), RadicalWord(4, 2, h)
+    k5a = RadicalWord(0, 1, h)
+    return [
+        ExtensionDescriptor(1, (x2, plus_word), False),
+        ExtensionDescriptor(2, (x1, k5a), False),
+        ExtensionDescriptor(3, (k3a, k4a), False),
+        ExtensionDescriptor(4, (k4a, k3a), False),
+        ExtensionDescriptor(5, (k5a, x1), False),
+        ExtensionDescriptor(6, (plus_word, x2), False),
+    ]
+
+
+def guaranteed_capitulations(rc, h1=None):
+    if rc.form is RadicandForm.NO_MATCH:
+        raise ValueError("no capitulation data for an unclassified radicand")
+    if rc.form is RadicandForm.PRIME_POWER:
+        words = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0), (1, 3, 0), (1, 4, 0)]
+    else:
+        h = _require_h1(rc, h1)
+        words = [
+            (1, 0, h),
+            (1, 4, 0),
+            (1, 1, 2 * h),
+            (2, 4, h),
+            (4, 2, h),
+            (0, 1, h),
+        ]
+    return {RadicalWord(*w): ClassWord(*w) for w in words}
+
+
+def possible_types(rc, symbol_exponent, k6_choice, h1=None):
+    if rc.form is RadicandForm.NO_MATCH:
+        raise ValueError("no capitulation types for an unclassified radicand")
+    if rc.form is RadicandForm.PRIME_POWER:
+        minus_word = RadicalWord(1, 4, 0)
+        plus_word = RadicalWord(1, 1, 0)
+    else:
+        h = _require_h1(rc, h1)
+        minus_word = RadicalWord(1, 4, 0)
+        plus_word = RadicalWord(1, 1, 2 * h)
+    if k6_choice == minus_word:
+        tuples = list(_CASE1_BASE if rc.form is RadicandForm.PRIME_POWER else _CASE2_BASE)
+    elif k6_choice == plus_word:
+        base = _CASE1_BASE if rc.form is RadicandForm.PRIME_POWER else _CASE2_BASE
+        tuples = _alternate_k6_expansion(base)
+    else:
+        raise ValueError("k6_choice is not one of the two K6 candidates")
+    if rc.form is RadicandForm.PRIME_POWER:
+        if symbol_exponent is None:
+            raise ValueError("the p^e shape needs the (pi_1/pi_3) symbol exponent")
+        if symbol_exponent % 5 != 0:
+            tuples = [_swap_positions_and_values_2_5(t) for t in tuples]
+    return [CapitulationType(t) for t in tuples]
 
 
 MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

@@ -69,6 +69,19 @@ def test_word_rendering():
     assert c.render(WSymbol.PI5) == "[P1^2*P5]"
 
 
+def test_words_refuse_non_integer_exponents():
+    # A float exponent would render as pi5^2.0; exponents must be integers.
+    with pytest.raises(TypeError):
+        RadicalWord(1.5, 0, 0)
+    with pytest.raises(TypeError):
+        ClassWord(1, 0, 2.0)
+    with pytest.raises(TypeError):
+        hilbert_class_field_generators(CASE2, h1=2.0)
+    with pytest.raises(TypeError):
+        subgroup_table(CASE3, h1=1.5)
+    assert RadicalWord(True, 6, -1) == RadicalWord(1, 1, 4)
+
+
 def test_w_symbol_per_case():
     assert w_symbol_for(CASE1) is None
     assert w_symbol_for(CASE2) is WSymbol.PI5
@@ -683,3 +696,62 @@ def test_case1_published_list_k2_label_anomaly():
     base = [t.entries for t in possible_types(CASE1, 0, RadicalWord(1, 4, 0))]
     assert (0, 2, 0, 0, 5, 0) in base
     assert (0, 5, 0, 0, 2, 0) not in base
+
+
+# --- the per-shape word table against the tables written out in full -----------
+
+def _exact(word):
+    return (type(word).__name__, word.e1, word.e3, word.ew)
+
+
+def _formal_keys():
+    for rc, h1s in ((CASE1, [None]), (CASE2, [1, 2, 3, 4]), (CASE3, [1, 2, 3, 4])):
+        for h1 in h1s:
+            for symbol in range(5):
+                yield rc, h1, symbol
+
+
+def _tables(module, rc, h1, symbol):
+    # Exact exponents, not ==: projective equality would pass a rescaled word.
+    extensions = module.correspondence(rc, symbol, h1)
+    return {
+        "generators": [_exact(w) for w in module.hilbert_class_field_generators(rc, h1)],
+        "extensions": [
+            (e.index, e.label, e.resolved, [_exact(w) for w in e.candidates])
+            for e in extensions
+        ],
+        "subgroups": [
+            (d.index, d.label, d.character, _exact(d.generator))
+            for d in module.subgroup_table(rc, h1)
+        ],
+        "capitulations": [
+            (_exact(w), _exact(c)) for w, c in module.guaranteed_capitulations(rc, h1).items()
+        ],
+        "types": [
+            (_exact(k6), [t.entries for t in module.possible_types(rc, symbol, k6, h1)])
+            for k6 in extensions[5].candidates
+        ],
+    }
+
+
+def test_word_table_matches_written_out_tables_on_every_key():
+    from quintcap import capitulation
+    from quintcap.report import FormalTables, formal_tables
+
+    keys = list(_formal_keys())
+    assert len(keys) == 45
+    for rc, h1, symbol in keys:
+        assert _tables(capitulation, rc, h1, symbol) == _tables(oracles, rc, h1, symbol)
+        extensions = tuple(oracles.correspondence(rc, symbol, h1))
+        written_out = FormalTables(
+            w_symbol_for(rc),
+            oracles.hilbert_class_field_generators(rc, h1),
+            extensions,
+            tuple(oracles.subgroup_table(rc, h1)),
+            tuple(oracles.guaranteed_capitulations(rc, h1).items()),
+            tuple(
+                (k6, tuple(t.entries for t in oracles.possible_types(rc, symbol, k6, h1)))
+                for k6 in extensions[5].candidates
+            ),
+        )
+        assert formal_tables(rc, h1, symbol).fragments == written_out.fragments

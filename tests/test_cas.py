@@ -32,6 +32,22 @@ def test_adapter_garbage_response():
         cas_adapter_check(55, FAKE + ["--garbage"])
 
 
+@pytest.mark.parametrize(
+    "response",
+    [
+        {"h_k5": 25, "type": [5], "rank_ambiguous": 2},
+        {"h_k5": "25", "type": [5, 5], "rank_ambiguous": 2},
+        {"type": [5, 5], "rank_ambiguous": 2},
+    ],
+)
+def test_adapter_json_response_of_wrong_shape(response):
+    line = json.dumps(response)
+    adapter = [sys.executable, "-c", f"print({line!r})"]
+    with pytest.raises(CasProtocolError, match="bad shape") as exc:
+        cas_adapter_check(55, adapter)
+    assert line in str(exc.value)
+
+
 def test_adapter_unknown_n():
     with pytest.raises(CasProtocolError):
         cas_adapter_check(56, FAKE)

@@ -1,4 +1,5 @@
 import json
+import subprocess
 import sys
 
 import pytest
@@ -109,3 +110,25 @@ def test_verify_refuses_bad_cas_timeout_before_any_work(value, capsys, monkeypat
 def test_verify_accepts_positive_cas_timeout():
     assert build_parser().parse_args(["verify", "--cas-timeout", "2.5"]).cas_timeout == 2.5
     assert build_parser().parse_args(["verify"]).cas_timeout == 600.0
+
+
+@pytest.mark.parametrize("option", ["--fixtures", "--anomalies"])
+def test_verify_missing_file_is_input_error(option, tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["verify", option, str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and str(missing) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_verify_missing_fixtures_from_the_shell(tmp_path):
+    missing = tmp_path / "missing.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "quintcap", "verify", "--fixtures", str(missing)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    message = f"input error: cannot read {missing}: No such file or directory"
+    assert proc.stderr.splitlines() == [message]
