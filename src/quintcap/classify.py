@@ -11,7 +11,8 @@ with 1 <= e <= 4 throughout.  These are exactly the shapes for which the
 downstream capitulation tables apply; everything else is NO_MATCH.  The
 rules fix n mod 25 to SHAPE_RESIDUES = {0, 1, 5, 7, 18}, so a
 fifth-power-free n in any other class is NO_MATCH before it is factored;
-the scanner factors only those five classes.
+the scanner factors only members of those five classes, and only those with
+at most two small primes.
 
 n is factored by ``factor.factorize`` (Miller-Rabin and Brent's rho), so
 every n below ``factor.MILLER_RABIN_BOUND`` is classified.  So is a larger

@@ -6,13 +6,15 @@
     quintcap verify --fixtures <path> [--cas-cmd <cmd>] [--cas-timeout S]
 
 Exit codes: 0 on success (a NO_MATCH classification is still success, the
-output carries the flag), 2 for input errors, 1 for anything unexpected.
+output carries the flag), 2 for input errors, 1 for anything unexpected and
+for an output pipe closed by its reader, such as ``| head``.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from .cas import CasProtocolError, CasTimeoutError, cas_adapter_check
@@ -136,6 +138,12 @@ def main(argv: "list[str] | None" = None) -> int:
         return 2
     except ReportError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader is gone.  Python flushes stdout again at exit, so point
+        # it at devnull, or that flush fails too ("Note on SIGPIPE" in the
+        # signal module's documentation).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -1,8 +1,8 @@
 """Factorisation of rational integers; the only place where integers get factored.
 
-``factorize(n)`` divides out a fixed table of small primes, recognises exact
-perfect powers by integer k-th roots, and splits whatever is left with
-Pollard's rho in Brent's form (Brent 1980).  Primality is decided by
+``factorize(n)`` divides out the primes below 1000 of gcd(n, their product),
+recognises exact perfect powers by integer k-th roots, and splits the rest
+with Pollard's rho in Brent's form (Brent 1980).  Primality is decided by
 deterministic Miller-Rabin: n is tested to the first t prime bases, where
 psi_t, the least strong pseudoprime to those t bases, is the first entry of
 the table psi_1..psi_13 above n (OEIS A014233; Jaeschke 1993, Jiang and
@@ -98,6 +98,9 @@ def primes_up_to(limit: int) -> list[int]:
 
 
 _TRIAL_PRIMES = tuple(primes_up_to(1000))
+
+# Their product: gcd(n, _TRIAL_PRODUCT) holds the trial primes of n.
+_TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
 
 # A cofactor free of the trial primes is prime when below this square.
 _TRIAL_SQUARE = 1000 * 1000
@@ -241,10 +244,12 @@ def factorize(n: int) -> dict[int, int]:
         raise ValueError(f"can only factor positive integers, got {n}")
     factors: dict[int, int] = {}
     m = n
+    g = math.gcd(n, _TRIAL_PRODUCT)
     for p in _TRIAL_PRIMES:
-        if p * p > m:
+        if g == 1:
             break
-        if m % p == 0:
+        if g % p == 0:
+            g //= p
             e = 0
             while m % p == 0:
                 m //= p
@@ -294,7 +299,8 @@ def factor_window(
     SIEVE_PRIME_LIMIT^2, a cofactor at or above that square, which factorize
     splits (and may refuse with ValueError).  A block holds one short list
     of primes per integer, and the dict of an integer is built only when it
-    is yielded.
+    is yielded.  The scanner calls it, over every class, for a chunk that
+    reaches its certification bound 2^80.
     """
     if not 1 <= lo <= hi:
         raise ValueError("need 1 <= lo <= hi")

@@ -1,14 +1,23 @@
 """Range scanner: classify every fifth-power-free n in an interval.
 
 Only an n whose residue mod 25 lies in ``classify.SHAPE_RESIDUES`` can have
-a shape, so only those five classes of 25 are factored, by the segmented
-sieve of ``factor.factor_window``, and classified by ``radicand_shape``, the
-shape rules of ``classify_radicand``.  Every other n is written as no_match
-unless some p^5 divides it: the multiples of p^5 are marked for every sieve
-prime p with p^5 <= hi and skipped.  The marks prove the unmarked n
-fifth-power-free only while every prime p with p^5 <= hi is a sieve prime,
-that is below CERTIFIED_BELOW = SIEVE_PRIME_LIMIT^5 = 2^80; a chunk that
-reaches it factors and classifies every n.
+a shape, and every shape has at most two distinct primes, so below
+CERTIFIED_BELOW = SIEVE_PRIME_LIMIT^5 = 2^80 a chunk is scanned by a shape
+sieve.  The multiples of p^5 are marked for every sieve prime p with p^5 <=
+hi and skipped; the marks prove the unmarked n fifth-power-free because
+every prime p with p^5 <= hi is then a sieve prime.  Then, for every sieve
+prime p up to min(isqrt(hi), SIEVE_PRIME_LIMIT), three slice operations
+note p at its multiples: a count of distinct sieve primes that stops at 3,
+the largest sieve prime (written for p ascending) and the smallest (written
+for p descending).  A member of SHAPE_RESIDUES that is unmarked and counts
+at most two sieve primes survives; every other unmarked n is no_match.  A survivor is
+divided by its recorded primes.  If it has two and a cofactor above 1 is
+left, that cofactor holds a third prime, so it is no_match too; otherwise
+a cofactor at or above SIEVE_PRIME_LIMIT^2 is split by ``factor.factorize``
+and ``radicand_shape``, the shape rules of ``classify_radicand``, decides.
+A chunk that reaches 2^80, where a prime with p^5 <= hi may exceed the
+sieve primes, factors every n with ``factor.factor_window`` and classifies
+it.
 
 Output order is by n regardless of worker count; chunks are contiguous and
 reassembled in submission order, so the parallel path is bit-identical to
@@ -21,10 +30,11 @@ imported only when a scan runs with jobs > 1.
 
 from __future__ import annotations
 
+import math
 import os
 from collections import deque
 from itertools import compress
-from typing import Collection, Iterator
+from typing import Iterator
 
 # classify_radicand is not called here, but stays bound in this namespace:
 # perfbench's tracer tests look it up on every module that imported it.
@@ -40,6 +50,7 @@ from .factor import (
     SIEVE_BLOCK,
     SIEVE_PRIME_LIMIT,
     factor_window,
+    factorize,
     integer_root,
     primes_up_to,
 )
@@ -53,30 +64,80 @@ CERTIFIED_BELOW = SIEVE_PRIME_LIMIT**5
 
 _NO_MATCH = RadicandForm.NO_MATCH.value
 
+# Byte tables for bytes.translate: one more sieve prime, stopping at 3; and
+# 1 where fewer than three.
+_COUNT_UP = bytes(min(c + 1, 3) for c in range(256))
+_SURVIVES = bytes(c < 3 for c in range(256))
+
 
 def _scan_chunk(bounds: tuple[int, int]) -> list[tuple[int, str]]:
     lo, hi = bounds
-    keep = bytearray(b"\x01") * (hi - lo + 1)
-    residues: Collection[int] = range(25)
-    if hi < CERTIFIED_BELOW:
-        # An unmarked n outside SHAPE_RESIDUES is fifth-power-free, so no_match.
-        residues = SHAPE_RESIDUES
-        for p in primes_up_to(integer_root(hi, 5)):
-            q = p**5
-            keep[-lo % q :: q] = bytes(len(range(-lo % q, len(keep), q)))
-    shapes: dict[int, str] = {}
+    size = hi - lo + 1
+    keep = bytearray(b"\x01") * size
+    forms = [_NO_MATCH] * size
     try:
-        for n, factors in factor_window(lo, hi, 25, residues):
-            try:
-                form = radicand_shape(n, factors)[0]
-            except NotFifthPowerFree:
-                keep[n - lo] = 0
-                continue
-            if form is not RadicandForm.NO_MATCH:
-                shapes[n] = form.value
+        if hi < CERTIFIED_BELOW:
+            _sieve_shapes(lo, hi, keep, forms)
+        else:
+            for n, factors in factor_window(lo, hi):
+                try:
+                    forms[n - lo] = radicand_shape(n, factors)[0].value
+                except NotFifthPowerFree:
+                    keep[n - lo] = 0
     except ValueError as exc:  # a cofactor that factorize refuses
         raise FactorizationLimitExceeded(str(exc)) from None
-    return [(n, shapes.get(n, _NO_MATCH)) for n in compress(range(lo, hi + 1), keep)]
+    return list(compress(zip(range(lo, hi + 1), forms), keep))
+
+
+def _sieve_shapes(lo: int, hi: int, keep: bytearray, forms: list[str]) -> None:
+    """Clear keep at the multiples of p^5 and write the shape of every
+    survivor into forms, for lo..hi below CERTIFIED_BELOW."""
+    size = len(keep)
+    # count[i] is 3 for every n that cannot have a shape: outside
+    # SHAPE_RESIDUES, a multiple of some p^5, or with three sieve primes.
+    count = bytearray(b"\x03") * size
+    for r in SHAPE_RESIDUES:
+        off = (r - lo) % 25
+        count[off::25] = bytes(len(range(off, size, 25)))
+    for p in primes_up_to(integer_root(hi, 5)):
+        q = p**5
+        s = -lo % q
+        k = len(range(s, size, q))
+        keep[s::q] = bytes(k)
+        count[s::q] = b"\x03" * k
+    primes = primes_up_to(min(math.isqrt(hi), SIEVE_PRIME_LIMIT))
+    largest = [0] * size
+    smallest = [0] * size
+    for p in primes:
+        s = -lo % p
+        if s >= size:  # no multiple of p in lo..hi
+            continue
+        count[s::p] = count[s::p].translate(_COUNT_UP)
+        largest[s::p] = [p] * len(range(s, size, p))
+    for p in reversed(primes):
+        s = -lo % p
+        if s >= size:
+            continue
+        smallest[s::p] = [p] * len(range(s, size, p))
+    composite_from = SIEVE_PRIME_LIMIT * SIEVE_PRIME_LIMIT
+    for i in compress(range(size), count.translate(_SURVIVES)):
+        n = m = lo + i
+        factors: dict[int, int] = {}
+        if count[i]:
+            for p in {smallest[i], largest[i]}:
+                e = 0
+                while m % p == 0:
+                    m //= p
+                    e += 1
+                factors[p] = e
+        if m > 1:
+            if count[i] == 2:  # a third prime, and no shape has three
+                continue
+            if m >= composite_from:
+                factors.update(factorize(m))
+            else:
+                factors[m] = 1
+        forms[i] = radicand_shape(n, factors)[0].value
 
 
 def iter_scan(lo: int, hi: int, jobs: int = 1) -> Iterator[list[tuple[int, str]]]:

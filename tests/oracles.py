@@ -7,7 +7,8 @@ These are the bodies the straight-line kernel in ``quintcap.cyclotomic``,
 Teichmueller rule of ``cyclotomic.fifth_power_solvable_mod_lambda``, the
 unit tables of ``quintcap.primes``, the integer keys of
 ``primes.first_unit_hit`` and ``capitulation.find_h1``,
-``factor.is_rational_prime`` and the scanner's restricted sieve replaced;
+``factor.is_rational_prime``, the scanner's restricted sieve and its shape
+sieve replaced;
 the tests cross-check the fast code against them.  The formal tables of
 ``quintcap.capitulation`` are kept as they were written before each shape
 had one table of the paper's six words: every word spelled out in every
@@ -44,13 +45,15 @@ from quintcap.cyclotomic import (
     lambda_key,
     lambda_residue,
 )
-from quintcap.classify import NotFifthPowerFree, radicand_shape
+from quintcap.classify import SHAPE_RESIDUES, NotFifthPowerFree, radicand_shape
 from quintcap.primes import PrimeKind, UnsupportedPrimeError, _unit_table
 from quintcap.factor import (
     MILLER_RABIN_BOUND,
     SIEVE_BLOCK,
     SIEVE_PRIME_LIMIT,
+    factor_window as restricted_factor_window,
     factorize,
+    integer_root,
     primes_up_to,
 )
 
@@ -442,3 +445,27 @@ def scan_all(lo, hi):
         except NotFifthPowerFree:
             pass
     return out
+
+
+def restricted_scan(lo, hi):
+    """scan_range(lo, hi) by the scanner's restricted sieve: below 2^80 the
+    multiples of p^5 are marked and factor.factor_window factors the classes
+    of SHAPE_RESIDUES mod 25, every one of whose members radicand_shape
+    classifies; from 2^80 on every n is factored."""
+    keep = bytearray(b"\x01") * (hi - lo + 1)
+    residues = range(25)
+    if hi < SIEVE_PRIME_LIMIT**5:
+        residues = SHAPE_RESIDUES
+        for p in primes_up_to(integer_root(hi, 5)):
+            q = p**5
+            keep[-lo % q :: q] = bytes(len(range(-lo % q, len(keep), q)))
+    shapes = {}
+    for n, factors in restricted_factor_window(lo, hi, 25, residues):
+        try:
+            form = radicand_shape(n, factors)[0]
+        except NotFifthPowerFree:
+            keep[n - lo] = 0
+            continue
+        if form is not RadicandForm.NO_MATCH:
+            shapes[n] = form.value
+    return [(n, shapes.get(n, "no_match")) for n in itertools.compress(range(lo, hi + 1), keep)]

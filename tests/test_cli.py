@@ -132,3 +132,22 @@ def test_verify_missing_fixtures_from_the_shell(tmp_path):
     assert proc.returncode == 2
     message = f"input error: cannot read {missing}: No such file or directory"
     assert proc.stderr.splitlines() == [message]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_scan_into_a_closed_pipe_exits_quietly(jobs):
+    # A reader such as `head -n 1` closes the pipe after one line.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quintcap", "scan", "2", "10000000", "--jobs", jobs],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.readline() == b"2\tno_match\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 1
+    assert err == b""

@@ -1,7 +1,9 @@
 import concurrent.futures
 import hashlib
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -232,10 +234,49 @@ def test_scan_matches_full_sieve_oracle(lo, hi):
         assert scan_range(lo, hi, jobs) == want, jobs
 
 
+def test_shape_sieve_matches_restricted_sieve_oracle(monkeypatch):
+    # The shape sieve hands radicand_shape only the members of SHAPE_RESIDUES
+    # with at most two sieve primes, and rejects one whose two primes leave a
+    # cofactor; the restricted sieve classified every member.  The jobs=2
+    # chunks run in this process: a 2 000-integer window is cut into eight.
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    rng = random.Random(18)
+    windows = [(lo, lo + 1_999) for lo in (rng.randrange(2, 10**13 - 2_000) for _ in range(3))]
+    windows += [
+        (2, SIEVE_BLOCK + 2_000),  # a block edge; n that are sieve primes
+        (9_985_162 - 1_000, 9_985_162 + 1_000),  # 11^5 * 62
+        (2**32 - 2_000, 2**32 + 2_000),
+        (3 * 10**12, 3 * 10**12 + 2_000),
+        (10**20, 10**20 + 300),
+    ]
+    counts, classified = [], []
+
+    def counted(n, factors):
+        # At jobs=1 the sieve primes of n are those up to the square root of
+        # the top of its block, and at most SIEVE_PRIME_LIMIT.
+        top = min(n - (n - lo) % SIEVE_BLOCK + SIEVE_BLOCK - 1, hi)
+        limit = min(math.isqrt(top), SIEVE_PRIME_LIMIT)
+        counts.append(sum(p <= limit for p in factors))
+        classified.append(n)
+        return radicand_shape(n, factors)
+
+    rejected = 0
+    for lo, hi in windows:
+        want = oracles.restricted_scan(lo, hi)
+        classified.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(scanner, "radicand_shape", counted)
+            assert scan_range(lo, hi) == want, (lo, hi)
+        assert scan_range(lo, hi, 2) == want, (lo, hi)
+        rejected += sum(n % 25 in SHAPE_RESIDUES for n, _ in want) - len(classified)
+    assert {0, 1, 2} <= set(counts) and max(counts) == 2 and rejected > 0
+
+
 def test_every_class_is_classified_from_the_certification_bound(monkeypatch):
     # Below SIEVE_PRIME_LIMIT^5 = 2^80 the p^5 marks prove the unmarked n
-    # fifth-power-free, so only SHAPE_RESIDUES are classified; a chunk that
-    # reaches 2^80 classifies every n.
+    # fifth-power-free, so only members of SHAPE_RESIDUES with at most two
+    # sieve primes are classified; a chunk that reaches 2^80 classifies every n.
     bound = SIEVE_PRIME_LIMIT**5
     assert scanner.CERTIFIED_BELOW == bound == 2**80
     classified = []
@@ -247,7 +288,11 @@ def test_every_class_is_classified_from_the_certification_bound(monkeypatch):
     monkeypatch.setattr(scanner, "radicand_shape", counted)
     lo = bound - 10
     below = scan_range(lo, bound - 1)
-    assert classified == [n for n in range(lo, bound) if n % 25 in SHAPE_RESIDUES]
+    sieve_primes = {
+        n: sum(p < SIEVE_PRIME_LIMIT for p in factors)
+        for n, factors in oracles.factor_window(lo, bound - 1)
+    }
+    assert all(n % 25 in SHAPE_RESIDUES and sieve_primes[n] < 3 for n in classified)
     assert below == oracles.scan_all(lo, bound - 1)
     classified.clear()
     # 2^80 = (2^16)^5 is skipped, so the row list does not change.
