@@ -17,7 +17,7 @@ import math
 import os
 import sys
 
-from .cas import CasProtocolError, CasTimeoutError, cas_adapter_check
+from .cas import DEFAULT_TIMEOUT, CasProtocolError, CasTimeoutError, cas_adapter_check
 from .classify import classify_radicand
 from .fixtures import packaged_data_path, load_fixtures, verify_fixtures
 from .report import ReportError, run_report
@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--fixtures", default=None, help="fixtures JSON path")
     p_verify.add_argument("--anomalies", default=None, help="override anomaly list")
     p_verify.add_argument("--cas-cmd", default=None, help="external adapter command")
-    p_verify.add_argument("--cas-timeout", type=_seconds, default=600.0)
+    p_verify.add_argument("--cas-timeout", type=_seconds, default=DEFAULT_TIMEOUT)
     p_verify.set_defaults(func=_cmd_verify)
     return parser
 

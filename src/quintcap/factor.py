@@ -15,10 +15,9 @@ bounded time, so it is refused with ValueError.  Every n below the bound is
 factored, and so is every n whose part free of the primes up to
 TRIAL_DIVISION_LIMIT is below the bound.
 
-``factor_window(lo, hi, modulus, residues)`` factors the integers of an
-interval that lie in given residue classes, with a segmented sieve that
-reaches only those classes, one block of SIEVE_BLOCK integers at a time, so
-its memory does not grow with the length of the interval or the size of hi.
+The scanner's shape sieve uses ``primes_up_to`` and the sieve constants
+below; it hands ``factorize`` the large cofactors of its survivors, and
+every n, one at a time, of a chunk that reaches 2^80.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from itertools import compress
-from typing import Collection, Iterator
 
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -53,10 +51,10 @@ _PSEUDOPRIME_THRESHOLDS = (
 # psi_13 = 1287836182261 * 2575672364521; below it the test is proven.
 MILLER_RABIN_BOUND = _PSEUDOPRIME_THRESHOLDS[-1]
 
-# Integers the segmented sieve holds at once.
+# Integers the scanner's shape sieve holds at once with one job.
 SIEVE_BLOCK = 1 << 14
 
-# Largest prime the segmented sieve divides by; a cofactor at or above its
+# Largest prime the shape sieve divides by; a cofactor at or above its
 # square is handed to factorize.
 SIEVE_PRIME_LIMIT = 1 << 16
 
@@ -280,71 +278,3 @@ def factorize(n: int) -> dict[int, int]:
                 f" above {MILLER_RABIN_BOUND}, where primality is not decided"
             )
     return dict(sorted(factors.items()))
-
-
-def factor_window(
-    lo: int, hi: int, modulus: int = 1, residues: Collection[int] = (0,)
-) -> Iterator[tuple[int, dict[int, int]]]:
-    """Yield (n, factorize(n)) for the n in lo..hi with n % modulus in residues, in order.
-
-    Each block of SIEVE_BLOCK integers is sieved by every prime power p^k
-    <= its top with p <= min(isqrt(hi), SIEVE_PRIME_LIMIT), noting p once per
-    power that divides n, at the members of the residue classes only.  A
-    class meets the multiples of p^k in one progression of step
-    lcm(modulus, p^k), whose start the Chinese remainder theorem gives (none
-    when gcd(modulus, p^k) does not divide the class); a p^k so large that
-    the block holds few multiples walks those instead and keeps the members.
-    A full set of residues is walked as the plain progressions of step p^k.
-    What is left of n is 1, one prime, or, only when hi >=
-    SIEVE_PRIME_LIMIT^2, a cofactor at or above that square, which factorize
-    splits (and may refuse with ValueError).  A block holds one short list
-    of primes per integer, and the dict of an integer is built only when it
-    is yielded.  The scanner calls it, over every class, for a chunk that
-    reaches its certification bound 2^80.
-    """
-    if not 1 <= lo <= hi:
-        raise ValueError("need 1 <= lo <= hi")
-    if len({r % modulus for r in residues}) == modulus:
-        modulus, residues = 1, (0,)
-    primes = primes_up_to(min(math.isqrt(hi), SIEVE_PRIME_LIMIT))
-    composite_from = SIEVE_PRIME_LIMIT * SIEVE_PRIME_LIMIT
-    for start in range(lo, hi + 1, SIEVE_BLOCK):
-        end = min(start + SIEVE_BLOCK - 1, hi)
-        size = end - start + 1
-        # Index i stands for n = start + i; the classes start at these offsets.
-        offsets = {(r - start) % modulus for r in residues}
-        member = bytearray(size)
-        for off in offsets:
-            member[off::modulus] = b"\x01" * len(range(off, size, modulus))
-        rest = list(range(start, end + 1))
-        found: list[list[int]] = [[] for _ in range(size)]
-        for p in primes:
-            pk = p
-            while pk <= end:
-                if pk * modulus > size:
-                    for i in range(-start % pk, size, pk):
-                        if member[i]:
-                            rest[i] //= p
-                            found[i].append(p)
-                else:
-                    g = math.gcd(modulus, pk)
-                    step = pk // g
-                    # n = start + off + modulus*t is 0 mod p^k exactly when
-                    # t = -((start + off) / g) * (modulus / g)^-1 (mod p^k / g).
-                    inv = pow(modulus // g, -1, step)
-                    for off in offsets:
-                        if (start + off) % g == 0:
-                            t = -((start + off) // g) * inv % step
-                            for i in range(off + modulus * t, size, modulus * step):
-                                rest[i] //= p
-                                found[i].append(p)
-                pk *= p
-        for i in compress(range(size), member):
-            factors: dict[int, int] = {}
-            for p in found[i]:
-                factors[p] = factors.get(p, 0) + 1
-            if rest[i] >= composite_from:
-                factors.update(factorize(rest[i]))
-            elif rest[i] > 1:
-                factors[rest[i]] = 1
-            yield start + i, factors

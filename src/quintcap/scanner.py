@@ -16,8 +16,8 @@ left, that cofactor holds a third prime, so it is no_match too; otherwise
 a cofactor at or above SIEVE_PRIME_LIMIT^2 is split by ``factor.factorize``
 and ``radicand_shape``, the shape rules of ``classify_radicand``, decides.
 A chunk that reaches 2^80, where a prime with p^5 <= hi may exceed the
-sieve primes, factors every n with ``factor.factor_window`` and classifies
-it.
+sieve primes, factors every n, one at a time, with ``factor.factorize`` and
+classifies it; Brent's rho on the large cofactors sets the cost there.
 
 Output order is by n regardless of worker count; chunks are contiguous and
 reassembled in submission order, so the parallel path is bit-identical to
@@ -49,7 +49,6 @@ from .classify import (
 from .factor import (
     SIEVE_BLOCK,
     SIEVE_PRIME_LIMIT,
-    factor_window,
     factorize,
     integer_root,
     primes_up_to,
@@ -79,9 +78,9 @@ def _scan_chunk(bounds: tuple[int, int]) -> list[tuple[int, str]]:
         if hi < CERTIFIED_BELOW:
             _sieve_shapes(lo, hi, keep, forms)
         else:
-            for n, factors in factor_window(lo, hi):
+            for n in range(lo, hi + 1):
                 try:
-                    forms[n - lo] = radicand_shape(n, factors)[0].value
+                    forms[n - lo] = radicand_shape(n, factorize(n))[0].value
                 except NotFifthPowerFree:
                     keep[n - lo] = 0
     except ValueError as exc:  # a cofactor that factorize refuses

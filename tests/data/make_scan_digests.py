@@ -5,7 +5,8 @@ Usage: PYTHONPATH=src python3 tests/data/make_scan_digests.py [--check]
 The windows cover three sieve blocks from 2, the block edges around 10^7
 and 3163^2, both sides of 2^32, a window of 12-digit and one of 21-digit
 integers, and 2^80, the first integer at which the sieve no longer proves
-an n fifth-power-free.  Each row holds the digest of
+an n fifth-power-free: from there on the scanner factors every n, one at a
+time, with ``factor.factorize``.  Each row holds the digest of
 ``render_scan(scan_range(lo, hi))``.  tests/test_scanner.py compares the
 current output at jobs 1 and 2 against the file, so rerun this only when a
 change alters scan output on purpose.  With --check it recomputes every

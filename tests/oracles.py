@@ -51,7 +51,6 @@ from quintcap.factor import (
     MILLER_RABIN_BOUND,
     SIEVE_BLOCK,
     SIEVE_PRIME_LIMIT,
-    factor_window as restricted_factor_window,
     factorize,
     integer_root,
     primes_up_to,
@@ -449,9 +448,9 @@ def scan_all(lo, hi):
 
 def restricted_scan(lo, hi):
     """scan_range(lo, hi) by the scanner's restricted sieve: below 2^80 the
-    multiples of p^5 are marked and factor.factor_window factors the classes
-    of SHAPE_RESIDUES mod 25, every one of whose members radicand_shape
-    classifies; from 2^80 on every n is factored."""
+    multiples of p^5 are marked and radicand_shape classifies every member
+    of the classes of SHAPE_RESIDUES mod 25, factored by the full sieve;
+    from 2^80 on every n is factored and classified."""
     keep = bytearray(b"\x01") * (hi - lo + 1)
     residues = range(25)
     if hi < SIEVE_PRIME_LIMIT**5:
@@ -460,7 +459,9 @@ def restricted_scan(lo, hi):
             q = p**5
             keep[-lo % q :: q] = bytes(len(range(-lo % q, len(keep), q)))
     shapes = {}
-    for n, factors in restricted_factor_window(lo, hi, 25, residues):
+    for n, factors in factor_window(lo, hi):
+        if n % 25 not in residues:
+            continue
         try:
             form = radicand_shape(n, factors)[0]
         except NotFifthPowerFree:

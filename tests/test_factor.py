@@ -15,9 +15,6 @@ from quintcap.classify import (
 from quintcap.cli import main
 from quintcap.factor import (
     MILLER_RABIN_BOUND,
-    SIEVE_PRIME_LIMIT,
-    SIEVE_BLOCK,
-    factor_window,
     factorize,
     integer_root,
     is_rational_prime,
@@ -213,55 +210,6 @@ def test_integer_root():
             assert integer_root(r**k + 1, k) == r
 
 
-@pytest.mark.parametrize(
-    "lo,hi",
-    [
-        (1, 3 * SIEVE_BLOCK + 5),  # block boundaries, every small prime power
-        (1_018_081 - 300, 1_018_081 + 300),  # 1009^2
-        (10**7 - 2 * SIEVE_BLOCK, 10**7 + 3_000),  # 3163^2 = 10004569 lies inside
-    ],
-)
-def test_factor_window_matches_factorize(lo, hi):
-    ns = []
-    for n, factors in factor_window(lo, hi):
-        ns.append(n)
-        assert factors == factorize(n), n
-        assert list(factors) == sorted(factors)
-    assert ns == list(range(lo, hi + 1))
-
-
-@pytest.mark.parametrize(
-    "lo,hi,modulus,residues",
-    [
-        (1, 2 * SIEVE_BLOCK + 5, 25, {0, 1, 5, 7, 18, 24}),  # 5^k lands in classes 0 and 5
-        (10**7 - SIEVE_BLOCK, 10**7 + 3_000, 25, {0, 5}),
-        (2**32 - 1_000, 2**32 + 1_000, 25, {1, 7, 18, 24}),
-        (1, 5_000, 12, {0, 3, 4, 11}),  # 2 and 3 divide the modulus
-        (1, 5_000, 25, range(25)),  # a full set of residues is every n
-    ],
-)
-def test_factor_window_restricted_to_residues(lo, hi, modulus, residues):
-    got = list(factor_window(lo, hi, modulus, residues))
-    assert [n for n, _ in got] == [n for n in range(lo, hi + 1) if n % modulus in residues]
-    for n, factors in got:
-        assert factors == factorize(n), n
-
-
-def test_factor_window_far_above_its_sieve_primes():
-    # hi is far beyond SIEVE_PRIME_LIMIT^2: cofactors go to factorize, and
-    # the sieve stays as small as it is at SIEVE_PRIME_LIMIT^2.
-    lo = 10**20
-    assert lo > SIEVE_PRIME_LIMIT**4
-    for n, factors in factor_window(lo, lo + 40):
-        assert factors == factorize(n), n
-    limit = SIEVE_PRIME_LIMIT**2
-    for n, factors in factor_window(limit - 30, limit + 30):
-        assert factors == factorize(n), n
-    # above MILLER_RABIN_BOUND a cofactor may be refused, as by factorize
-    with pytest.raises(ValueError, match="not decided"):
-        list(factor_window(M89 - 1, M89))
-
-
 def test_primes_up_to_sieves_only_past_the_longest_list(monkeypatch):
     limits = []
 
@@ -302,9 +250,3 @@ def test_trial_division_flags_are_not_sieved_at_import():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.stdout == "None\n", out.stderr
 
-
-def test_factor_window_rejects_bad_bounds():
-    with pytest.raises(ValueError):
-        next(factor_window(0, 10))
-    with pytest.raises(ValueError):
-        next(factor_window(10, 9))

@@ -211,6 +211,34 @@ def test_scan_refuses_undecided_cofactor(capsys):
     assert "not decided" in capsys.readouterr().err
 
 
+def test_scan_refusal_names_the_integer_refused(capsys):
+    # The refused cofactor is 2^89 - 1, but the message names the scanned n,
+    # as classify_radicand's does.
+    n = 3 * (2**89 - 1)
+    with pytest.raises(FactorizationLimitExceeded) as refused:
+        classify_radicand(n)
+    message = str(refused.value)
+    assert str(n) in message
+    for jobs in (1, 2):
+        with pytest.raises(FactorizationLimitExceeded) as scanned:
+            scan_range(n, n, jobs)
+        assert str(scanned.value) == message, jobs
+    assert main(["scan", str(n), str(n)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+def test_scan_from_the_certification_bound_matches_full_sieve_oracle():
+    # From 2^80 on there is no sieve: every n is factored by factorize
+    # alone, so a prime in (1000, SIEVE_PRIME_LIMIT) is found by Brent's rho.
+    lo, hi = 2**80, 2**80 + 39
+    assert lo >= scanner.CERTIFIED_BELOW
+    want = oracles.scan_all(lo, hi)
+    for jobs in (1, 2):
+        assert scan_range(lo, hi, jobs) == want, jobs
+    middle = [p for p in factor.primes_up_to(SIEVE_PRIME_LIMIT) if p > 1000]
+    assert any(n % p == 0 for n in range(lo, hi + 1) for p in middle)
+
+
 @pytest.mark.parametrize("row", SCAN_DIGESTS, ids=lambda row: f"{row['lo']}-{row['hi']}")
 def test_scan_output_matches_digest(row):
     for jobs in (1, 2):
