@@ -32,14 +32,13 @@ from enum import Enum
 from typing import ClassVar, Iterable
 
 from .classify import RadicandClass, RadicandForm
-from .cyclotomic import CycInt, congruent_mod_lambda_pow, lambda_inverse
+from .cyclotomic import CycInt, congruent_mod_lambda_pow
 from .primes import (
     PrimeElement,
     PrimeKind,
     UnitWord,
     UnsupportedPrimeError,
-    _first_in_table,
-    _integer_keys,
+    first_unit_hit,
 )
 
 
@@ -466,16 +465,15 @@ def find_h1(pi1: PrimeElement, w: PrimeElement, *, e: int = 1) -> H1Witness:
     """Joint search for (h, u) with u * pi_1 * w^h = +-1, +-7 (mod lambda^5).
 
     Takes h ascending and, for each h, the first unit of the normalize_associate
-    scan order that meets a target t, found by looking up the class of
-    t * (pi_1*w^h)^-1.  For w = lambda the valuation proof is raised without
-    any lookup.  The scan covers the full unit image mod lambda^5, so when no
-    h has a hit the congruence is impossible: no silent default is ever
-    produced.
+    scan order that meets a target t.  For w = lambda the valuation proof is
+    raised without any lookup.  The scan covers the full unit image mod
+    lambda^5, so when no h has a hit the congruence is impossible: no silent
+    default is ever produced.
 
-    pi_1 is inverted once.  For w = q the integers mod lambda^5 are the
-    integers mod 25, so t * q^-h is the integer t * (q^-1 mod 25)^h, and
-    ``lambda_key`` is Z-linear: each class comes from the key of pi_1^-1 by
-    integer arithmetic.  q^h and the product are built for the witness only.
+    For w = q the integers mod lambda^5 are the integers mod 25, so
+    u*pi_1*q^h = t exactly when u*pi_1 = t*q^-h mod 25: one ``first_unit_hit``
+    on pi_1 with the row of targets t*q^-h for each h, row r giving h = r + 1.
+    q^h and the product are built for the witness only.
     """
     if pi1.kind is not PrimeKind.SPLIT:
         raise UnsupportedPrimeError("pi_1 must be a split prime")
@@ -493,16 +491,12 @@ def find_h1(pi1: PrimeElement, w: PrimeElement, *, e: int = 1) -> H1Witness:
     if any(rest):
         raise UnsupportedPrimeError("an inert w must be a rational prime")
     q_inverse = pow(q, -1, 25)
-    keys = _integer_keys(
-        lambda_inverse(pi1.value, 5),
-        5,
-        [t * pow(q_inverse, h, 25) for h in range(1, 5) for t in _H1_TARGETS],
-    )
-    for h in range(1, 5):
-        hit = _first_in_table(5, keys[4 * h - 4 : 4 * h])
-        if hit is not None:
-            word, u, i = hit
-            return H1Witness(h, u, word, _H1_TARGETS[i], u * pi1.value * w.value ** h)
+    rows = [[t * q_inverse**h % 25 for t in _H1_TARGETS] for h in range(1, 5)]
+    hit = first_unit_hit(pi1.value, 5, rows)
+    if hit is not None:
+        word, u, r, i = hit
+        h = r + 1
+        return H1Witness(h, u, word, _H1_TARGETS[i], u * pi1.value * w.value ** h)
     raise H1SearchExhausted(
         f"no unit in the full image mod lambda^5 makes u*pi_1*{w.rational_below}^h"
         " congruent to +-1, +-7 for any h in 1..4; the congruence is impossible",

@@ -40,10 +40,11 @@ that is 1 mod lambda^6; ``fifth_power_solvable_mod_lambda`` has the proof.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterable, Union
 
 IntoCycInt = Union["CycInt", int]
 Coords = tuple[int, int, int, int]
@@ -412,6 +413,20 @@ def lambda_expand(x: CycInt, k: int) -> LambdaExpansion:
     return LambdaExpansion(tuple(digits))
 
 
+@functools.cache
+def _key_moduli(k: int) -> Coords:
+    """The moduli m_j = 5^ceil((k-j)/4), j = 0..3, of the digits of ``lambda_key``."""
+    if k < 1:
+        raise ValueError("expansion length must be at least 1")
+    return tuple(5 ** ((k - j + 3) // 4) for j in range(4))
+
+
+def _key_digits(x: CycInt, k: int) -> tuple[Coords, Coords]:
+    """The integers a_j with x = sum a_j*lambda^j, j = 0..3, and their moduli mod lambda^k."""
+    c0, c1, c2, c3 = x._c
+    return (c0 + c1 + c2 + c3, -(c1 + 2 * c2 + 3 * c3), c2 + 3 * c3, -c3), _key_moduli(k)
+
+
 def lambda_key(x: CycInt, k: int) -> int:
     """An integer in range(5^k) labelling the class of x modulo lambda^k.
 
@@ -420,20 +435,22 @@ def lambda_key(x: CycInt, k: int) -> int:
     valuations differ mod 4, so x lies in (lambda^k) exactly when each a_j is
     divisible by 5^ceil((k-j)/4).  The key packs the a_j modulo those powers,
     whose product is 5^k, in mixed radix; key 0 is the class of 0.
-
-    The a_j are Z-linear in the coordinates, so for an integer c the digits
-    of c*x are c*a_j modulo the same powers: the key of x gives the key of
-    every integer multiple of x without a ring product.
     """
-    if k < 1:
-        raise ValueError("expansion length must be at least 1")
-    c0, c1, c2, c3 = x.coords
-    m0, m1, m2, m3 = (5 ** ((k - j + 3) // 4) for j in range(4))
-    a0 = (c0 + c1 + c2 + c3) % m0
-    a1 = -(c1 + 2 * c2 + 3 * c3) % m1
-    a2 = (c2 + 3 * c3) % m2
-    a3 = -c3 % m3
-    return a0 + m0 * (a1 + m1 * (a2 + m2 * a3))
+    (a0, a1, a2, a3), (m0, m1, m2, m3) = _key_digits(x, k)
+    return a0 % m0 + m0 * (a1 % m1 + m1 * (a2 % m2 + m2 * (a3 % m3)))
+
+
+def lambda_multiple_keys(x: CycInt, k: int, scalars: Iterable[int]) -> list[int]:
+    """lambda_key(c*x, k) for each integer c in scalars, without a ring product.
+
+    The a_j of ``lambda_key`` are Z-linear in the coordinates, so c*x has
+    the digits c*a_j, taken modulo the same powers of 5.
+    """
+    (a0, a1, a2, a3), (m0, m1, m2, m3) = _key_digits(x, k)
+    return [
+        c * a0 % m0 + m0 * (c * a1 % m1 + m1 * (c * a2 % m2 + m2 * (c * a3 % m3)))
+        for c in scalars
+    ]
 
 
 def congruent_mod_lambda_pow(x: CycInt, y: CycInt, k: int) -> bool:
@@ -456,7 +473,7 @@ def lambda_inverse(x: CycInt, k: int) -> CycInt:
         raise ValueError("expansion length must be at least 1")
     if lambda_residue(x) == 0:
         raise ValueError(f"{x!r} is not invertible modulo lambda")
-    m = 5 ** ((k + 3) // 4)
+    m = _key_moduli(k)[0]
     c = tuple(v % m for v in x._c)
     s, t = _real_pair(c)
     inv = pow(s * s - s * t - t * t, -1, m)
@@ -487,4 +504,4 @@ def fifth_power_solvable_mod_lambda(theta: CycInt, k: int) -> bool:
     if d == 0:
         raise ValueError("theta must be coprime to lambda")
     j = min(k, 6)
-    return lambda_key(theta, j) == _TEICHMULLER[d] % 5 ** ((j + 3) // 4)
+    return lambda_key(theta, j) == _TEICHMULLER[d] % _key_moduli(j)[0]

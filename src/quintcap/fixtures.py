@@ -56,13 +56,11 @@ def _parse_entry(raw: Any) -> FixtureEntry:
         rank = raw["rank_ambiguous"]
     except KeyError as exc:
         raise FixtureFormatError(f"fixture row missing key {exc}") from exc
+    # type(v) is int: JSON true and false load as bool, a subclass of int.
     if (
-        not isinstance(n, int)
-        or not isinstance(h, int)
-        or not isinstance(rank, int)
-        or not isinstance(gtype, list)
+        not isinstance(gtype, list)
         or len(gtype) != 2
-        or not all(isinstance(v, int) for v in gtype)
+        or not all(type(v) is int for v in (n, h, rank, *gtype))
     ):
         raise FixtureFormatError(f"malformed fixture row for n={raw.get('n')!r}")
     label = raw.get("label")
@@ -89,7 +87,7 @@ def load_fixtures(path: "str | Path") -> list[FixtureEntry]:
 def load_anomalies(path: "str | Path | None" = None) -> frozenset[int]:
     data = _read_json(path if path is not None else packaged_data_path("anomalies.json"))
     values = data.get("no_match_expected", []) if isinstance(data, dict) else None
-    if values is None or not all(isinstance(v, int) for v in values):
+    if values is None or not all(type(v) is int for v in values):
         raise FixtureFormatError("anomalies file must map no_match_expected to ints")
     return frozenset(values)
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .cyclotomic import (
     CycInt,
@@ -41,6 +41,7 @@ from .cyclotomic import (
     gcd,
     lambda_inverse,
     lambda_key,
+    lambda_multiple_keys,
 )
 from .factor import is_rational_prime
 
@@ -230,58 +231,31 @@ def unit_residues_mod_lambda_pow(k: int) -> dict[int, CycInt]:
     return {key: u for key, (_, _, u) in _unit_table(k).items()}
 
 
-def _integer_keys(x: CycInt, k: int, scalars: Iterable[int]) -> list[int]:
-    """lambda_key(c*x, k) for each integer c in scalars, by integer arithmetic.
-
-    ``lambda_key`` packs digits a_j that are Z-linear in the coordinates,
-    each modulo its m_j, so c*x has the digits c*a_j mod m_j: one key of x
-    gives the key of every integer multiple of it.
-    """
-    m0, m1 = 5 ** ((k + 3) // 4), 5 ** ((k + 2) // 4)
-    m2, m3 = 5 ** ((k + 1) // 4), 5 ** (k // 4)
-    key = lambda_key(x, k)
-    a0, key = key % m0, key // m0
-    a1, key = key % m1, key // m1
-    a2, a3 = key % m2, key // m2
-    return [
-        c * a0 % m0 + m0 * (c * a1 % m1 + m1 * (c * a2 % m2 + m2 * (c * a3 % m3)))
-        for c in scalars
-    ]
-
-
-def _first_in_table(k: int, keys: Sequence[int]) -> tuple[UnitWord, CycInt, int] | None:
-    """(word, unit, i) for the earliest scanned unit whose class mod lambda^k
-    is one of ``keys``, and the first i with keys[i] that class; None if no
-    unit has any of them."""
-    table = _unit_table(k)
-    best = None
-    for i, key in enumerate(keys):
-        entry = table.get(key)
-        if entry is not None and (best is None or entry[0] < best[0][0]):
-            best = entry, i
-    if best is None:
-        return None
-    (_, word, u), i = best
-    return word, u, i
-
-
 def first_unit_hit(
-    b: CycInt, k: int, targets: Sequence[int | CycInt]
-) -> tuple[UnitWord, CycInt, int] | None:
-    """The first unit u of ``iter_units()`` with u*b = t (mod lambda^k).
+    b: CycInt, k: int, rows: Sequence[Sequence[int | CycInt]]
+) -> tuple[UnitWord, CycInt, int, int] | None:
+    """(word, u, r, i) for the first row rows[r] that some unit meets: u is
+    the earliest unit of ``iter_units()`` with u*b = t (mod lambda^k) for a
+    target t of that row, and rows[r][i] the first such target.
 
-    b is coprime to lambda.  Returns (word, unit, i) for the earliest unit
-    and, among its targets, the first ``targets[i]`` it meets, by looking up
-    the class of t * b^-1 for each target t; None if no unit at all meets
-    any target, since the table holds the whole unit image.  b is inverted
-    once; ``lambda_key`` is Z-linear, so the key of an integer target's
-    t * b^-1 comes from the key of b^-1 by integer arithmetic.  A target
-    list with an element outside Z costs one ring product per target.
+    b is coprime to lambda and inverted once.  Each lookup is the class of
+    t * b^-1: by ``lambda_multiple_keys`` for a row of integers, else by one
+    ring product per target.  The table holds the whole unit image, so None
+    proves that no unit meets any target.
     """
     x = lambda_inverse(b, k)
-    if all(isinstance(t, int) for t in targets):
-        return _first_in_table(k, _integer_keys(x, k, targets))
-    return _first_in_table(k, [lambda_key(t * x, k) for t in targets])
+    table = _unit_table(k)
+    for r, targets in enumerate(rows):
+        if all(isinstance(t, int) for t in targets):
+            keys = lambda_multiple_keys(x, k, targets)
+        else:
+            keys = [lambda_key(t * x, k) for t in targets]
+        hits = [(table[key][0], i) for i, key in enumerate(keys) if key in table]
+        if hits:
+            _, i = min(hits)
+            _, word, u = table[keys[i]]
+            return word, u, r, i
+    return None
 
 
 @dataclass(frozen=True)
@@ -309,13 +283,13 @@ def normalize_associate(
     targets = list(targets)
     if not targets:
         raise ValueError("empty target set")
-    hit = first_unit_hit(pi.value, k, targets)
+    hit = first_unit_hit(pi.value, k, [targets])
     if hit is None:
         raise AssociateNotFound(
             f"no associate of the prime above {pi.rational_below} meets the congruence"
             f" mod lambda^{k}; the full unit image was exhausted"
         )
-    word, u, i = hit
+    word, u, _, i = hit
     t = targets[i]
     residue = t if isinstance(t, CycInt) else CycInt(t)
     return AssociateNormalization(u, word, u * pi.value, residue)

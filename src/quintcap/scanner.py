@@ -12,9 +12,12 @@ the largest sieve prime (written for p ascending) and the smallest (written
 for p descending).  A member of SHAPE_RESIDUES that is unmarked and counts
 at most two sieve primes survives; every other unmarked n is no_match.  A survivor is
 divided by its recorded primes.  If it has two and a cofactor above 1 is
-left, that cofactor holds a third prime, so it is no_match too; otherwise
-a cofactor at or above SIEVE_PRIME_LIMIT^2 is split by ``factor.factorize``
-and ``radicand_shape``, the shape rules of ``classify_radicand``, decides.
+left, that cofactor holds a third prime, so it is no_match too.  A cofactor
+below SIEVE_PRIME_LIMIT^2 is prime; a larger one next to one sieve prime
+must be a prime power r^j, by a perfect-power and a primality test, or n
+has three primes.  Only a survivor with no sieve prime goes to
+``factor.factorize`` and Brent's rho.  ``radicand_shape``, the shape rules
+of ``classify_radicand``, decides.
 A chunk that reaches 2^80, where a prime with p^5 <= hi may exceed the
 sieve primes, factors every n, one at a time, with ``factor.factorize`` and
 classifies it; Brent's rho on the large cofactors sets the cost there.
@@ -22,10 +25,11 @@ classifies it; Brent's rho on the large cofactors sets the cost there.
 Output order is by n regardless of worker count; chunks are contiguous and
 reassembled in submission order, so the parallel path is bit-identical to
 the sequential one.  The pool has at most one worker per CPU, however many
-jobs are asked for.  A chunk holds at most MAX_CHUNK integers and at most
-two chunks per worker are in flight, so a worker's result list, and the
-memory of a long parallel scan, stay small.  ``concurrent.futures`` is
-imported only when a scan runs with jobs > 1.
+jobs are asked for.  A chunk holds a quarter of a worker's share of the
+window, kept between MIN_CHUNK and MAX_CHUNK integers (the last may be
+shorter), and at most two chunks per worker are in flight, so a worker's
+result list, and the memory of a long parallel scan, stay small.
+``concurrent.futures`` is imported only when a scan runs with jobs > 1.
 """
 
 from __future__ import annotations
@@ -49,14 +53,20 @@ from .classify import (
 from .factor import (
     SIEVE_BLOCK,
     SIEVE_PRIME_LIMIT,
+    _perfect_power,
     factorize,
     integer_root,
+    is_rational_prime,
     primes_up_to,
 )
 
 # Largest chunk given to one worker.  Above 2 500, so a 20 000-integer
 # window at jobs=2 is still cut into the jobs*4 chunks of an uncapped scan.
 MAX_CHUNK = 4 * SIEVE_BLOCK
+
+# Smallest chunk, unless MAX_CHUNK is lower: every chunk repeats the slice
+# work of each sieve prime.  A 20 000-integer window at jobs=2 is 8 of them.
+MIN_CHUNK = 2_500
 
 # Every prime p with p^5 below this bound is a sieve prime.
 CERTIFIED_BELOW = SIEVE_PRIME_LIMIT**5
@@ -132,10 +142,15 @@ def _sieve_shapes(lo: int, hi: int, keep: bytearray, forms: list[str]) -> None:
         if m > 1:
             if count[i] == 2:  # a third prime, and no shape has three
                 continue
-            if m >= composite_from:
-                factors.update(factorize(m))
-            else:
+            if m < composite_from:
                 factors[m] = 1
+            elif count[i]:  # m is a prime power, or n has three primes
+                r, j = _perfect_power(m)
+                if not is_rational_prime(r):
+                    continue
+                factors[r] = j
+            else:
+                factors.update(factorize(m))
         forms[i] = radicand_shape(n, factors)[0].value
 
 
@@ -157,7 +172,7 @@ def iter_scan(lo: int, hi: int, jobs: int = 1) -> Iterator[list[tuple[int, str]]
         return
     from concurrent.futures import ProcessPoolExecutor
 
-    chunk = max(1, min((hi - lo + 1) // (jobs * 4), MAX_CHUNK))
+    chunk = min(max((hi - lo + 1) // (jobs * 4), MIN_CHUNK), MAX_CHUNK)
     starts = range(lo, hi + 1, chunk)
     workers = min(jobs, len(starts), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:

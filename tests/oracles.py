@@ -5,8 +5,9 @@ image, the unit searches by ring products, the primality test and the scan.
 These are the bodies the straight-line kernel in ``quintcap.cyclotomic``,
 ``quintcap.primes.fifth_roots_of_unity``, ``cyclotomic.lambda_inverse``, the
 Teichmueller rule of ``cyclotomic.fifth_power_solvable_mod_lambda``, the
-unit tables of ``quintcap.primes``, the integer keys of
-``primes.first_unit_hit`` and ``capitulation.find_h1``,
+unit tables of ``quintcap.primes``, the keys of integer multiples
+(``cyclotomic.lambda_multiple_keys``) in the row search of
+``primes.first_unit_hit`` that ``capitulation.find_h1`` makes,
 ``factor.is_rational_prime``, the scanner's restricted sieve and its shape
 sieve replaced;
 the tests cross-check the fast code against them.  The formal tables of

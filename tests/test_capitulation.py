@@ -587,12 +587,11 @@ def mutant_h1(pi1, w):
     """find_h1's lookups with the fold t * q^h in place of t * q^-h:
     (h, word, residue) of the first hit, or None."""
     q = w.rational_below
-    for h in range(1, 5):
-        scale = pow(q, h, 25)
-        hit = first_unit_hit(pi1.value, 5, [t * scale for t in oracles.H1_TARGETS])
-        if hit is not None:
-            word, _, i = hit
-            return h, word, oracles.H1_TARGETS[i]
+    rows = [[t * pow(q, h, 25) for t in oracles.H1_TARGETS] for h in range(1, 5)]
+    hit = first_unit_hit(pi1.value, 5, rows)
+    if hit is not None:
+        word, _, r, i = hit
+        return r + 1, word, oracles.H1_TARGETS[i]
     return None
 
 
@@ -613,6 +612,29 @@ def test_find_h1_matches_product_oracle_on_every_class():
     assert kinds == {"returned", "raised"}
     # The grid tells the fold q^-h from q^h.
     assert mutant_caught
+
+
+def test_first_unit_hit_answers_from_the_first_row_with_a_hit():
+    # Rows built as find_h1 builds them, for one element of every unit class
+    # mod lambda^5, each against one of the eight q in turn: the answer comes
+    # from the first row whose flat product-oracle search hits, with that
+    # hit's word, unit and target index.
+    classes = [x for x in oracles.iter_residues_mod_lambda_pow(5) if lambda_residue(x)]
+    answered_by = set()
+    for n, x in enumerate(classes):
+        q = INERT_Q_BY_CLASS[n % 8]
+        rows = [[t * pow(q, -h, 25) % 25 for t in oracles.H1_TARGETS] for h in range(1, 5)]
+        expected = None
+        for r, row in enumerate(rows):
+            hit = oracles.first_unit_hit(x, 5, [CycInt(t) for t in row])
+            if hit is not None:
+                word, u, i = hit
+                expected = word, u, r, i
+                break
+        assert first_unit_hit(x, 5, rows) == expected, (x, q)
+        answered_by.add(expected and expected[2])
+    # Every row answers for some class, and some classes have no hit at all.
+    assert answered_by == {None, 0, 1, 2, 3}
 
 
 # --- independent oracle for the frozen impossibility ---------------------------

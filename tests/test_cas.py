@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from quintcap.cas import CasProtocolError, CasTimeoutError, cas_adapter_check
+from quintcap.cli import main
 from quintcap.fixtures import (
     FixtureFormatError,
     load_fixtures,
@@ -38,6 +39,10 @@ def test_adapter_garbage_response():
         {"h_k5": 25, "type": [5], "rank_ambiguous": 2},
         {"h_k5": "25", "type": [5, 5], "rank_ambiguous": 2},
         {"type": [5, 5], "rank_ambiguous": 2},
+        # JSON true loads as a bool, which Python counts as an int.
+        {"h_k5": True, "type": [5, 5], "rank_ambiguous": 2},
+        {"h_k5": 25, "type": [True, 5], "rank_ambiguous": 2},
+        {"h_k5": 25, "type": [5, 5], "rank_ambiguous": True},
     ],
 )
 def test_adapter_json_response_of_wrong_shape(response):
@@ -109,3 +114,18 @@ def test_malformed_fixture_rejected(tmp_path):
     path.write_text(json.dumps({"not": "a list"}))
     with pytest.raises(FixtureFormatError):
         load_fixtures(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n", True), ("h_k5", True), ("rank_ambiguous", True), ("type", [True, 5]), ("type", [5, False])],
+)
+def test_fixture_rejects_json_booleans(tmp_path, capsys, field, value):
+    path = tmp_path / "bools.json"
+    row = {"n": 93, "h_k5": 25, "type": [5, 5], "rank_ambiguous": 2}
+    path.write_text(json.dumps([dict(row, **{field: value})]))
+    with pytest.raises(FixtureFormatError, match="malformed fixture row"):
+        load_fixtures(path)
+    assert main(["verify", "--fixtures", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "malformed fixture row" in captured.err

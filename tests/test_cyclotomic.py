@@ -20,6 +20,7 @@ from quintcap.cyclotomic import (
     lambda_expand,
     lambda_inverse,
     lambda_key,
+    lambda_multiple_keys,
     lambda_residue,
     lambda_valuation,
 )
@@ -430,6 +431,15 @@ def test_lambda_key_labels_every_class():
     for k in range(1, 9):
         assert lambda_key(LAMBDA ** k, k) == 0
         assert lambda_key(LAMBDA ** (k - 1), k) != 0
+
+
+def test_lambda_multiple_keys_are_the_keys_of_the_multiples(rng):
+    scalars = [0, 1, -1, 7, 24, -25, 126, 5**9 + 3, rng.randrange(-10**30, 10**30)]
+    for k in range(1, 10):
+        for x in [random_cycint(rng) for _ in range(6)] + [random_cycint(rng, -10**20, 10**20)]:
+            assert lambda_multiple_keys(x, k, scalars) == [lambda_key(c * x, k) for c in scalars]
+    with pytest.raises(ValueError, match="at least 1"):
+        lambda_multiple_keys(ONE, 0, [1])
 
 
 def test_lambda_key_rejects_empty_precision():

@@ -114,7 +114,9 @@ def test_scan_pool_has_no_more_workers_than_chunks(monkeypatch):
     monkeypatch.setattr(_InProcessPool, "sizes", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4096)
-    # 10 integers at 1000 jobs make 10 one-integer chunks.
+    # Without the chunk floor, 10 integers at 1000 jobs make 10 one-integer
+    # chunks.
+    monkeypatch.setattr(scanner, "MIN_CHUNK", 1)
     assert scan_range(2, 11, jobs=1000) == scan_range(2, 11)
     assert scan_range(2, 4000, jobs=3) == scan_range(2, 4000)
     assert _InProcessPool.sizes == [10, 3]
@@ -125,6 +127,57 @@ def test_scan_pool_has_no_more_workers_than_chunks(monkeypatch):
         assert scan_range(2, 11, jobs=1000) == scan_range(2, 11)
         assert scan_range(2, 4000, jobs=3) == scan_range(2, 4000)
     assert _InProcessPool.sizes == [2, 2, 1, 1]
+
+
+def test_parallel_chunks_have_a_floor_and_a_cap(monkeypatch):
+    # With each chunk's scan replaced by its bounds, scan_range returns the
+    # chunks in order.  Every chunk but the last holds between MIN_CHUNK and
+    # MAX_CHUNK integers, so a short window is not cut finer than a long one.
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(scanner, "_scan_chunk", lambda bounds: [bounds])
+    assert scanner.MIN_CHUNK <= 2500 < scanner.MAX_CHUNK
+
+    def chunks(lo, hi, jobs):
+        found = scan_range(lo, hi, jobs)
+        assert found[0][0] == lo and found[-1][1] == hi
+        assert all(b[0] == a[1] + 1 for a, b in zip(found, found[1:]))
+        return [b - a + 1 for a, b in found]
+
+    lo = 3 * 10**12
+    assert chunks(lo, lo + 1_999, 2) == [2_000]
+    assert chunks(lo, lo + 4_999, 2) == [2_500, 2_500]
+    # The benchmark's windows: 20 000 integers at jobs=2 are 8 chunks of 2 500.
+    assert chunks(10**6, 10**6 + 19_999, 2) == [2_500] * 8
+    assert chunks(lo, lo + 99_999, 3) == [8_333] * 12 + [4]
+    assert chunks(2, 10**6 + 1, 2) == [scanner.MAX_CHUNK] * 15 + [10**6 - 15 * scanner.MAX_CHUNK]
+    assert chunks(2, 100_001, 1) == [SIEVE_BLOCK] * 6 + [100_000 - 6 * SIEVE_BLOCK]
+
+
+def test_one_sieve_prime_and_a_large_cofactor_need_no_rho(monkeypatch):
+    # n = p*r^2 and p*r*s with a sieve prime p and primes r, s > 2^16: the
+    # cofactor is a prime power or holds two more primes, which a
+    # perfect-power and a primality test tell apart, so factorize is never
+    # called.  Each n is a member of SHAPE_RESIDUES.
+    def refused(m):
+        raise AssertionError(f"factorize({m}) called")
+
+    monkeypatch.setattr(scanner, "factorize", refused)
+    large = [r for r in range(SIEVE_PRIME_LIMIT, SIEVE_PRIME_LIMIT + 400) if factor.is_rational_prime(r)]
+    small = [2, 3, 5, 7, 11, 13, 17, 19, 23, 31, 41, 61]
+    squares = [p * r * r for p in small for r in large]
+    products = [p * r * s for p in small for r, s in zip(large, large[5:])]
+    products += [p * (r * s) ** 2 for p in small for r, s in zip(large[:4], large[1:5])]
+    forms = set()
+    for n in squares + products:
+        if n % 25 not in SHAPE_RESIDUES:
+            continue
+        want = classify_radicand(n).form.value
+        assert scan_range(n, n) == [(n, want)], n
+        if n not in squares:
+            assert want == "no_match", n
+        forms.add(want)
+    assert forms == {"no_match", "p^e*q"}
 
 
 def test_scan_sieves_its_primes_once_per_process(monkeypatch):
@@ -266,9 +319,11 @@ def test_shape_sieve_matches_restricted_sieve_oracle(monkeypatch):
     # The shape sieve hands radicand_shape only the members of SHAPE_RESIDUES
     # with at most two sieve primes, and rejects one whose two primes leave a
     # cofactor; the restricted sieve classified every member.  The jobs=2
-    # chunks run in this process: a 2 000-integer window is cut into eight.
+    # chunks run in this process: without the chunk floor, a 2 000-integer
+    # window is cut into eight.
     monkeypatch.setattr(_InProcessPool, "sizes", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(scanner, "MIN_CHUNK", 1)
     rng = random.Random(18)
     windows = [(lo, lo + 1_999) for lo in (rng.randrange(2, 10**13 - 2_000) for _ in range(3))]
     windows += [
