@@ -16,8 +16,9 @@ factored, and so is every n whose part free of the primes up to
 TRIAL_DIVISION_LIMIT is below the bound.
 
 The scanner's shape sieve uses ``primes_up_to`` and the sieve constants
-below; it hands ``factorize`` the large cofactors of its survivors, and
-every n, one at a time, of a chunk that reaches 2^80.
+below.  It hands ``factorize`` each survivor with no sieve prime, or with a
+cofactor at or above MILLER_RABIN_BOUND, and scans no window whose fifth
+root exceeds TRIAL_DIVISION_LIMIT.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ MILLER_RABIN_BOUND = _PSEUDOPRIME_THRESHOLDS[-1]
 # Integers the scanner's shape sieve holds at once with one job.
 SIEVE_BLOCK = 1 << 14
 
-# Largest prime the shape sieve divides by; a cofactor at or above its
-# square is handed to factorize.
+# Bound on the primes the shape sieve divides by; a cofactor free of them
+# and below its square is prime.
 SIEVE_PRIME_LIMIT = 1 << 16
 
 # Largest trial divisor for a cofactor at or above MILLER_RABIN_BOUND.

@@ -29,6 +29,7 @@ Rational integers are factored, and tested for primality, only in
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
@@ -232,24 +233,21 @@ def unit_residues_mod_lambda_pow(k: int) -> dict[int, CycInt]:
 
 
 def first_unit_hit(
-    b: CycInt, k: int, rows: Sequence[Sequence[int | CycInt]]
+    b: CycInt, k: int, rows: Sequence[Sequence[int]]
 ) -> tuple[UnitWord, CycInt, int, int] | None:
     """(word, u, r, i) for the first row rows[r] that some unit meets: u is
     the earliest unit of ``iter_units()`` with u*b = t (mod lambda^k) for a
     target t of that row, and rows[r][i] the first such target.
 
     b is coprime to lambda and inverted once.  Each lookup is the class of
-    t * b^-1: by ``lambda_multiple_keys`` for a row of integers, else by one
-    ring product per target.  The table holds the whole unit image, so None
-    proves that no unit meets any target.
+    t * b^-1, by ``lambda_multiple_keys``: the targets are integers, and any
+    other target raises TypeError.  The table holds the whole unit image,
+    so None proves that no unit meets any target.
     """
     x = lambda_inverse(b, k)
     table = _unit_table(k)
     for r, targets in enumerate(rows):
-        if all(isinstance(t, int) for t in targets):
-            keys = lambda_multiple_keys(x, k, targets)
-        else:
-            keys = [lambda_key(t * x, k) for t in targets]
+        keys = lambda_multiple_keys(x, k, map(operator.index, targets))
         hits = [(table[key][0], i) for i, key in enumerate(keys) if key in table]
         if hits:
             _, i = min(hits)
@@ -267,14 +265,15 @@ class AssociateNormalization:
 
 
 def normalize_associate(
-    pi: PrimeElement, k: int, targets: Sequence[int | CycInt]
+    pi: PrimeElement, k: int, targets: Sequence[int]
 ) -> AssociateNormalization:
     """Find a unit u with u*pi congruent to one of ``targets`` mod lambda^k.
 
     Returns the first hit of the unit scan in its fixed order, found by
     looking up t * pi^-1 for each target t.  The scan covers the full unit
     image mod lambda^k, so a miss proves that no associate of pi meets the
-    congruence, and AssociateNotFound is raised.
+    congruence, and AssociateNotFound is raised.  A target that is not an
+    integer raises TypeError.
     """
     if pi.kind is not PrimeKind.SPLIT:
         raise UnsupportedPrimeError("associate normalisation is defined for split primes")
@@ -290,6 +289,4 @@ def normalize_associate(
             f" mod lambda^{k}; the full unit image was exhausted"
         )
     word, u, _, i = hit
-    t = targets[i]
-    residue = t if isinstance(t, CycInt) else CycInt(t)
-    return AssociateNormalization(u, word, u * pi.value, residue)
+    return AssociateNormalization(u, word, u * pi.value, CycInt(targets[i]))

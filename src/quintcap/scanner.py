@@ -1,26 +1,26 @@
 """Range scanner: classify every fifth-power-free n in an interval.
 
 Only an n whose residue mod 25 lies in ``classify.SHAPE_RESIDUES`` can have
-a shape, and every shape has at most two distinct primes, so below
-CERTIFIED_BELOW = SIEVE_PRIME_LIMIT^5 = 2^80 a chunk is scanned by a shape
-sieve.  The multiples of p^5 are marked for every sieve prime p with p^5 <=
-hi and skipped; the marks prove the unmarked n fifth-power-free because
-every prime p with p^5 <= hi is then a sieve prime.  Then, for every sieve
-prime p up to min(isqrt(hi), SIEVE_PRIME_LIMIT), three slice operations
-note p at its multiples: a count of distinct sieve primes that stops at 3,
-the largest sieve prime (written for p ascending) and the smallest (written
-for p descending).  A member of SHAPE_RESIDUES that is unmarked and counts
-at most two sieve primes survives; every other unmarked n is no_match.  A survivor is
-divided by its recorded primes.  If it has two and a cofactor above 1 is
-left, that cofactor holds a third prime, so it is no_match too.  A cofactor
-below SIEVE_PRIME_LIMIT^2 is prime; a larger one next to one sieve prime
-must be a prime power r^j, by a perfect-power and a primality test, or n
-has three primes.  Only a survivor with no sieve prime goes to
-``factor.factorize`` and Brent's rho.  ``radicand_shape``, the shape rules
-of ``classify_radicand``, decides.
-A chunk that reaches 2^80, where a prime with p^5 <= hi may exceed the
-sieve primes, factors every n, one at a time, with ``factor.factorize`` and
-classifies it; Brent's rho on the large cofactors sets the cost there.
+a shape, and every shape has at most two distinct primes, so every chunk is
+scanned by one shape sieve.  The multiples of p^5 are marked for every prime
+p with p^5 <= hi and skipped; the marks prove the unmarked n fifth-power-free
+at any height.  Then, for every sieve prime p up to min(isqrt(hi),
+SIEVE_PRIME_LIMIT), three slice operations note p at its multiples: a count
+of distinct sieve primes that stops at 3, the largest sieve prime (written
+for p ascending) and the smallest (written for p descending).  A member of
+SHAPE_RESIDUES that is unmarked and counts at most two sieve primes
+survives; every other unmarked n is no_match.  A survivor is divided by its
+recorded primes.  If it has two and a cofactor above 1 is left, that
+cofactor holds a third prime, so it is no_match too.  A cofactor below
+SIEVE_PRIME_LIMIT^2 is prime; a larger one next to one sieve prime must be
+a prime power r^j, by a perfect-power and a primality test, or n has three
+primes.  A survivor with no sieve prime, or whose cofactor is too large for
+the primality test, is factored whole by ``factor.factorize``, as
+``classify_radicand`` factors it, so a refusal names n with the same
+message.  ``radicand_shape``, the shape rules of ``classify_radicand``,
+decides.  A window whose p^5 marks would need primes beyond
+``factor.TRIAL_DIVISION_LIMIT``, hi from about 1.02*10^33 on, is refused
+before any of it is scanned: those primes would not fit in memory.
 
 Output order is by n regardless of worker count; chunks are contiguous and
 reassembled in submission order, so the parallel path is bit-identical to
@@ -45,14 +45,15 @@ from typing import Iterator
 from .classify import (
     SHAPE_RESIDUES,
     FactorizationLimitExceeded,
-    NotFifthPowerFree,
     RadicandForm,
     classify_radicand,
     radicand_shape,
 )
 from .factor import (
+    MILLER_RABIN_BOUND,
     SIEVE_BLOCK,
     SIEVE_PRIME_LIMIT,
+    TRIAL_DIVISION_LIMIT,
     _perfect_power,
     factorize,
     integer_root,
@@ -68,9 +69,6 @@ MAX_CHUNK = 4 * SIEVE_BLOCK
 # work of each sieve prime.  A 20 000-integer window at jobs=2 is 8 of them.
 MIN_CHUNK = 2_500
 
-# Every prime p with p^5 below this bound is a sieve prime.
-CERTIFIED_BELOW = SIEVE_PRIME_LIMIT**5
-
 _NO_MATCH = RadicandForm.NO_MATCH.value
 
 # Byte tables for bytes.translate: one more sieve prime, stopping at 3; and
@@ -80,28 +78,12 @@ _SURVIVES = bytes(c < 3 for c in range(256))
 
 
 def _scan_chunk(bounds: tuple[int, int]) -> list[tuple[int, str]]:
+    """The rows of lo..hi by the shape sieve: (n, form) for every
+    fifth-power-free n, ascending."""
     lo, hi = bounds
     size = hi - lo + 1
     keep = bytearray(b"\x01") * size
     forms = [_NO_MATCH] * size
-    try:
-        if hi < CERTIFIED_BELOW:
-            _sieve_shapes(lo, hi, keep, forms)
-        else:
-            for n in range(lo, hi + 1):
-                try:
-                    forms[n - lo] = radicand_shape(n, factorize(n))[0].value
-                except NotFifthPowerFree:
-                    keep[n - lo] = 0
-    except ValueError as exc:  # a cofactor that factorize refuses
-        raise FactorizationLimitExceeded(str(exc)) from None
-    return list(compress(zip(range(lo, hi + 1), forms), keep))
-
-
-def _sieve_shapes(lo: int, hi: int, keep: bytearray, forms: list[str]) -> None:
-    """Clear keep at the multiples of p^5 and write the shape of every
-    survivor into forms, for lo..hi below CERTIFIED_BELOW."""
-    size = len(keep)
     # count[i] is 3 for every n that cannot have a shape: outside
     # SHAPE_RESIDUES, a multiple of some p^5, or with three sieve primes.
     count = bytearray(b"\x03") * size
@@ -144,14 +126,19 @@ def _sieve_shapes(lo: int, hi: int, keep: bytearray, forms: list[str]) -> None:
                 continue
             if m < composite_from:
                 factors[m] = 1
-            elif count[i]:  # m is a prime power, or n has three primes
+            elif count[i] and m < MILLER_RABIN_BOUND:
+                # m is a prime power, or n has three primes.
                 r, j = _perfect_power(m)
                 if not is_rational_prime(r):
                     continue
                 factors[r] = j
             else:
-                factors.update(factorize(m))
+                try:
+                    factors = factorize(n)
+                except ValueError as exc:
+                    raise FactorizationLimitExceeded(str(exc)) from None
         forms[i] = radicand_shape(n, factors)[0].value
+    return list(compress(zip(range(lo, hi + 1), forms), keep))
 
 
 def iter_scan(lo: int, hi: int, jobs: int = 1) -> Iterator[list[tuple[int, str]]]:
@@ -159,13 +146,21 @@ def iter_scan(lo: int, hi: int, jobs: int = 1) -> Iterator[list[tuple[int, str]]
 
     With one job a piece is one sieve block, so a caller that writes each
     piece out holds no more than a block's results at once.  Raises
-    ValueError for jobs < 1; the pool has no more workers than jobs, chunks
-    or CPUs.  The chunk size depends on jobs, not on the CPU count.
+    ValueError for jobs < 1, and FactorizationLimitExceeded when the fifth
+    root of hi exceeds TRIAL_DIVISION_LIMIT.  The pool has no more workers
+    than jobs, chunks or CPUs.  The chunk size depends on jobs, not on the
+    CPU count.
     """
     if not 1 < lo <= hi:
         raise ValueError("need 1 < lo <= hi")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    root = integer_root(hi, 5)
+    if root > TRIAL_DIVISION_LIMIT:
+        raise FactorizationLimitExceeded(
+            f"scanning up to {hi} needs the primes up to {root} for its"
+            f" fifth-power marks, beyond {TRIAL_DIVISION_LIMIT}"
+        )
     if jobs == 1:
         for start in range(lo, hi + 1, SIEVE_BLOCK):
             yield _scan_chunk((start, min(start + SIEVE_BLOCK - 1, hi)))

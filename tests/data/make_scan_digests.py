@@ -4,12 +4,14 @@ Usage: PYTHONPATH=src python3 tests/data/make_scan_digests.py [--check]
 
 The windows cover three sieve blocks from 2, the block edges around 10^7
 and 3163^2, both sides of 2^32, a window of 12-digit and one of 21-digit
-integers, and 2^80, the first integer at which the sieve no longer proves
-an n fifth-power-free: from there on the scanner factors every n, one at a
-time, with ``factor.factorize``.  Each row holds the digest of
-``render_scan(scan_range(lo, hi))``.  tests/test_scanner.py compares the
-current output at jobs 1 and 2 against the file, so rerun this only when a
-change alters scan output on purpose.  With --check it recomputes every
+integers, both sides of 2^80 = SIEVE_PRIME_LIMIT^5, above which a prime
+with p^5 <= hi can exceed the sieve primes, and 2 000 integers from
+2^80 + 10^6.  The two rows at 2^80 were first written by a scanner that
+factored every n there with ``factor.factorize``; the shape sieve, which
+marks p^5 for every such prime, gives the same rows.  Each row holds the
+digest of ``render_scan(scan_range(lo, hi))``.  tests/test_scanner.py
+compares the current output at jobs 1 and 2 against the file, so rerun
+this only when a change alters scan output on purpose.  With --check it recomputes every
 row, writes nothing, and exits with 1 if any row differs from the file.
 """
 
@@ -28,6 +30,7 @@ WINDOWS = (
     (10**12, 10**12 + 20000),
     (10**20, 10**20 + 300),
     (2**80 - 6, 2**80 + 3),
+    (2**80 + 10**6, 2**80 + 10**6 + 1999),
 )
 
 

@@ -448,20 +448,16 @@ def scan_all(lo, hi):
 
 
 def restricted_scan(lo, hi):
-    """scan_range(lo, hi) by the scanner's restricted sieve: below 2^80 the
-    multiples of p^5 are marked and radicand_shape classifies every member
-    of the classes of SHAPE_RESIDUES mod 25, factored by the full sieve;
-    from 2^80 on every n is factored and classified."""
+    """scan_range(lo, hi) by the scanner's restricted sieve: the multiples
+    of p^5 are marked and radicand_shape classifies every member of the
+    classes of SHAPE_RESIDUES mod 25, factored by the full sieve."""
     keep = bytearray(b"\x01") * (hi - lo + 1)
-    residues = range(25)
-    if hi < SIEVE_PRIME_LIMIT**5:
-        residues = SHAPE_RESIDUES
-        for p in primes_up_to(integer_root(hi, 5)):
-            q = p**5
-            keep[-lo % q :: q] = bytes(len(range(-lo % q, len(keep), q)))
+    for p in primes_up_to(integer_root(hi, 5)):
+        q = p**5
+        keep[-lo % q :: q] = bytes(len(range(-lo % q, len(keep), q)))
     shapes = {}
     for n, factors in factor_window(lo, hi):
-        if n % 25 not in residues:
+        if n % 25 not in SHAPE_RESIDUES:
             continue
         try:
             form = radicand_shape(n, factors)[0]

@@ -324,7 +324,7 @@ def test_unit_image_is_returned_as_a_copy():
 
 def scan_normalize_associate(pi, k, targets):
     # The original bounded scan and image exhaustion, kept as the oracle.
-    target_vals = [t if isinstance(t, CycInt) else CycInt(t) for t in targets]
+    target_vals = [CycInt(t) for t in targets]
     for word, u in iter_units():
         v = u * pi.value
         for t in target_vals:
@@ -366,9 +366,9 @@ def test_normalize_associate_matches_scan():
 
 def test_normalize_associate_matches_product_oracle_for_every_k():
     # One element of every unit class mod lambda^k for k = 1..5, against
-    # integer targets, whose keys come from b^-1 by integer arithmetic, and
-    # a list that mixes in a target outside Z, which costs a ring product.
-    target_lists = ([1], [1, 7, 18, 24], [2, CycInt(2, 1), 3])
+    # integer targets, whose keys come from b^-1 by integer arithmetic.  A
+    # target outside Z is refused, not looked up.
+    target_lists = ([1], [1, 7, 18, 24])
     found = set()
     for k in range(1, 6):
         for x in oracles.iter_residues_mod_lambda_pow(k):
@@ -376,7 +376,7 @@ def test_normalize_associate_matches_product_oracle_for_every_k():
                 continue
             pi = PrimeElement(x, PrimeKind.SPLIT, 1, x.norm())
             for targets in target_lists:
-                vals = [t if isinstance(t, CycInt) else CycInt(t) for t in targets]
+                vals = [CycInt(t) for t in targets]
                 hit = oracles.first_unit_hit(x, k, vals)
                 got = outcome(normalize_associate, pi, k, targets)
                 if hit is None:
@@ -386,4 +386,6 @@ def test_normalize_associate_matches_product_oracle_for_every_k():
                     expected = AssociateNormalization(u, word, u * x, vals[i])
                     assert got == ("returned", expected), (x, k, targets)
                 found.add(hit is not None)
+        with pytest.raises(TypeError):
+            normalize_associate(pi, k, [2, CycInt(2, 1), 3])
     assert found == {True, False}

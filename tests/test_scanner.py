@@ -257,17 +257,32 @@ def test_scan_short_window_near_1e20():
 
 
 def test_scan_refuses_undecided_cofactor(capsys):
-    m89 = 2**89 - 1  # prime, above MILLER_RABIN_BOUND
-    with pytest.raises(FactorizationLimitExceeded):
-        scan_range(m89 - 1, m89)
-    assert main(["scan", str(m89), str(m89)]) == 2
-    assert "not decided" in capsys.readouterr().err
+    # 2^89 - 2 and 2^89 - 1, a prime above MILLER_RABIN_BOUND, are classes 10
+    # and 11 mod 25: the sieve proves them no_match without factoring them.
+    # 41*(2^89 - 1) and 37*(2^89 - 1) are classes 1 and 7, and their one
+    # sieve prime leaves a cofactor whose primality is not decided.
+    m89 = 2**89 - 1
+    assert scan_range(m89 - 1, m89) == [(m89 - 1, "no_match"), (m89, "no_match")]
+    assert main(["scan", str(m89), str(m89)]) == 0
+    assert capsys.readouterr().out == f"{m89}\tno_match\n"
+    for n in (41 * m89, 37 * m89):
+        assert n % 25 in SHAPE_RESIDUES
+        with pytest.raises(FactorizationLimitExceeded, match="not decided"):
+            scan_range(n, n)
+        assert main(["scan", str(n), str(n)]) == 2
+        assert "not decided" in capsys.readouterr().err
 
 
 def test_scan_refusal_names_the_integer_refused(capsys):
-    # The refused cofactor is 2^89 - 1, but the message names the scanned n,
-    # as classify_radicand's does.
-    n = 3 * (2**89 - 1)
+    # 3*(2^89 - 1) is class 8 mod 25, so the scan proves it no_match, while
+    # classify_radicand, which factors every n, refuses it.
+    m89 = 2**89 - 1
+    assert scan_range(3 * m89, 3 * m89) == [(3 * m89, "no_match")]
+    with pytest.raises(FactorizationLimitExceeded):
+        classify_radicand(3 * m89)
+    # 41*(2^89 - 1) is class 1.  The refused cofactor is 2^89 - 1, but the
+    # message names the scanned n, as classify_radicand's does.
+    n = 41 * m89
     with pytest.raises(FactorizationLimitExceeded) as refused:
         classify_radicand(n)
     message = str(refused.value)
@@ -280,11 +295,37 @@ def test_scan_refusal_names_the_integer_refused(capsys):
     assert capsys.readouterr().err == f"input error: {message}\n"
 
 
+def test_scan_refuses_a_window_past_the_factoriser_reach(monkeypatch, capsys):
+    # From (TRIAL_DIVISION_LIMIT + 1)^5, about 1.02*10^33, on, the p^5 marks
+    # would need primes beyond TRIAL_DIVISION_LIMIT.  Such a window is
+    # refused, naming hi, before any prime is sieved for it.
+    def bounded(limit):
+        if limit > factor.TRIAL_DIVISION_LIMIT:
+            raise AssertionError(f"primes sieved up to {limit}")
+        return sieve(limit)
+
+    sieve = factor._prime_flags
+    monkeypatch.setattr(factor, "_prime_flags", bounded)
+    lo, hi = 10**40, 10**40 + 10
+    for jobs in (1, 2):
+        with pytest.raises(FactorizationLimitExceeded, match=str(hi)):
+            scan_range(lo, hi, jobs)
+    assert main(["scan", str(lo), str(hi)]) == 2
+    assert str(hi) in capsys.readouterr().err
+    # The ceiling is exact: with each chunk's scan replaced by its bounds,
+    # the last integer below it is scanned.
+    top = (factor.TRIAL_DIVISION_LIMIT + 1) ** 5
+    monkeypatch.setattr(scanner, "_scan_chunk", lambda bounds: [bounds])
+    assert scan_range(top - 1, top - 1) == [(top - 1, top - 1)]
+    with pytest.raises(FactorizationLimitExceeded, match=str(top)):
+        scan_range(top - 1, top)
+
+
 def test_scan_from_the_certification_bound_matches_full_sieve_oracle():
-    # From 2^80 on there is no sieve: every n is factored by factorize
-    # alone, so a prime in (1000, SIEVE_PRIME_LIMIT) is found by Brent's rho.
-    lo, hi = 2**80, 2**80 + 39
-    assert lo >= scanner.CERTIFIED_BELOW
+    # Across 2^80 = SIEVE_PRIME_LIMIT^5, above which a prime p with p^5 <= hi
+    # can exceed the sieve primes, the p^5 marks still take in every such p.
+    # A prime in (1000, SIEVE_PRIME_LIMIT) divides some n of the window.
+    lo, hi = 2**80 - 20, 2**80 + 39
     want = oracles.scan_all(lo, hi)
     for jobs in (1, 2):
         assert scan_range(lo, hi, jobs) == want, jobs
@@ -357,11 +398,10 @@ def test_shape_sieve_matches_restricted_sieve_oracle(monkeypatch):
 
 
 def test_every_class_is_classified_from_the_certification_bound(monkeypatch):
-    # Below SIEVE_PRIME_LIMIT^5 = 2^80 the p^5 marks prove the unmarked n
-    # fifth-power-free, so only members of SHAPE_RESIDUES with at most two
-    # sieve primes are classified; a chunk that reaches 2^80 classifies every n.
+    # On both sides of SIEVE_PRIME_LIMIT^5 = 2^80 the p^5 marks prove the
+    # unmarked n fifth-power-free, so only members of SHAPE_RESIDUES with
+    # fewer than three sieve primes reach radicand_shape.
     bound = SIEVE_PRIME_LIMIT**5
-    assert scanner.CERTIFIED_BELOW == bound == 2**80
     classified = []
 
     def counted(n, factors):
@@ -369,15 +409,17 @@ def test_every_class_is_classified_from_the_certification_bound(monkeypatch):
         return radicand_shape(n, factors)
 
     monkeypatch.setattr(scanner, "radicand_shape", counted)
-    lo = bound - 10
-    below = scan_range(lo, bound - 1)
-    sieve_primes = {
-        n: sum(p < SIEVE_PRIME_LIMIT for p in factors)
-        for n, factors in oracles.factor_window(lo, bound - 1)
-    }
-    assert all(n % 25 in SHAPE_RESIDUES and sieve_primes[n] < 3 for n in classified)
-    assert below == oracles.scan_all(lo, bound - 1)
-    classified.clear()
-    # 2^80 = (2^16)^5 is skipped, so the row list does not change.
-    assert scan_range(lo, bound) == below
-    assert classified == list(range(lo, bound + 1))
+    # Each window holds a classified n, 2^80 - 19 and 2^80 + 49, and no n
+    # whose factorisation costs the oracles a long rho run.
+    seen = []
+    for lo, hi in ((bound - 21, bound - 18), (bound - 8, bound + 58)):
+        classified.clear()
+        rows = scan_range(lo, hi)
+        sieve_primes = {
+            n: sum(p < SIEVE_PRIME_LIMIT for p in factors)
+            for n, factors in oracles.factor_window(lo, hi)
+        }
+        assert all(n % 25 in SHAPE_RESIDUES and sieve_primes[n] < 3 for n in classified)
+        assert rows == oracles.scan_all(lo, hi)
+        seen += classified
+    assert min(seen) < bound < max(seen)
