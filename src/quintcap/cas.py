@@ -45,6 +45,8 @@ def cas_adapter_check(
             f"the CAS timeout must be a positive finite number of seconds, got {timeout}"
         )
     argv = shlex.split(command) if isinstance(command, str) else list(command)
+    if not argv:
+        raise ValueError(f"the CAS command is empty: {command!r}")
     try:
         proc = subprocess.Popen(
             argv,

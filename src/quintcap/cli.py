@@ -61,7 +61,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     passed, anomalies, failed = summary.counts()
     print(f"summary: {passed} pass, {anomalies} known anomalies, {failed} fail")
     cas_failures = 0
-    if args.cas_cmd:
+    if args.cas_cmd is not None:
         for entry in load_fixtures(path):
             try:
                 got = cas_adapter_check(entry.n, args.cas_cmd, timeout=args.cas_timeout)

@@ -27,9 +27,10 @@ norm to the next step, so a step of Euclid's algorithm computes one pair and
 builds no CycInt.
 
 The ramified prime above 5 is lambda = 1 - zeta; 5 itself is a unit times
-lambda^4.  The residue field Z[zeta]/(lambda) has five elements, realised by
-the evaluation zeta -> 1.  A class modulo lambda^k is labelled by one integer,
-``lambda_key``, and every lambda-adic decision compares such labels.
+lambda^4.  The lambda-adic layer reads one set of coordinates, the a_j with
+x = sum a_j*lambda^j, j = 0..3: the residue mod lambda is a0 mod 5,
+``lambda_key`` packs the a_j modulo powers of 5 and every lambda-adic decision
+compares keys, and digits and valuations come from one step on the a_j.
 
 Fifth powers need no search: for theta prime to lambda with residue d and
 1 <= k <= 8, theta is a fifth power mod lambda^k exactly when
@@ -254,12 +255,6 @@ ONE = CycInt(1)
 ZETA = CycInt(0, 1)
 LAMBDA = CycInt(1, -1)
 
-# Powers of zeta, reduced: zeta^4 = -(1+zeta+zeta^2+zeta^3).
-ZETA_POWERS = (ONE, ZETA, CycInt(0, 0, 1), CycInt(0, 0, 0, 1), CycInt(-1, -1, -1, -1))
-
-# (1-zeta^2)(1-zeta^3)(1-zeta^4) = 5/lambda; used for exact division by lambda.
-_FIVE_OVER_LAMBDA = (ONE - ZETA_POWERS[2]) * (ONE - ZETA_POWERS[3]) * (ONE - ZETA_POWERS[4])
-
 
 _FALLBACK_OFFSETS = tuple(itertools.product((0, 1, -1), repeat=4))
 
@@ -355,22 +350,32 @@ def lambda_residue(x: CycInt) -> int:
     return (c[0] + c[1] + c[2] + c[3]) % 5
 
 
-def div_lambda_exact(x: CycInt) -> CycInt:
-    """Exact division by lambda; raises if lambda does not divide x."""
-    y = x * _FIVE_OVER_LAMBDA
-    c = y.coords
-    if any(v % 5 for v in c):
-        raise ValueError(f"{x!r} is not divisible by lambda")
-    return CycInt(c[0] // 5, c[1] // 5, c[2] // 5, c[3] // 5)
+def _lambda_coords(x: CycInt) -> Coords:
+    """The integers a_j with x = a0 + a1*lambda + a2*lambda^2 + a3*lambda^3."""
+    c0, c1, c2, c3 = x._c
+    return (c0 + c1 + c2 + c3, -(c1 + 2 * c2 + 3 * c3), c2 + 3 * c3, -c3)
+
+
+def _lambda_step(a: Coords) -> tuple[int, Coords]:
+    """The digit d = a0 mod 5 of x and the lambda-coordinates of (x - d)/lambda.
+
+    With a0 = d + 5m, (x - d)/lambda = a1 + a2*lambda + a3*lambda^2 +
+    m*(5/lambda), and Phi_5(1 - lambda) = 0 solved for 5 gives
+    5/lambda = 10 - 10*lambda + 5*lambda^2 - lambda^3.
+    """
+    m, d = divmod(a[0], 5)
+    return d, (a[1] + 10 * m, a[2] - 10 * m, a[3] + 5 * m, -m)
 
 
 def lambda_valuation(x: CycInt) -> int:
-    """The exponent of lambda in x (x nonzero)."""
+    """The exponent of lambda in x (x nonzero): its count of leading zero digits."""
+    if lambda_residue(x):
+        return 0
     if x.is_zero():
         raise ValueError("valuation of zero is undefined")
-    v = 0
-    while lambda_residue(x) == 0:
-        x = div_lambda_exact(x)
+    a, v = _lambda_coords(x), 0
+    while a[0] % 5 == 0:
+        a = _lambda_step(a)[1]
         v += 1
     return v
 
@@ -398,18 +403,14 @@ class LambdaExpansion:
 
 
 def lambda_expand(x: CycInt, k: int) -> LambdaExpansion:
-    """The unique length-k lambda-adic expansion of x with digits in {0..4}.
-
-    Each digit is the residue-field image of the running cofactor; the
-    cofactor is then advanced by one exact division by lambda.
-    """
+    """The length-k lambda-adic expansion of x, digits in {0..4}, by ``_lambda_step``."""
     if k < 1:
         raise ValueError("expansion length must be at least 1")
+    a = _lambda_coords(x)
     digits = []
     for _ in range(k):
-        d = lambda_residue(x)
+        d, a = _lambda_step(a)
         digits.append(d)
-        x = div_lambda_exact(x - d)
     return LambdaExpansion(tuple(digits))
 
 
@@ -421,22 +422,15 @@ def _key_moduli(k: int) -> Coords:
     return tuple(5 ** ((k - j + 3) // 4) for j in range(4))
 
 
-def _key_digits(x: CycInt, k: int) -> tuple[Coords, Coords]:
-    """The integers a_j with x = sum a_j*lambda^j, j = 0..3, and their moduli mod lambda^k."""
-    c0, c1, c2, c3 = x._c
-    return (c0 + c1 + c2 + c3, -(c1 + 2 * c2 + 3 * c3), c2 + 3 * c3, -c3), _key_moduli(k)
-
-
 def lambda_key(x: CycInt, k: int) -> int:
     """An integer in range(5^k) labelling the class of x modulo lambda^k.
 
-    With zeta = 1 - lambda, x = a0 + a1*lambda + a2*lambda^2 + a3*lambda^3
-    for integers a_j, and lambda^j * 5^e has valuation 4e + j.  These
-    valuations differ mod 4, so x lies in (lambda^k) exactly when each a_j is
-    divisible by 5^ceil((k-j)/4).  The key packs the a_j modulo those powers,
-    whose product is 5^k, in mixed radix; key 0 is the class of 0.
+    For x = sum a_j*lambda^j (``_lambda_coords``): lambda^j * 5^e has
+    valuation 4e + j, distinct mod 4, so x lies in (lambda^k) exactly when
+    each a_j is divisible by 5^ceil((k-j)/4).  The key packs the a_j modulo
+    those powers, whose product is 5^k, in mixed radix; key 0 is the class of 0.
     """
-    (a0, a1, a2, a3), (m0, m1, m2, m3) = _key_digits(x, k)
+    (a0, a1, a2, a3), (m0, m1, m2, m3) = _lambda_coords(x), _key_moduli(k)
     return a0 % m0 + m0 * (a1 % m1 + m1 * (a2 % m2 + m2 * (a3 % m3)))
 
 
@@ -446,7 +440,7 @@ def lambda_multiple_keys(x: CycInt, k: int, scalars: Iterable[int]) -> list[int]
     The a_j of ``lambda_key`` are Z-linear in the coordinates, so c*x has
     the digits c*a_j, taken modulo the same powers of 5.
     """
-    (a0, a1, a2, a3), (m0, m1, m2, m3) = _key_digits(x, k)
+    (a0, a1, a2, a3), (m0, m1, m2, m3) = _lambda_coords(x), _key_moduli(k)
     return [
         c * a0 % m0 + m0 * (c * a1 % m1 + m1 * (c * a2 % m2 + m2 * (c * a3 % m3)))
         for c in scalars

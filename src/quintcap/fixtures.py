@@ -86,9 +86,11 @@ def load_fixtures(path: "str | Path") -> list[FixtureEntry]:
 
 def load_anomalies(path: "str | Path | None" = None) -> frozenset[int]:
     data = _read_json(path if path is not None else packaged_data_path("anomalies.json"))
-    values = data.get("no_match_expected", []) if isinstance(data, dict) else None
-    if values is None or not all(type(v) is int for v in values):
-        raise FixtureFormatError("anomalies file must map no_match_expected to ints")
+    values = data.get("no_match_expected") if isinstance(data, dict) else None
+    if not isinstance(values, list) or not all(type(v) is int for v in values):
+        raise FixtureFormatError(
+            "anomalies file must hold an object whose no_match_expected is a list of ints"
+        )
     return frozenset(values)
 
 

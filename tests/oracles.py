@@ -1,9 +1,12 @@
 """Slow reference versions of the ring kernel, the fifth-root search, the
-lambda-adic inverse, the residue enumeration and its fifth powers, the unit
-image, the unit searches by ring products, the primality test and the scan.
+lambda-adic expansion and valuation by exact ring division, the lambda-adic
+inverse, the residue enumeration and its fifth powers, the unit image, the
+unit searches by ring products, the primality test and the scan.
 
 These are the bodies the straight-line kernel in ``quintcap.cyclotomic``,
-``quintcap.primes.fifth_roots_of_unity``, ``cyclotomic.lambda_inverse``, the
+``quintcap.primes.fifth_roots_of_unity``, the coordinate digit step of
+``cyclotomic.lambda_expand`` and ``cyclotomic.lambda_valuation``,
+``cyclotomic.lambda_inverse``, the
 Teichmueller rule of ``cyclotomic.fifth_power_solvable_mod_lambda``, the
 unit tables of ``quintcap.primes``, the keys of integer multiples
 (``cyclotomic.lambda_multiple_keys``) in the row search of
@@ -41,7 +44,7 @@ from quintcap.cyclotomic import (
     ONE,
     ZETA,
     CycInt,
-    lambda_expand,
+    LambdaExpansion,
     lambda_inverse as fast_lambda_inverse,
     lambda_key,
     lambda_residue,
@@ -120,6 +123,41 @@ def gcd(a, b):
     while not b.is_zero():
         a, b = b, euclid_divmod(a, b)[1]
     return a
+
+
+# (1 - zeta^2)(1 - zeta^3)(1 - zeta^4) = 5/lambda, with the powers of zeta
+# written out in the power basis.
+_FIVE_OVER_LAMBDA = mul(
+    mul(ONE - CycInt(0, 0, 1), ONE - CycInt(0, 0, 0, 1)), ONE - CycInt(-1, -1, -1, -1)
+)
+
+
+def div_lambda_exact(x):
+    """x/lambda as x * (5/lambda) / 5; raises if lambda does not divide x."""
+    c = mul(x, _FIVE_OVER_LAMBDA).coords
+    if any(v % 5 for v in c):
+        raise ValueError(f"{x!r} is not divisible by lambda")
+    return CycInt(*(v // 5 for v in c))
+
+
+def lambda_expand(x, k):
+    """The length-k lambda-adic expansion: each digit is the residue of the
+    running cofactor, which then becomes (x - d)/lambda by exact division."""
+    digits = []
+    for _ in range(k):
+        d = lambda_residue(x)
+        digits.append(d)
+        x = div_lambda_exact(x - d)
+    return LambdaExpansion(tuple(digits))
+
+
+def lambda_valuation(x):
+    """The exponent of lambda in x != 0, by repeated exact division."""
+    v = 0
+    while lambda_residue(x) == 0:
+        x = div_lambda_exact(x)
+        v += 1
+    return v
 
 
 def smallest_primitive_root(p):

@@ -25,7 +25,6 @@ from quintcap.classify import RadicandForm, classify_radicand
 from quintcap.cyclotomic import (
     LAMBDA,
     CycInt,
-    div_lambda_exact,
     lambda_residue,
     lambda_valuation,
 )
@@ -497,7 +496,7 @@ def lambda_coprime_twist(value, n, e, h):
     m = total // 5
     v = value * (LAMBDA ** h) * (CycInt(n) ** j)
     for _ in range(5 * m):
-        v = div_lambda_exact(v)
+        v = oracles.div_lambda_exact(v)
     return v, j, m
 
 

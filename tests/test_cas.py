@@ -7,6 +7,7 @@ from quintcap.cas import CasProtocolError, CasTimeoutError, cas_adapter_check
 from quintcap.cli import main
 from quintcap.fixtures import (
     FixtureFormatError,
+    load_anomalies,
     load_fixtures,
     packaged_data_path,
     verify_fixtures,
@@ -76,6 +77,12 @@ def test_adapter_unspawnable_command():
         cas_adapter_check(55, ["/nonexistent/adapter"])
 
 
+@pytest.mark.parametrize("command", ["", "   ", []])
+def test_adapter_refuses_empty_command(command):
+    with pytest.raises(ValueError, match="CAS command is empty"):
+        cas_adapter_check(55, command)
+
+
 # --- fixtures verification ----------------------------------------------------
 
 def test_shipped_table_loads():
@@ -114,6 +121,38 @@ def test_malformed_fixture_rejected(tmp_path):
     path.write_text(json.dumps({"not": "a list"}))
     with pytest.raises(FixtureFormatError):
         load_fixtures(path)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"no_match_expected": 5},
+        {"other": [2111]},
+        [2111, 4541161],
+        {"no_match_expected": [2111, "4541161"]},
+        {"no_match_expected": [True]},
+    ],
+)
+def test_anomalies_file_of_the_wrong_shape_rejected(tmp_path, capsys, payload):
+    path = tmp_path / "anomalies.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(FixtureFormatError, match="no_match_expected is a list of ints"):
+        load_anomalies(path)
+    assert main(["verify", "--anomalies", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:") and "Traceback" not in captured.err
+
+
+def test_anomalies_file_override(tmp_path, capsys):
+    path = tmp_path / "anomalies.json"
+    path.write_text(json.dumps({"no_match_expected": [2111, 2131 ** 2]}))
+    assert load_anomalies(path) == load_anomalies() == {2111, 2131 ** 2}
+    assert main(["verify", "--anomalies", str(path)]) == 0
+    path.write_text(json.dumps({"no_match_expected": []}))
+    assert load_anomalies(path) == frozenset()
+    assert main(["verify", "--anomalies", str(path)]) == 1
+    assert "summary: 24 pass, 0 known anomalies, 2 fail" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

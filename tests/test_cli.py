@@ -86,6 +86,13 @@ def test_verify_with_fake_cas(capsys):
     assert "cas summary: 0 failures" in out
 
 
+@pytest.mark.parametrize("command", ["", " "])
+def test_verify_refuses_empty_cas_command(command, capsys):
+    assert main(["verify", "--cas-cmd", command]) == 2
+    err = capsys.readouterr().err
+    assert err == f"input error: the CAS command is empty: {command!r}\n"
+
+
 def test_verify_failing_fixture(tmp_path, capsys):
     path = tmp_path / "f.json"
     path.write_text(json.dumps([{"n": 56, "h_k5": 25, "type": [5, 5], "rank_ambiguous": 2}]))

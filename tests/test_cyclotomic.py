@@ -13,7 +13,6 @@ from quintcap.cyclotomic import (
     ZERO,
     ZETA,
     congruent_mod_lambda_pow,
-    div_lambda_exact,
     euclid_divmod,
     fifth_power_solvable_mod_lambda,
     gcd,
@@ -288,8 +287,9 @@ def test_lambda_residue_values():
 
 
 def test_div_lambda_exact_rejects_units():
+    # The exact division of the expansion oracle.
     with pytest.raises(ValueError):
-        div_lambda_exact(ONE)
+        oracles.div_lambda_exact(ONE)
 
 
 def test_lambda_valuation():
@@ -322,6 +322,27 @@ def test_lambda_expand_roundtrip(rng):
         diff = x - exp.reassemble()
         if not diff.is_zero():
             assert lambda_valuation(diff) >= k
+
+
+def test_lambda_expand_and_valuation_match_ring_division_oracle(rng):
+    # The coordinate digit step against exact division by lambda in the ring,
+    # on x * lambda^e for e up to 12: zero, units, powers of 5 and seeded
+    # random x, small and large.
+    units = [ONE, -ONE, ZETA, ONE + ZETA, -(ZETA ** 2 + ZETA ** 3), ZETA ** 3 * (ONE + ZETA) ** 7]
+    xs = [ZERO] + units + [CycInt(5 ** j) for j in range(1, 5)]
+    xs += [random_cycint(rng) for _ in range(40)]
+    xs += [random_cycint(rng, -10**15, 10**15) for _ in range(10)]
+    for x in xs:
+        for e in range(13):
+            y = x * LAMBDA ** e
+            for k in (16, rng.randint(1, 16)):
+                assert lambda_expand(y, k) == oracles.lambda_expand(y, k), (x, e, k)
+            if y:
+                assert lambda_valuation(y) == oracles.lambda_valuation(y), (x, e)
+    for j in range(1, 5):
+        assert lambda_valuation(CycInt(5 ** j)) == 4 * j
+    with pytest.raises(ValueError, match="zero"):
+        lambda_valuation(ZERO)
 
 
 def test_congruence_examples():
@@ -417,7 +438,7 @@ def test_lambda_key_matches_digit_expansion(rng):
         # adding multiples of lambda^j makes pairs that agree to every depth
         xs += [x + LAMBDA ** rng.randint(0, 9) * random_cycint(rng, -9, 9) for x in xs]
         keys = [lambda_key(x, k) for x in xs]
-        digits = [lambda_expand(x, k).digits for x in xs]
+        digits = [oracles.lambda_expand(x, k).digits for x in xs]
         assert all(0 <= key < 5 ** k for key in keys)
         for i in range(len(xs)):
             for j in range(len(xs)):
@@ -472,16 +493,20 @@ def test_lambda_inverse(rng):
 
 # --- fifth powers, checked against exhaustive searches --------------------------
 
+@functools.cache
+def fifth_power_expansions(k):
+    # The original decision procedure, kept as the oracle: the digit
+    # expansions, by exact ring division, of the fifth power of every
+    # residue mod lambda^k prime to lambda.
+    return frozenset(
+        oracles.lambda_expand(x ** 5, k).digits
+        for x in oracles.iter_residues_mod_lambda_pow(k)
+        if lambda_residue(x)
+    )
+
+
 def enumerate_solvable(theta, k):
-    # The original decision procedure, kept as the oracle: try every residue
-    # mod lambda^k and compare digit expansions.
-    target = lambda_expand(theta, k).digits
-    for x in oracles.iter_residues_mod_lambda_pow(k):
-        if lambda_residue(x) == 0:
-            continue
-        if lambda_expand(x ** 5, k).digits == target:
-            return True
-    return False
+    return oracles.lambda_expand(theta, k).digits in fifth_power_expansions(k)
 
 
 @functools.cache
@@ -515,12 +540,11 @@ def test_solvable_agrees_with_enumeration(rng):
             thetas.append(theta)
     fifth = CycInt(2, -1, 3, 0) ** 5
     for k in range(1, 7):
-        # the enumeration costs up to 5^k fifth powers, so k = 5, 6 see fewer
-        # theta: one that is a fifth power mod lambda^k, and one or two that are not
+        # one theta that is a fifth power mod lambda^k, and one or two that are not
         cases = [fifth * (ONE + LAMBDA ** k)]
         if k <= 5:
             cases.append(fifth * (ONE + LAMBDA ** (k - 1)))
-        for theta in (thetas if k <= 4 else thetas[:1]) + cases:
+        for theta in thetas + cases:
             expected = enumerate_solvable(theta, k)
             assert fifth_power_solvable_mod_lambda(theta, k) == expected
             assert coordinate_solvable(theta, k) == expected
