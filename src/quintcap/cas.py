@@ -37,6 +37,15 @@ class CasTimeoutError(RuntimeError):
         self.n = n
 
 
+def cas_argv(command: "str | Sequence[str]") -> list[str]:
+    """The argv of an adapter command, a string split as a shell would split
+    it or a sequence; raises ValueError when it is empty."""
+    argv = shlex.split(command) if isinstance(command, str) else list(command)
+    if not argv:
+        raise ValueError(f"the CAS command is empty: {command!r}")
+    return argv
+
+
 def cas_adapter_check(
     n: int, command: "str | Sequence[str]", timeout: float = DEFAULT_TIMEOUT
 ) -> FixtureEntry:
@@ -44,9 +53,7 @@ def cas_adapter_check(
         raise ValueError(
             f"the CAS timeout must be a positive finite number of seconds, got {timeout}"
         )
-    argv = shlex.split(command) if isinstance(command, str) else list(command)
-    if not argv:
-        raise ValueError(f"the CAS command is empty: {command!r}")
+    argv = cas_argv(command)
     try:
         proc = subprocess.Popen(
             argv,

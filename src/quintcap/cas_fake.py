@@ -1,10 +1,11 @@
 """Fixtures-backed fake CAS adapter.
 
 Speaks the one-line request/response protocol of quintcap.cas, answering
-from a fixtures file instead of computing anything.  Used by the tests and
-as the reference implementation of the adapter contract.
+from a fixtures file, the shipped table1.json by default, instead of
+computing anything.  Used by the tests and as the reference implementation
+of the adapter contract.
 
-    python -m quintcap.cas_fake --fixtures table1.json [--delay SECONDS]
+    python -m quintcap.cas_fake [--fixtures PATH]
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 from .fixtures import load_fixtures, packaged_data_path
 
@@ -20,21 +20,12 @@ from .fixtures import load_fixtures, packaged_data_path
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(prog="quintcap-fake-cas")
     parser.add_argument("--fixtures", default=None, help="fixtures JSON path")
-    parser.add_argument("--delay", type=float, default=0.0, help="artificial delay")
-    parser.add_argument(
-        "--garbage", action="store_true", help="respond with a non-JSON line"
-    )
     args = parser.parse_args(argv)
     path = args.fixtures or packaged_data_path("table1.json")
     table = {entry.n: entry for entry in load_fixtures(path)}
     line = sys.stdin.readline()
     if not line:
         return 1
-    if args.delay:
-        time.sleep(args.delay)
-    if args.garbage:
-        print("this is not json")
-        return 0
     try:
         n = json.loads(line)["n"]
     except (json.JSONDecodeError, KeyError, TypeError):

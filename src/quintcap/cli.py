@@ -7,7 +7,8 @@
 
 Exit codes: 0 on success (a NO_MATCH classification is still success, the
 output carries the flag), 2 for input errors, 1 for anything unexpected and
-for an output pipe closed by its reader, such as ``| head``.
+for an output pipe closed by its reader, such as ``| head``.  ``verify``
+checks its options, an empty ``--cas-cmd`` included, before any row.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 import os
 import sys
 
-from .cas import DEFAULT_TIMEOUT, CasProtocolError, CasTimeoutError, cas_adapter_check
+from .cas import DEFAULT_TIMEOUT, CasProtocolError, CasTimeoutError, cas_adapter_check, cas_argv
 from .classify import classify_radicand
 from .fixtures import packaged_data_path, load_fixtures, verify_fixtures
 from .report import ReportError, run_report
@@ -52,6 +53,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # An empty adapter command is refused before any row is checked.
+    cas_cmd = None if args.cas_cmd is None else cas_argv(args.cas_cmd)
     path = args.fixtures or packaged_data_path("table1.json")
     summary = verify_fixtures(path, args.anomalies)
     for row in summary.rows:
@@ -61,10 +64,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     passed, anomalies, failed = summary.counts()
     print(f"summary: {passed} pass, {anomalies} known anomalies, {failed} fail")
     cas_failures = 0
-    if args.cas_cmd is not None:
+    if cas_cmd is not None:
         for entry in load_fixtures(path):
             try:
-                got = cas_adapter_check(entry.n, args.cas_cmd, timeout=args.cas_timeout)
+                got = cas_adapter_check(entry.n, cas_cmd, timeout=args.cas_timeout)
             except (CasProtocolError, CasTimeoutError) as exc:
                 print(f"cas {entry.n}: error ({exc})")
                 cas_failures += 1

@@ -15,10 +15,7 @@ bounded time, so it is refused with ValueError.  Every n below the bound is
 factored, and so is every n whose part free of the primes up to
 TRIAL_DIVISION_LIMIT is below the bound.
 
-The scanner's shape sieve uses ``primes_up_to`` and the sieve constants
-below.  It hands ``factorize`` each survivor with no sieve prime, or with a
-cofactor at or above MILLER_RABIN_BOUND, and scans no window whose fifth
-root exceeds TRIAL_DIVISION_LIMIT.
+The scanner's shape sieve takes its primes from ``primes_up_to``.
 """
 
 from __future__ import annotations
@@ -51,13 +48,6 @@ _PSEUDOPRIME_THRESHOLDS = (
 
 # psi_13 = 1287836182261 * 2575672364521; below it the test is proven.
 MILLER_RABIN_BOUND = _PSEUDOPRIME_THRESHOLDS[-1]
-
-# Integers the scanner's shape sieve holds at once with one job.
-SIEVE_BLOCK = 1 << 14
-
-# Bound on the primes the shape sieve divides by; a cofactor free of them
-# and below its square is prime.
-SIEVE_PRIME_LIMIT = 1 << 16
 
 # Largest trial divisor for a cofactor at or above MILLER_RABIN_BOUND.
 TRIAL_DIVISION_LIMIT = 4_000_000

@@ -179,13 +179,6 @@ def formal_tables(rc: RadicandClass, h1: int | None, symbol: int) -> FormalTable
     return tables
 
 
-def _formal_attribute(name: str) -> property:
-    return property(
-        lambda self: getattr(self.formal, name) if self.formal else None,
-        doc=f"FormalTables.{name}; read-only, shared by every report with the same key.",
-    )
-
-
 @dataclass
 class Report:
     n: int
@@ -198,13 +191,6 @@ class Report:
     symbol_exponent: int | None = None
     notes: list[str] = field(default_factory=list)
     formal: FormalTables | None = None
-
-    w_symbol = _formal_attribute("w_symbol")
-    generators = _formal_attribute("generators")
-    extensions = _formal_attribute("extensions")
-    subgroups = _formal_attribute("subgroups")
-    capitulations = _formal_attribute("capitulations")
-    type_lists = _formal_attribute("type_lists")
 
     # -- serialisation -----------------------------------------------------
 
@@ -226,7 +212,8 @@ class Report:
         if self.no_match:
             return out
         assert self.formal is not None
-        out["w_symbol"] = self.w_symbol.radical_name if self.w_symbol else None
+        ws = self.formal.w_symbol
+        out["w_symbol"] = ws.radical_name if ws else None
         out["primes"] = [
             {
                 "label": _prime_label(pe),
@@ -267,7 +254,8 @@ class Report:
         extensions, generators, capitulations, types, subgroups = self.formal.fragments
         primes = ",\n".join(map(_prime_json, self.primes))
         primes = f"[\n{primes}\n  ]" if primes else "[]"
-        w_symbol = f'"{self.w_symbol.radical_name}"' if self.w_symbol else "null"
+        ws = self.formal.w_symbol
+        w_symbol = f'"{ws.radical_name}"' if ws else "null"
         return (
             f'{{\n  "classification": {classification},\n'
             f'  "conventions": {{\n    "notes": {_render(self.notes, "    ")},\n'
@@ -311,40 +299,37 @@ class Report:
             lines.append(f"quintic symbol (pi1/pi3): exponent {self.symbol_exponent}")
             if explain:
                 lines.append(_EXPLAIN["symbol"])
-        assert self.generators is not None
-        x1, x2 = self.generators
+        assert self.formal is not None
+        ft, ws = self.formal, self.formal.w_symbol
+        x1, x2 = ft.generators
         lines.append("")
         lines.append(
             "genus field generators: "
-            f"fifth-root({x1.render(self.w_symbol)}), fifth-root({x2.render(self.w_symbol)})"
+            f"fifth-root({x1.render(ws)}), fifth-root({x2.render(ws)})"
         )
         if explain:
             lines.append(_EXPLAIN["generators"])
         lines.append("extensions:")
-        for ext in self.extensions:
-            cands = " or ".join(
-                f"fifth-root({w.render(self.w_symbol)})" for w in ext.candidates
-            )
+        for ext in ft.extensions:
+            cands = " or ".join(f"fifth-root({w.render(ws)})" for w in ext.candidates)
             mark = "" if ext.resolved else "  (unresolved)"
             lines.append(f"  {ext.label}: {cands}{mark}")
         if explain:
             lines.append(_EXPLAIN["extensions"])
         lines.append("subgroups:")
-        for sub in self.subgroups:
+        for sub in ft.subgroups:
             lines.append(
-                f"  {sub.label} = <{sub.generator.render(self.w_symbol)}>"
+                f"  {sub.label} = <{sub.generator.render(ws)}>"
                 f"  ({sub.character.value})"
             )
         lines.append("guaranteed capitulations:")
-        for w, c in self.capitulations:
-            lines.append(
-                f"  {c.render(self.w_symbol)} dies in fifth-root({w.render(self.w_symbol)})"
-            )
+        for w, c in ft.capitulations:
+            lines.append(f"  {c.render(ws)} dies in fifth-root({w.render(ws)})")
         if explain:
             lines.append(_EXPLAIN["capitulations"])
         lines.append("possible capitulation types:")
-        for k6, types in self.type_lists:
-            lines.append(f"  with K6 = fifth-root({k6.render(self.w_symbol)}):")
+        for k6, types in ft.type_lists:
+            lines.append(f"  with K6 = fifth-root({k6.render(ws)}):")
             for t in types:
                 lines.append("    (" + ",".join(str(i) for i in t) + ")")
         if explain:
@@ -410,8 +395,6 @@ def _prime_json(pe: PrimeElement) -> str:
 def _prime_label(pe: PrimeElement) -> str:
     if pe.kind is PrimeKind.LAMBDA:
         return "lambda"
-    if pe.label == 5:
-        return "pi5"
     return f"pi{pe.label}"
 
 

@@ -15,12 +15,11 @@ cofactor holds a third prime, so it is no_match too.  A cofactor below
 SIEVE_PRIME_LIMIT^2 is prime; a larger one next to one sieve prime must be
 a prime power r^j, by a perfect-power and a primality test, or n has three
 primes.  A survivor with no sieve prime, or whose cofactor is too large for
-the primality test, is factored whole by ``factor.factorize``, as
-``classify_radicand`` factors it, so a refusal names n with the same
-message.  ``radicand_shape``, the shape rules of ``classify_radicand``,
-decides.  A window whose p^5 marks would need primes beyond
-``factor.TRIAL_DIVISION_LIMIT``, hi from about 1.02*10^33 on, is refused
-before any of it is scanned: those primes would not fit in memory.
+the primality test, goes to ``classify_radicand``, so a refusal names n with
+its message.  ``radicand_shape``, the shape rules of ``classify_radicand``,
+decides every other survivor.  A window whose p^5 marks would need primes
+beyond ``factor.TRIAL_DIVISION_LIMIT``, hi from about 1.02*10^33 on, is
+refused before any of it is scanned: those primes would not fit in memory.
 
 Output order is by n regardless of worker count; chunks are contiguous and
 reassembled in submission order, so the parallel path is bit-identical to
@@ -40,8 +39,6 @@ from collections import deque
 from itertools import compress
 from typing import Iterator
 
-# classify_radicand is not called here, but stays bound in this namespace:
-# perfbench's tracer tests look it up on every module that imported it.
 from .classify import (
     SHAPE_RESIDUES,
     FactorizationLimitExceeded,
@@ -51,15 +48,19 @@ from .classify import (
 )
 from .factor import (
     MILLER_RABIN_BOUND,
-    SIEVE_BLOCK,
-    SIEVE_PRIME_LIMIT,
     TRIAL_DIVISION_LIMIT,
     _perfect_power,
-    factorize,
     integer_root,
     is_rational_prime,
     primes_up_to,
 )
+
+# Integers one chunk holds with one job.
+SIEVE_BLOCK = 1 << 14
+
+# Bound on the primes the shape sieve divides by; a cofactor free of them
+# and below its square is prime.
+SIEVE_PRIME_LIMIT = 1 << 16
 
 # Largest chunk given to one worker.  Above 2 500, so a 20 000-integer
 # window at jobs=2 is still cut into the jobs*4 chunks of an uncapped scan.
@@ -133,10 +134,8 @@ def _scan_chunk(bounds: tuple[int, int]) -> list[tuple[int, str]]:
                     continue
                 factors[r] = j
             else:
-                try:
-                    factors = factorize(n)
-                except ValueError as exc:
-                    raise FactorizationLimitExceeded(str(exc)) from None
+                forms[i] = classify_radicand(n).form.value
+                continue
         forms[i] = radicand_shape(n, factors)[0].value
     return list(compress(zip(range(lo, hi + 1), forms), keep))
 
@@ -148,8 +147,8 @@ def iter_scan(lo: int, hi: int, jobs: int = 1) -> Iterator[list[tuple[int, str]]
     piece out holds no more than a block's results at once.  Raises
     ValueError for jobs < 1, and FactorizationLimitExceeded when the fifth
     root of hi exceeds TRIAL_DIVISION_LIMIT.  The pool has no more workers
-    than jobs, chunks or CPUs.  The chunk size depends on jobs, not on the
-    CPU count.
+    than jobs, chunks or CPUs, and is not started for one worker.  The chunk
+    size depends on jobs, not on the CPU count.
     """
     if not 1 < lo <= hi:
         raise ValueError("need 1 < lo <= hi")
@@ -162,18 +161,21 @@ def iter_scan(lo: int, hi: int, jobs: int = 1) -> Iterator[list[tuple[int, str]]
             f" fifth-power marks, beyond {TRIAL_DIVISION_LIMIT}"
         )
     if jobs == 1:
-        for start in range(lo, hi + 1, SIEVE_BLOCK):
-            yield _scan_chunk((start, min(start + SIEVE_BLOCK - 1, hi)))
+        chunk = SIEVE_BLOCK
+    else:
+        chunk = min(max((hi - lo + 1) // (jobs * 4), MIN_CHUNK), MAX_CHUNK)
+    starts = range(lo, hi + 1, chunk)
+    bounds = ((start, min(start + chunk - 1, hi)) for start in starts)
+    workers = min(jobs, len(starts), os.cpu_count() or 1)
+    if workers == 1:
+        yield from map(_scan_chunk, bounds)
         return
     from concurrent.futures import ProcessPoolExecutor
 
-    chunk = min(max((hi - lo + 1) // (jobs * 4), MIN_CHUNK), MAX_CHUNK)
-    starts = range(lo, hi + 1, chunk)
-    workers = min(jobs, len(starts), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         pending: deque = deque()
-        for start in starts:
-            pending.append(pool.submit(_scan_chunk, (start, min(start + chunk - 1, hi))))
+        for b in bounds:
+            pending.append(pool.submit(_scan_chunk, b))
             if len(pending) == 2 * workers:
                 yield pending.popleft().result()
         while pending:

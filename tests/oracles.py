@@ -51,14 +51,8 @@ from quintcap.cyclotomic import (
 )
 from quintcap.classify import SHAPE_RESIDUES, NotFifthPowerFree, radicand_shape
 from quintcap.primes import PrimeKind, UnsupportedPrimeError, _unit_table
-from quintcap.factor import (
-    MILLER_RABIN_BOUND,
-    SIEVE_BLOCK,
-    SIEVE_PRIME_LIMIT,
-    factorize,
-    integer_root,
-    primes_up_to,
-)
+from quintcap.factor import MILLER_RABIN_BOUND, factorize, integer_root, primes_up_to
+from quintcap.scanner import SIEVE_BLOCK, SIEVE_PRIME_LIMIT
 
 # The offset grid of euclid_divmod, in its order, kept here so that the
 # oracle pins the order; and the wider grid it used to try after that one.

@@ -30,8 +30,9 @@ def test_fake_adapter_string_command():
 
 
 def test_adapter_garbage_response():
-    with pytest.raises(CasProtocolError):
-        cas_adapter_check(55, FAKE + ["--garbage"])
+    adapter = [sys.executable, "-c", "print('this is not json')"]
+    with pytest.raises(CasProtocolError, match="not JSON"):
+        cas_adapter_check(55, adapter)
 
 
 @pytest.mark.parametrize(
@@ -60,8 +61,9 @@ def test_adapter_unknown_n():
 
 
 def test_adapter_timeout():
+    adapter = [sys.executable, "-c", "import time; time.sleep(5)"]
     with pytest.raises(CasTimeoutError) as exc:
-        cas_adapter_check(55, FAKE + ["--delay", "5"], timeout=0.4)
+        cas_adapter_check(55, adapter, timeout=0.4)
     assert exc.value.n == 55
 
 

@@ -87,10 +87,16 @@ def test_verify_with_fake_cas(capsys):
 
 
 @pytest.mark.parametrize("command", ["", " "])
-def test_verify_refuses_empty_cas_command(command, capsys):
-    assert main(["verify", "--cas-cmd", command]) == 2
-    err = capsys.readouterr().err
-    assert err == f"input error: the CAS command is empty: {command!r}\n"
+def test_verify_refuses_empty_cas_command(command, tmp_path, capsys):
+    # Refused before any row is checked, for the shipped corpus and for an
+    # empty one, which has no row to reach the adapter.
+    empty = tmp_path / "empty.json"
+    empty.write_text("[]")
+    for fixtures in ([], ["--fixtures", str(empty)]):
+        assert main(["verify", *fixtures, "--cas-cmd", command]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: the CAS command is empty: {command!r}\n"
 
 
 def test_verify_failing_fixture(tmp_path, capsys):

@@ -19,8 +19,8 @@ from quintcap.classify import (
     radicand_shape,
 )
 from quintcap.cli import main
-from quintcap.factor import SIEVE_BLOCK, SIEVE_PRIME_LIMIT, integer_root
-from quintcap.scanner import iter_scan, render_scan, scan_range
+from quintcap.factor import integer_root
+from quintcap.scanner import SIEVE_BLOCK, SIEVE_PRIME_LIMIT, iter_scan, render_scan, scan_range
 
 import oracles
 
@@ -120,13 +120,45 @@ def test_scan_pool_has_no_more_workers_than_chunks(monkeypatch):
     assert scan_range(2, 11, jobs=1000) == scan_range(2, 11)
     assert scan_range(2, 4000, jobs=3) == scan_range(2, 4000)
     assert _InProcessPool.sizes == [10, 3]
-    # Nor more workers than CPUs, one when os.cpu_count() cannot tell.
+    # Nor more workers than CPUs; with one, or when os.cpu_count() cannot
+    # tell, no pool is started.
     _InProcessPool.sizes.clear()
-    for cpus in (2, None):
+    for cpus in (2, 1, None):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert scan_range(2, 11, jobs=1000) == scan_range(2, 11)
         assert scan_range(2, 4000, jobs=3) == scan_range(2, 4000)
-    assert _InProcessPool.sizes == [2, 2, 1, 1]
+    assert _InProcessPool.sizes == [2, 2]
+
+
+def test_scan_with_one_worker_starts_no_pool(monkeypatch):
+    # One chunk, or one CPU, makes one worker: the chunks of the jobs=2 plan
+    # run in this process.
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4096)
+    lo = 10**6
+    assert len(list(iter_scan(lo, lo + 1_999, 2))) == 1
+    assert scan_range(lo, lo + 1_999, 2) == scan_range(lo, lo + 1_999)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    pieces = list(iter_scan(lo, lo + 19_999, 2))
+    assert len(pieces) == 8
+    assert [row for piece in pieces for row in piece] == scan_range(lo, lo + 19_999)
+
+
+@pytest.mark.parametrize("method", ["forkserver", "spawn"])
+def test_scan_pool_under_start_method(method):
+    # Workers that start afresh, rather than as forks of this process, give
+    # the same rows.  Two CPUs are claimed, so the pool is started.
+    code = (
+        "import multiprocessing, os, sys\n"
+        f"multiprocessing.set_start_method({method!r})\n"
+        "os.cpu_count = lambda: 2\n"
+        "from quintcap.scanner import scan_range\n"
+        "sys.exit(scan_range(2, 40000, 2) != scan_range(2, 40000, 1))\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
 
 
 def test_parallel_chunks_have_a_floor_and_a_cap(monkeypatch):
@@ -157,12 +189,13 @@ def test_parallel_chunks_have_a_floor_and_a_cap(monkeypatch):
 def test_one_sieve_prime_and_a_large_cofactor_need_no_rho(monkeypatch):
     # n = p*r^2 and p*r*s with a sieve prime p and primes r, s > 2^16: the
     # cofactor is a prime power or holds two more primes, which a
-    # perfect-power and a primality test tell apart, so factorize is never
-    # called.  Each n is a member of SHAPE_RESIDUES.
+    # perfect-power and a primality test tell apart, so classify_radicand,
+    # which factors n whole, is never called.  Each n is a member of
+    # SHAPE_RESIDUES.
     def refused(m):
-        raise AssertionError(f"factorize({m}) called")
+        raise AssertionError(f"classify_radicand({m}) called")
 
-    monkeypatch.setattr(scanner, "factorize", refused)
+    monkeypatch.setattr(scanner, "classify_radicand", refused)
     large = [r for r in range(SIEVE_PRIME_LIMIT, SIEVE_PRIME_LIMIT + 400) if factor.is_rational_prime(r)]
     small = [2, 3, 5, 7, 11, 13, 17, 19, 23, 31, 41, 61]
     squares = [p * r * r for p in small for r in large]
@@ -201,7 +234,7 @@ def test_scan_sieves_its_primes_once_per_process(monkeypatch):
 
 
 def test_import_leaves_out_process_pools():
-    # A scan with jobs > 1 imports concurrent.futures itself; a plain import
+    # A scan that starts a pool imports concurrent.futures itself; a plain import
     # of quintcap must not pay for it and for multiprocessing.
     code = "import sys, quintcap; print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
