@@ -28,7 +28,8 @@ jobs are asked for.  A chunk holds a quarter of a worker's share of the
 window, kept between MIN_CHUNK and MAX_CHUNK integers (the last may be
 shorter), and at most two chunks per worker are in flight, so a worker's
 result list, and the memory of a long parallel scan, stay small.
-``concurrent.futures`` is imported only when a scan runs with jobs > 1.
+``concurrent.futures`` is imported only when a pool is started, that is,
+with two or more workers.
 """
 
 from __future__ import annotations
@@ -166,7 +167,8 @@ def iter_scan(lo: int, hi: int, jobs: int = 1) -> Iterator[list[tuple[int, str]]
         chunk = min(max((hi - lo + 1) // (jobs * 4), MIN_CHUNK), MAX_CHUNK)
     starts = range(lo, hi + 1, chunk)
     bounds = ((start, min(start + chunk - 1, hi)) for start in starts)
-    workers = min(jobs, len(starts), os.cpu_count() or 1)
+    # Counted, not len(starts): a range longer than sys.maxsize has no len.
+    workers = min(jobs, (hi - lo) // chunk + 1, os.cpu_count() or 1)
     if workers == 1:
         yield from map(_scan_chunk, bounds)
         return

@@ -147,6 +147,19 @@ def test_scan_with_one_worker_starts_no_pool(monkeypatch):
     assert [row for piece in pieces for row in piece] == scan_range(lo, lo + 19_999)
 
 
+def test_scan_of_a_window_longer_than_maxsize_streams(monkeypatch):
+    # 10**24 integers make more chunks than len() of a range can count.
+    first = next(iter_scan(2, 10**24))
+    assert first == scan_range(2, 1 + SIEVE_BLOCK)
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4096)
+    pieces = iter_scan(2, 10**24, 2)
+    assert next(pieces) == scan_range(2, 1 + scanner.MAX_CHUNK)
+    pieces.close()
+    assert _InProcessPool.sizes == [2]
+
+
 @pytest.mark.parametrize("method", ["forkserver", "spawn"])
 def test_scan_pool_under_start_method(method):
     # Workers that start afresh, rather than as forks of this process, give
