@@ -7,8 +7,11 @@ line-delimited JSON:
     response <- {"h_k5": <int>, "type": [<int>, <int>],
                  "rank_ambiguous": <int>}\n                      (stdout)
 
-Any deviation (nonzero exit, no output, wrong keys or types) raises
+Any deviation (nonzero exit, no output, a reply that is not UTF-8 JSON,
+an integer past Python's digit limit, wrong keys or types) raises
 CasProtocolError; a stuck process raises CasTimeoutError with n attached.
+The adapter runs in a session of its own, and a timeout or an interrupt
+kills its whole process group: the adapter and every process it started.
 The repository ships a fixtures-backed fake (quintcap.cas_fake) honouring
 this contract for tests; bridging a real CAS is a matter of wrapping it in
 any executable that speaks these two lines.
@@ -18,7 +21,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import shlex
+import signal
 import subprocess
 from typing import Sequence
 
@@ -60,27 +65,36 @@ def cas_adapter_check(
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            text=True,
+            start_new_session=True,
         )
     except OSError as exc:
         raise CasProtocolError(f"could not spawn adapter {argv!r}: {exc}") from exc
-    request = json.dumps({"n": n}) + "\n"
+    request = (json.dumps({"n": n}) + "\n").encode()
     try:
         stdout, stderr = proc.communicate(request, timeout=timeout)
-    except subprocess.TimeoutExpired:
-        proc.kill()
+    except BaseException as exc:
+        # The adapter leads its own process group, so this also ends what it
+        # started, which would otherwise hold the pipes open.  In its own
+        # session it misses the terminal's Ctrl-C, so an interrupt ends it too.
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
         proc.communicate()
-        raise CasTimeoutError(n, timeout) from None
+        if isinstance(exc, subprocess.TimeoutExpired):
+            raise CasTimeoutError(n, timeout) from None
+        raise
     if proc.returncode != 0:
-        raise CasProtocolError(
-            f"adapter exited with {proc.returncode} for n = {n}: {stderr.strip()}"
-        )
-    line = stdout.strip().splitlines()[0] if stdout.strip() else ""
-    if not line:
+        message = stderr.decode("utf-8", errors="replace").strip()
+        raise CasProtocolError(f"adapter exited with {proc.returncode} for n = {n}: {message}")
+    first = stdout.strip().splitlines()[0] if stdout.strip() else b""
+    if not first:
         raise CasProtocolError(f"adapter produced no response for n = {n}")
+    line = first.decode("utf-8", errors="replace")
     try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as exc:
+        # Strict UTF-8; an integer past Python's digit limit is a ValueError too.
+        payload = json.loads(first.decode("utf-8"))
+    except ValueError as exc:
         raise CasProtocolError(f"adapter response is not JSON: {line!r}") from exc
     if not isinstance(payload, dict):
         raise CasProtocolError(f"adapter response must be an object: {line!r}")

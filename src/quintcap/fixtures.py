@@ -33,13 +33,13 @@ class FixtureEntry:
 
 @dataclass
 class VerifySummary:
-    passed: int = 0
-    anomalies: int = 0
-    failed: int = 0
+    entries: list[FixtureEntry]
     rows: list[dict[str, Any]] = field(default_factory=list)
 
     def counts(self) -> tuple[int, int, int]:
-        return (self.passed, self.anomalies, self.failed)
+        """The numbers of rows that pass, are known anomalies and fail."""
+        statuses = [row["status"] for row in self.rows]
+        return (statuses.count("pass"), statuses.count("anomaly"), statuses.count("fail"))
 
 
 def packaged_data_path(name: str) -> Path:
@@ -75,6 +75,9 @@ def _read_json(path: "str | Path") -> Any:
             return json.load(fh)
     except OSError as exc:
         raise FixtureFormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:
+        # Malformed JSON, bytes that are not UTF-8, an integer past the digit limit.
+        raise FixtureFormatError(f"cannot parse {path}: {exc}") from exc
 
 
 def load_fixtures(path: "str | Path") -> list[FixtureEntry]:
@@ -99,32 +102,21 @@ def verify_fixtures(
 ) -> VerifySummary:
     entries = load_fixtures(path)
     anomalies = load_anomalies(anomalies_path)
-    summary = VerifySummary()
+    summary = VerifySummary(entries)
     for entry in entries:
         row: dict[str, Any] = {"n": entry.n}
         try:
-            rc = classify_radicand(entry.n)
+            form = classify_radicand(entry.n).form
         except ClassificationError as exc:
             row.update(status="fail", detail=f"classification error: {exc}")
-            summary.failed += 1
-            summary.rows.append(row)
-            continue
-        row["form"] = rc.form.value
-        if rc.form is RadicandForm.NO_MATCH:
-            if entry.n in anomalies:
-                row["status"] = "anomaly"
-                summary.anomalies += 1
-            else:
-                row["status"] = "fail"
-                row["detail"] = "expected an admissible shape, got no_match"
-                summary.failed += 1
         else:
-            if entry.n in anomalies:
-                row["status"] = "fail"
-                row["detail"] = "expected no_match per the discrepancy list"
-                summary.failed += 1
+            row["form"] = form.value
+            no_match = form is RadicandForm.NO_MATCH
+            if no_match == (entry.n in anomalies):
+                row["status"] = "anomaly" if no_match else "pass"
+            elif no_match:
+                row.update(status="fail", detail="expected an admissible shape, got no_match")
             else:
-                row["status"] = "pass"
-                summary.passed += 1
+                row.update(status="fail", detail="expected no_match per the discrepancy list")
         summary.rows.append(row)
     return summary

@@ -1,5 +1,7 @@
 import json
+import subprocess
 import sys
+import time
 
 import pytest
 
@@ -65,6 +67,36 @@ def test_adapter_timeout():
     with pytest.raises(CasTimeoutError) as exc:
         cas_adapter_check(55, adapter, timeout=0.4)
     assert exc.value.n == 55
+
+
+def test_adapter_timeout_ends_the_processes_the_adapter_started():
+    # Killing only sh would leave sleep holding the pipes open for 30 s.
+    start = time.monotonic()
+    with pytest.raises(CasTimeoutError):
+        cas_adapter_check(55, ["sh", "-c", "sleep 30; true"], timeout=0.5)
+    assert time.monotonic() - start < 5
+
+
+def test_adapter_interrupt_ends_the_processes_the_adapter_started(monkeypatch):
+    # The adapter's own session misses the terminal's Ctrl-C: the interrupt
+    # in this process must end the adapter's processes itself.
+    communicate = subprocess.Popen.communicate
+    calls = []
+
+    def interrupted(self, input=None, timeout=None):
+        calls.append(input)
+        if len(calls) == 1:
+            # Ctrl-C comes while sleep holds the adapter's pipes open.
+            with pytest.raises(subprocess.TimeoutExpired):
+                communicate(self, input, timeout=0.5)
+            raise KeyboardInterrupt
+        return communicate(self, input, timeout=timeout)
+
+    monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        cas_adapter_check(55, ["sh", "-c", "sleep 30; true"], timeout=60)
+    assert time.monotonic() - start < 5 and len(calls) == 2
 
 
 @pytest.mark.parametrize("timeout", [0, -1, 0.0, float("nan"), float("inf"), -float("inf")])

@@ -1,10 +1,13 @@
 import json
+import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from quintcap import cli
+from quintcap import cli, fixtures
 from quintcap.cli import build_parser, main
 from quintcap.fixtures import packaged_data_path
 
@@ -105,6 +108,54 @@ def test_verify_failing_fixture(tmp_path, capsys):
     assert main(["verify", "--fixtures", str(path)]) == 1
 
 
+def _verify_93(tmp_path, *adapter):
+    path = tmp_path / "93.json"
+    path.write_text(json.dumps([{"n": 93, "h_k5": 25, "type": [5, 5], "rank_ambiguous": 2}]))
+    return main(["verify", "--fixtures", str(path), "--cas-cmd", shlex.join(adapter)])
+
+
+def test_verify_reports_a_cas_mismatch(tmp_path, capsys):
+    reply = json.dumps({"h_k5": 125, "type": [5, 25], "rank_ambiguous": 2})
+    assert _verify_93(tmp_path, sys.executable, "-c", f"print({reply!r})") == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "93\tp^e*q\tpass",
+        "summary: 1 pass, 0 known anomalies, 0 fail",
+        "cas 93: MISMATCH",
+        "cas summary: 1 failures",
+    ]
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import sys; sys.stdout.buffer.write(b'\\xff\\n')",
+        "print('{\"h_k5\": ' + '1' * 5000 + ', \"type\": [5, 5], \"rank_ambiguous\": 2}')",
+    ],
+    ids=["not-utf8", "int-past-digit-limit"],
+)
+def test_verify_cas_reply_that_is_not_json_fails_its_row(code, tmp_path, capsys):
+    assert _verify_93(tmp_path, sys.executable, "-c", code) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["93\tp^e*q\tpass", "summary: 1 pass, 0 known anomalies, 0 fail"]
+    assert lines[2].startswith("cas 93: error (adapter response is not JSON: ")
+    assert lines[3:] == ["cas summary: 1 failures"]
+
+
+def test_verify_reads_each_file_once(tmp_path, capsys, monkeypatch):
+    reads = []
+    read_json = fixtures._read_json
+
+    def counting_read(path):
+        reads.append(Path(path).name)
+        return read_json(path)
+
+    monkeypatch.setattr(fixtures, "_read_json", counting_read)
+    assert _verify_93(tmp_path, sys.executable, "-m", "quintcap.cas_fake") == 0
+    assert capsys.readouterr().out.endswith("cas 93: match\ncas summary: 0 failures\n")
+    assert reads == ["93.json", "anomalies.json"]
+
+
 @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "-inf", "soon"])
 def test_verify_refuses_bad_cas_timeout_before_any_work(value, capsys, monkeypatch):
     def no_work(*args, **kwargs):
@@ -127,11 +178,19 @@ def test_verify_accepts_positive_cas_timeout():
 
 @pytest.mark.parametrize("option", ["--fixtures", "--anomalies"])
 def test_verify_missing_file_is_input_error(option, tmp_path, capsys):
-    missing = tmp_path / "missing.json"
-    assert main(["verify", option, str(missing)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("input error:") and str(missing) in err
-    assert err.count("\n") == 1 and "Traceback" not in err
+    # A file that is missing, truncated, not UTF-8 or empty is named in the
+    # one line of the message.
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('[{"n": 55, ')
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"no_match_expected": [], "note": "\xe9"}')
+    for path in (tmp_path / "missing.json", truncated, latin1, os.devnull):
+        assert main(["verify", option, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
+        assert err.startswith("input error:") and str(path) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_verify_missing_fixtures_from_the_shell(tmp_path):
