@@ -9,7 +9,9 @@ line-delimited JSON:
 
 Any deviation (nonzero exit, no output, a reply that is not UTF-8 JSON,
 an integer past Python's digit limit, wrong keys or types) raises
-CasProtocolError; a stuck process raises CasTimeoutError with n attached.
+CasProtocolError, quoting at most ECHO_LIMIT characters of the reply line or
+of stderr with the full length; a stuck process raises CasTimeoutError with
+n attached.
 The adapter runs in a session of its own, and a timeout or an interrupt
 kills its whole process group: the adapter and every process it started.
 The repository ships a fixtures-backed fake (quintcap.cas_fake) honouring
@@ -31,6 +33,9 @@ from .fixtures import FixtureEntry, FixtureFormatError, _parse_entry
 
 DEFAULT_TIMEOUT = 600.0
 
+# Longest part of an adapter's reply line or stderr that an error quotes.
+ECHO_LIMIT = 200
+
 
 class CasProtocolError(RuntimeError):
     pass
@@ -49,6 +54,13 @@ def cas_argv(command: "str | Sequence[str]") -> list[str]:
     if not argv:
         raise ValueError(f"the CAS command is empty: {command!r}")
     return argv
+
+
+def _echo(text: str, show=str) -> str:
+    """show(text), or show of its first ECHO_LIMIT characters and its length."""
+    if len(text) <= ECHO_LIMIT:
+        return show(text)
+    return f"{show(text[:ECHO_LIMIT])}... ({len(text)} characters)"
 
 
 def cas_adapter_check(
@@ -85,20 +97,20 @@ def cas_adapter_check(
             raise CasTimeoutError(n, timeout) from None
         raise
     if proc.returncode != 0:
-        message = stderr.decode("utf-8", errors="replace").strip()
+        message = _echo(stderr.decode("utf-8", errors="replace").strip())
         raise CasProtocolError(f"adapter exited with {proc.returncode} for n = {n}: {message}")
     first = stdout.strip().splitlines()[0] if stdout.strip() else b""
     if not first:
         raise CasProtocolError(f"adapter produced no response for n = {n}")
-    line = first.decode("utf-8", errors="replace")
+    line = _echo(first.decode("utf-8", errors="replace"), repr)
     try:
         # Strict UTF-8; an integer past Python's digit limit is a ValueError too.
         payload = json.loads(first.decode("utf-8"))
     except ValueError as exc:
-        raise CasProtocolError(f"adapter response is not JSON: {line!r}") from exc
+        raise CasProtocolError(f"adapter response is not JSON: {line}") from exc
     if not isinstance(payload, dict):
-        raise CasProtocolError(f"adapter response must be an object: {line!r}")
+        raise CasProtocolError(f"adapter response must be an object: {line}")
     try:
         return _parse_entry(dict(payload, n=n, label=None))
     except FixtureFormatError as exc:
-        raise CasProtocolError(f"adapter response has a bad shape: {line!r}") from exc
+        raise CasProtocolError(f"adapter response has a bad shape: {line}") from exc

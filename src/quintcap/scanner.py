@@ -1,25 +1,36 @@
 """Range scanner: classify every fifth-power-free n in an interval.
 
-Only an n whose residue mod 25 lies in ``classify.SHAPE_RESIDUES`` can have
-a shape, and every shape has at most two distinct primes, so every chunk is
-scanned by one shape sieve.  The multiples of p^5 are marked for every prime
-p with p^5 <= hi and skipped; the marks prove the unmarked n fifth-power-free
-at any height.  Then, for every sieve prime p up to min(isqrt(hi),
-SIEVE_PRIME_LIMIT), three slice operations note p at its multiples: a count
-of distinct sieve primes that stops at 3, the largest sieve prime (written
-for p ascending) and the smallest (written for p descending).  A member of
-SHAPE_RESIDUES that is unmarked and counts at most two sieve primes
-survives; every other unmarked n is no_match.  A survivor is divided by its
-recorded primes.  If it has two and a cofactor above 1 is left, that
-cofactor holds a third prime, so it is no_match too.  A cofactor below
-SIEVE_PRIME_LIMIT^2 is prime; a larger one next to one sieve prime must be
-a prime power r^j, by a perfect-power and a primality test, or n has three
-primes.  A survivor with no sieve prime, or whose cofactor is too large for
-the primality test, goes to ``classify_radicand``, so a refusal names n with
-its message.  ``radicand_shape``, the shape rules of ``classify_radicand``,
-decides every other survivor.  A window whose p^5 marks would need primes
-beyond ``factor.TRIAL_DIVISION_LIMIT``, hi from about 1.02*10^33 on, is
-refused before any of it is scanned: those primes would not fit in memory.
+Every chunk is scanned by one shape sieve.  The multiples of p^5 are
+marked for every prime p with p^5 <= hi and skipped; the marks prove the
+unmarked n fifth-power-free at any height.  Each n carries a state byte:
+its class mod 25 and the roles of its shape, p and q, already filled, or 0
+once n is proved no_match.  Only the classes of ``classify.SHAPE_RESIDUES``
+start alive, and each holds one shape: p^e in class 1, p^e*q in 7 and 18,
+5^e*p in 0 and 5.  Every sieve prime p up to min(isqrt(hi),
+SIEVE_PRIME_LIMIT) other than 5, which divides exactly classes 0 and 5,
+moves the state of its multiples by a translate table chosen by p mod 25.
+The table fills the role p can take in n's class (a p = 1 mod 25 of p^e; a
+p = 1 mod 5 of p^e*q or 5^e*p, not 1 mod 25; a q of p^e*q, = n mod 5 and
+not +-7 mod 25) and kills n when p takes none, or its role is filled.  A
+prime that fits no shape zeroes its multiples with one slice.  A second
+table at the multiples of p^2 kills the shapes that hold p to the first
+power only: q, and the p of 5^e*p.  The p and q of each n are written to
+two lists, with 5 as the q of classes 0 and 5.
+
+A survivor is divided by its p and q.  If it has both and a cofactor above
+1 is left, that cofactor holds a third prime, so it is no_match.  A
+cofactor below SIEVE_PRIME_LIMIT^2 is prime; a larger one next to one
+sieve prime must be a prime power r^j, by a perfect-power and a primality
+test, or n has three primes.  A survivor with no sieve prime, or whose
+cofactor is too large for the primality test, goes to
+``classify_radicand``, so a refusal names n with its message.
+``radicand_shape``, the shape rules of ``classify_radicand``, decides every
+other survivor.  So the scan proves no_match, without factoring, an n that
+``classify_radicand`` refuses when one of its sieve primes fits no shape of
+its class: 41*(2^89 - 1) is class 1, and 41 is not 1 mod 25.  A window
+whose p^5 marks would need primes beyond ``factor.TRIAL_DIVISION_LIMIT``, hi
+from about 1.02*10^33 on, is refused before any of it is scanned: those
+primes would not fit in memory.
 
 Output order is by n regardless of worker count; chunks are contiguous and
 reassembled in submission order, so the parallel path is bit-identical to
@@ -37,10 +48,12 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from itertools import compress
+from itertools import chain, compress
 from typing import Iterator
 
 from .classify import (
+    _EXCLUDED_Q_RESIDUES,
+    ADMISSIBLE_RESIDUES,
     SHAPE_RESIDUES,
     FactorizationLimitExceeded,
     RadicandForm,
@@ -73,10 +86,63 @@ MIN_CHUNK = 2_500
 
 _NO_MATCH = RadicandForm.NO_MATCH.value
 
-# Byte tables for bytes.translate: one more sieve prime, stopping at 3; and
-# 1 where fewer than three.
-_COUNT_UP = bytes(min(c + 1, 3) for c in range(256))
-_SURVIVES = bytes(c < 3 for c in range(256))
+# The roles a prime can fill in a shape: its p, and the q of p^e*q.
+_P, _Q = 1, 2
+
+
+def _role(c: int, r: int) -> tuple[int, bool]:
+    """The role a prime of residue r mod 25 fills in the shape of an n of
+    class c in SHAPE_RESIDUES, and whether that shape allows its square:
+    (0, False) when it fills none, so no n of class c with that prime has
+    a shape.  These are the rules of radicand_shape, one prime at a time."""
+    split = r % 5 == 1 and r != 1
+    if c not in ADMISSIBLE_RESIDUES:  # 5^e*p, with p to the first power
+        return (_P, False) if split else (0, False)
+    if c % 5 == 1:  # p^e, as p^e*q = q (mod 5) is not 1
+        return (_P, True) if r == 1 else (0, False)
+    if split:  # p^e*q, and n = q (mod 5)
+        return _P, True
+    if r % 5 == c % 5 and r not in _EXCLUDED_Q_RESIDUES:
+        return _Q, False
+    return 0, False
+
+
+# A state byte per n: 0 when n is proved no_match, else 4*(c + 1) plus the
+# roles already filled, for n of class c mod 25.  _CLASS_STATE[c] is the
+# state of an n of class c before any sieve prime.
+_CLASS_STATE = bytes(4 * (c + 1) if c in SHAPE_RESIDUES else 0 for c in range(25))
+
+
+def _step(r: int) -> tuple[bytes, bytes, int]:
+    """(table, square table, role) of a sieve prime of residue r mod 25.
+
+    The table moves the state of each multiple of the prime, and the square
+    table the state of each multiple of its square: a shape that does not
+    allow the square dies.  The role is the one the prime fills in every
+    class where it fills one; with a role of 0 every multiple dies."""
+    table, square, role = bytearray(256), bytearray(256), 0
+    for c in SHAPE_RESIDUES:
+        fill, powers = _role(c, r)
+        role |= fill
+        for state in range(4 * (c + 1), 4 * (c + 2)):
+            if fill and not state & fill:
+                table[state] = state | fill
+            if powers:
+                square[state] = state
+    return bytes(table), bytes(square), role
+
+
+_STEPS = [_step(r) for r in range(25)]
+
+# 5 is the second prime of 5^e*p, where no q fills a role: the q of an n of
+# its classes is 5.
+_FIVES = [5 if c in SHAPE_RESIDUES - ADMISSIBLE_RESIDUES else 0 for c in range(25)]
+
+
+def _tile(pattern, lo: int, size: int):
+    """pattern[(lo + i) % 25] for i in range(size), of a 25-long pattern."""
+    r = lo % 25
+    return ((pattern[r:] + pattern[:r]) * (size // 25 + 1))[:size]
 
 
 def _scan_chunk(bounds: tuple[int, int]) -> list[tuple[int, str]]:
@@ -86,49 +152,49 @@ def _scan_chunk(bounds: tuple[int, int]) -> list[tuple[int, str]]:
     size = hi - lo + 1
     keep = bytearray(b"\x01") * size
     forms = [_NO_MATCH] * size
-    # count[i] is 3 for every n that cannot have a shape: outside
-    # SHAPE_RESIDUES, a multiple of some p^5, or with three sieve primes.
-    count = bytearray(b"\x03") * size
-    for r in SHAPE_RESIDUES:
-        off = (r - lo) % 25
-        count[off::25] = bytes(len(range(off, size, 25)))
+    state = bytearray(_tile(_CLASS_STATE, lo, size))
     for p in primes_up_to(integer_root(hi, 5)):
         q = p**5
         s = -lo % q
-        k = len(range(s, size, q))
-        keep[s::q] = bytes(k)
-        count[s::q] = b"\x03" * k
-    primes = primes_up_to(min(math.isqrt(hi), SIEVE_PRIME_LIMIT))
-    largest = [0] * size
-    smallest = [0] * size
-    for p in primes:
+        zeros = bytes(len(range(s, size, q)))
+        keep[s::q] = zeros
+        state[s::q] = zeros
+    # ps[i] and qs[i] are the p and q of n = lo + i, or 0 before one is seen;
+    # qs holds 5 in classes 0 and 5.
+    ps = [0] * size
+    qs = _tile(_FIVES, lo, size)
+    for p in primes_up_to(min(math.isqrt(hi), SIEVE_PRIME_LIMIT)):
         s = -lo % p
-        if s >= size:  # no multiple of p in lo..hi
+        if s >= size or p == 5:  # 5 divides exactly classes 0 and 5
             continue
-        count[s::p] = count[s::p].translate(_COUNT_UP)
-        largest[s::p] = [p] * len(range(s, size, p))
-    for p in reversed(primes):
-        s = -lo % p
-        if s >= size:
+        table, square, role = _STEPS[p % 25]
+        k = len(range(s, size, p))
+        if not role:
+            state[s::p] = bytes(k)
             continue
-        smallest[s::p] = [p] * len(range(s, size, p))
+        state[s::p] = state[s::p].translate(table)
+        (ps if role == _P else qs)[s::p] = [p] * k
+        pp = p * p
+        s = -lo % pp
+        if s < size:
+            state[s::pp] = state[s::pp].translate(square)
     composite_from = SIEVE_PRIME_LIMIT * SIEVE_PRIME_LIMIT
-    for i in compress(range(size), count.translate(_SURVIVES)):
+    for i in compress(range(size), state):
         n = m = lo + i
         factors: dict[int, int] = {}
-        if count[i]:
-            for p in {smallest[i], largest[i]}:
+        for p in (ps[i], qs[i]):
+            if p:
                 e = 0
                 while m % p == 0:
                     m //= p
                     e += 1
                 factors[p] = e
         if m > 1:
-            if count[i] == 2:  # a third prime, and no shape has three
+            if len(factors) == 2:  # a third prime, and no shape has three
                 continue
             if m < composite_from:
                 factors[m] = 1
-            elif count[i] and m < MILLER_RABIN_BOUND:
+            elif factors and m < MILLER_RABIN_BOUND:
                 # m is a prime power, or n has three primes.
                 r, j = _perfect_power(m)
                 if not is_rational_prime(r):
@@ -185,7 +251,7 @@ def iter_scan(lo: int, hi: int, jobs: int = 1) -> Iterator[list[tuple[int, str]]
 
 
 def scan_range(lo: int, hi: int, jobs: int = 1) -> list[tuple[int, str]]:
-    return [row for piece in iter_scan(lo, hi, jobs) for row in piece]
+    return list(chain.from_iterable(iter_scan(lo, hi, jobs)))
 
 
 def render_scan(results: list[tuple[int, str]]) -> str:

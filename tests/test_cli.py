@@ -142,6 +142,24 @@ def test_verify_cas_reply_that_is_not_json_fails_its_row(code, tmp_path, capsys)
     assert lines[3:] == ["cas summary: 1 failures"]
 
 
+@pytest.mark.parametrize(
+    "code",
+    [
+        "print('9' * 5000)",
+        "import sys; sys.stderr.write('9' * 5000); sys.exit(3)",
+    ],
+    ids=["reply", "stderr"],
+)
+def test_verify_cas_error_row_quotes_a_bounded_part_of_the_adapter(code, tmp_path, capsys):
+    # A 5 000-digit reply line or stderr is cut in the row, with its length.
+    assert _verify_93(tmp_path, sys.executable, "-c", code) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2].startswith("cas 93: error (adapter ")
+    assert lines[2].endswith("... (5000 characters))")
+    assert len(lines[2]) < 400
+    assert lines[3:] == ["cas summary: 1 failures"]
+
+
 def test_verify_reads_each_file_once(tmp_path, capsys, monkeypatch):
     reads = []
     read_json = fixtures._read_json

@@ -305,13 +305,14 @@ def test_scan_short_window_near_1e20():
 def test_scan_refuses_undecided_cofactor(capsys):
     # 2^89 - 2 and 2^89 - 1, a prime above MILLER_RABIN_BOUND, are classes 10
     # and 11 mod 25: the sieve proves them no_match without factoring them.
-    # 41*(2^89 - 1) and 37*(2^89 - 1) are classes 1 and 7, and their one
-    # sieve prime leaves a cofactor whose primality is not decided.
+    # 13*(2^89 - 1) and 37*(2^89 - 1) are classes 18 and 7, their one sieve
+    # prime can be the q of p^e*q, and it leaves a cofactor whose primality
+    # is not decided.
     m89 = 2**89 - 1
     assert scan_range(m89 - 1, m89) == [(m89 - 1, "no_match"), (m89, "no_match")]
     assert main(["scan", str(m89), str(m89)]) == 0
     assert capsys.readouterr().out == f"{m89}\tno_match\n"
-    for n in (41 * m89, 37 * m89):
+    for n in (13 * m89, 37 * m89):
         assert n % 25 in SHAPE_RESIDUES
         with pytest.raises(FactorizationLimitExceeded, match="not decided"):
             scan_range(n, n)
@@ -321,14 +322,16 @@ def test_scan_refuses_undecided_cofactor(capsys):
 
 def test_scan_refusal_names_the_integer_refused(capsys):
     # 3*(2^89 - 1) is class 8 mod 25, so the scan proves it no_match, while
-    # classify_radicand, which factors every n, refuses it.
+    # classify_radicand, which factors every n, refuses it.  So does
+    # 41*(2^89 - 1) of class 1, whose p must be 1 mod 25: 41 is not.
     m89 = 2**89 - 1
-    assert scan_range(3 * m89, 3 * m89) == [(3 * m89, "no_match")]
-    with pytest.raises(FactorizationLimitExceeded):
-        classify_radicand(3 * m89)
-    # 41*(2^89 - 1) is class 1.  The refused cofactor is 2^89 - 1, but the
+    for n in (3 * m89, 41 * m89):
+        assert scan_range(n, n) == [(n, "no_match")]
+        with pytest.raises(FactorizationLimitExceeded):
+            classify_radicand(n)
+    # 13*(2^89 - 1) is class 18.  The refused cofactor is 2^89 - 1, but the
     # message names the scanned n, as classify_radicand's does.
-    n = 41 * m89
+    n = 13 * m89
     with pytest.raises(FactorizationLimitExceeded) as refused:
         classify_radicand(n)
     message = str(refused.value)
@@ -339,6 +342,34 @@ def test_scan_refusal_names_the_integer_refused(capsys):
         assert str(scanned.value) == message, jobs
     assert main(["scan", str(n), str(n)]) == 2
     assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+def test_sieve_tables_follow_the_shape_rules():
+    # The table of a prime p, with its square table for p^2 | n, keeps the
+    # state of an n of class c with p^e exactly when radicand_shape gives a
+    # shape to some n of class c that is p^e times at most one more prime:
+    # the shape's other prime, or 5.  Two primes of each residue mod 25
+    # stand for all the others, as the rules read only residues mod 25.
+    by_residue: dict = {}
+    for r in factor.primes_up_to(1000):
+        by_residue.setdefault(r % 25, []).append(r)
+    others = [r for rs in by_residue.values() for r in rs[:2]]
+    for p in factor.primes_up_to(300):
+        if p == 5:
+            continue
+        table, square, role = scanner._STEPS[p % 25]
+        assert (role == 0) == (table == bytes(256)), p
+        for e in range(1, 5):
+            shaped = set()
+            for r, f in [(p, 0)] + [(r, f) for r in others if r != p for f in range(1, 5)]:
+                n = p**e * r**f
+                if radicand_shape(n, {p: e, r: f} if f else {p: e})[0].value != "no_match":
+                    shaped.add(n % 25)
+            for c in SHAPE_RESIDUES:
+                state = table[scanner._CLASS_STATE[c]]
+                if e > 1:
+                    state = square[state]
+                assert (state != 0) == (c in shaped), (p, e, c)
 
 
 def test_scan_refuses_a_window_past_the_factoriser_reach(monkeypatch, capsys):
@@ -455,10 +486,12 @@ def test_every_class_is_classified_from_the_certification_bound(monkeypatch):
         return radicand_shape(n, factors)
 
     monkeypatch.setattr(scanner, "radicand_shape", counted)
-    # Each window holds a classified n, 2^80 - 19 and 2^80 + 49, and no n
-    # whose factorisation costs the oracles a long rho run.
+    # Each window holds a classified n, 2^80 - 369 and 2^80 + 49, and no n
+    # whose factorisation costs the oracles a long rho run.  (2^80 - 19 =
+    # 3*r is class 7, where a q must be 2 mod 5, so the sieve proves it
+    # no_match.)
     seen = []
-    for lo, hi in ((bound - 21, bound - 18), (bound - 8, bound + 58)):
+    for lo, hi in ((bound - 371, bound - 368), (bound - 8, bound + 58)):
         classified.clear()
         rows = scan_range(lo, hi)
         sieve_primes = {
