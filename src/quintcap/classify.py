@@ -20,7 +20,8 @@ n whose part free of the primes up to TRIAL_DIVISION_LIMIT = 4*10^6 is below
 that bound, or is a perfect power of a number below it: every n that
 ``trial_factor`` answers is among them.  FactorizationLimitExceeded is
 raised for the rest.  ``radicand_shape`` applies the shape rules to a
-factorisation already at hand, such as one from the scanner's sieve.
+factorisation already at hand; the scanner's state tables apply the same
+rules one prime at a time, and are tested against it.
 ``trial_factor`` is the plain trial-division factoriser, kept as a
 reference.
 """

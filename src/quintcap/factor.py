@@ -9,7 +9,8 @@ the table psi_1..psi_13 above n (OEIS A014233; Jaeschke 1993, Jiang and
 Deng 2014, Sorenson and Webster 2015).  A prime in [10^11, 1.6*10^13) takes
 5 to 7 bases.  psi_13 is MILLER_RABIN_BOUND, above which no entry decides n.
 A cofactor at or above that bound which is not a perfect power is
-trial-divided by every prime up to TRIAL_DIVISION_LIMIT; if what is left is
+trial-divided by every prime up to TRIAL_DIVISION_LIMIT, only in the
+blocks of primes whose product shares a factor with it; if what is left is
 still at or above the bound, it can be neither proven prime nor split in
 bounded time, so it is refused with ValueError.  Every n below the bound is
 factored, and so is every n whose part free of the primes up to
@@ -199,26 +200,45 @@ def _brent_rho(n: int) -> int:
 # _trial_divide and kept: sieving them takes about 30 ms.
 _TRIAL_FLAGS: bytearray | None = None
 
+# Integers per block of trial divisors: 243 to 512 primes from 1000 to
+# TRIAL_DIVISION_LIMIT, and a product of 5 300 to 6 600 bits in every full
+# block, as the density of the primes falls as their length grows.
+_TRIAL_WIDTH = 4096
+
+# _TRIAL_PRODUCTS[i] is the product of the primes in the i-th block from
+# 1000 on.  Each is built when a walk first reaches its block and kept, so
+# a later walk makes about 980 gcds in place of 283 000 divisions.
+_TRIAL_PRODUCTS: list[int] = []
+
 
 def _trial_divide(m: int, factors: dict[int, int], k: int) -> int:
     """Divide the primes from 1000 to TRIAL_DIVISION_LIMIT out of m.
 
     Each prime found goes into ``factors`` with k times its exponent.  Stops
-    early once m is below MILLER_RABIN_BOUND, and returns what is left.
+    early once m is below MILLER_RABIN_BOUND, and returns what is left.  A
+    block of primes is tried one prime at a time only when its product
+    shares a factor with m.
     """
     global _TRIAL_FLAGS
     if _TRIAL_FLAGS is None:
         _TRIAL_FLAGS = _prime_flags(TRIAL_DIVISION_LIMIT)
-    flags = memoryview(_TRIAL_FLAGS)[1000:]
-    for p in compress(range(1000, TRIAL_DIVISION_LIMIT + 1), flags):
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            factors[p] = factors.get(p, 0) + k * e
-            if m < MILLER_RABIN_BOUND:
-                break
+    flags = memoryview(_TRIAL_FLAGS)
+    starts = range(1000, TRIAL_DIVISION_LIMIT + 1, _TRIAL_WIDTH)
+    for i, first in enumerate(starts):
+        block = range(first, min(first + _TRIAL_WIDTH, TRIAL_DIVISION_LIMIT + 1))
+        if i == len(_TRIAL_PRODUCTS):
+            _TRIAL_PRODUCTS.append(math.prod(compress(block, flags[first : block.stop])))
+        if math.gcd(m, _TRIAL_PRODUCTS[i]) == 1:
+            continue
+        for p in compress(block, flags[first : block.stop]):
+            if m % p == 0:
+                e = 0
+                while m % p == 0:
+                    m //= p
+                    e += 1
+                factors[p] = factors.get(p, 0) + k * e
+                if m < MILLER_RABIN_BOUND:
+                    return m
     return m
 
 

@@ -18,27 +18,34 @@ power only: q, and the p of 5^e*p.  The p and q of each n are written to
 two lists, with 5 as the q of classes 0 and 5.
 
 A survivor is divided by its p and q.  If it has both and a cofactor above
-1 is left, that cofactor holds a third prime, so it is no_match.  A
-cofactor below SIEVE_PRIME_LIMIT^2 is prime; a larger one next to one
-sieve prime must be a prime power r^j, by a perfect-power and a primality
-test, or n has three primes.  A survivor with no sieve prime, or whose
+1 is left, that cofactor holds a third prime, so it is no_match.  Otherwise
+the cofactor moves the state once more, as a sieve prime would: a cofactor
+below SIEVE_PRIME_LIMIT^2 is prime, and a larger one next to one sieve
+prime must be a prime power r^j, by a perfect-power and a primality test,
+or n has three primes; r^j moves the state by r's table, and by its square
+table when j > 1.  The form is then read off the final state, by a table
+that holds the form of each class with every role of its shape filled, and
+no_match for every other state.  A survivor with no sieve prime, or whose
 cofactor is too large for the primality test, goes to
-``classify_radicand``, so a refusal names n with its message.
-``radicand_shape``, the shape rules of ``classify_radicand``, decides every
-other survivor.  So the scan proves no_match, without factoring, an n that
-``classify_radicand`` refuses when one of its sieve primes fits no shape of
-its class: 41*(2^89 - 1) is class 1, and 41 is not 1 mod 25.  A window
-whose p^5 marks would need primes beyond ``factor.TRIAL_DIVISION_LIMIT``, hi
-from about 1.02*10^33 on, is refused before any of it is scanned: those
-primes would not fit in memory.
+``classify_radicand``, so a refusal names n with its message.  The tables
+are built from the shape rules of ``radicand_shape``, one prime at a time,
+and the tests hold them to it.  So the scan proves no_match, without
+factoring, an n that ``classify_radicand`` refuses when one of its sieve
+primes fits no shape of its class: 41*(2^89 - 1) is class 1, and 41 is not
+1 mod 25.  A window whose p^5 marks would need primes beyond
+``factor.TRIAL_DIVISION_LIMIT``, hi from about 1.02*10^33 on, is refused
+before any of it is scanned: those primes would not fit in memory.
 
 Output order is by n regardless of worker count; chunks are contiguous and
 reassembled in submission order, so the parallel path is bit-identical to
-the sequential one.  The pool has at most one worker per CPU, however many
-jobs are asked for.  A chunk holds a quarter of a worker's share of the
-window, kept between MIN_CHUNK and MAX_CHUNK integers (the last may be
-shorter), and at most two chunks per worker are in flight, so a worker's
-result list, and the memory of a long parallel scan, stay small.
+the sequential one.  With one job a chunk is one sieve block of
+SIEVE_BLOCK = 32 768 integers: every chunk repeats the slice work of each
+sieve prime, and a longer one spreads it over more integers.  The pool has
+at most one worker per CPU, however many jobs are asked for.  With more
+than one job a chunk holds a quarter of a worker's share of the window,
+kept between MIN_CHUNK and MAX_CHUNK integers (the last may be shorter),
+and at most two chunks per worker are in flight, so a worker's result
+list, and the memory of a long parallel scan, stay small.
 ``concurrent.futures`` is imported only when a pool is started, that is,
 with two or more workers.
 """
@@ -58,7 +65,6 @@ from .classify import (
     FactorizationLimitExceeded,
     RadicandForm,
     classify_radicand,
-    radicand_shape,
 )
 from .factor import (
     MILLER_RABIN_BOUND,
@@ -70,15 +76,16 @@ from .factor import (
 )
 
 # Integers one chunk holds with one job.
-SIEVE_BLOCK = 1 << 14
+SIEVE_BLOCK = 1 << 15
 
 # Bound on the primes the shape sieve divides by; a cofactor free of them
 # and below its square is prime.
 SIEVE_PRIME_LIMIT = 1 << 16
 
-# Largest chunk given to one worker.  Above 2 500, so a 20 000-integer
-# window at jobs=2 is still cut into the jobs*4 chunks of an uncapped scan.
-MAX_CHUNK = 4 * SIEVE_BLOCK
+# Largest chunk given to one worker, a multiple of SIEVE_BLOCK.  Above
+# 2 500, so a 20 000-integer window at jobs=2 is still cut into the jobs*4
+# chunks of an uncapped scan.
+MAX_CHUNK = 1 << 16
 
 # Smallest chunk, unless MAX_CHUNK is lower: every chunk repeats the slice
 # work of each sieve prime.  A 20 000-integer window at jobs=2 is 8 of them.
@@ -134,6 +141,28 @@ def _step(r: int) -> tuple[bytes, bytes, int]:
 
 _STEPS = [_step(r) for r in range(25)]
 
+
+def _form_table() -> list[str]:
+    """The form of n by its final state: the form of n's class once every
+    role of its shape is filled, no_match in every other state.  The q of
+    5^e*p is 5, which fills no role."""
+    forms = [_NO_MATCH] * 256
+    for c in SHAPE_RESIDUES:
+        roles = 0
+        for r in range(25):
+            roles |= _role(c, r)[0]
+        if c not in ADMISSIBLE_RESIDUES:
+            form = RadicandForm.FIVE_POWER_TIMES_P
+        elif roles & _Q:
+            form = RadicandForm.PRIME_POWER_TIMES_Q
+        else:
+            form = RadicandForm.PRIME_POWER
+        forms[4 * (c + 1) | roles] = form.value
+    return forms
+
+
+_FORM = _form_table()
+
 # 5 is the second prime of 5^e*p, where no q fills a role: the q of an n of
 # its classes is 5.
 _FIVES = [5 if c in SHAPE_RESIDUES - ADMISSIBLE_RESIDUES else 0 for c in range(25)]
@@ -145,13 +174,56 @@ def _tile(pattern, lo: int, size: int):
     return ((pattern[r:] + pattern[:r]) * (size // 25 + 1))[:size]
 
 
+# A survivor's cofactor below this square of SIEVE_PRIME_LIMIT is prime.
+_COMPOSITE_FROM = SIEVE_PRIME_LIMIT * SIEVE_PRIME_LIMIT
+
+
+def _decide(lo: int, state: bytearray, ps: list[int], qs: list[int]) -> list[str]:
+    """The form of each n = lo + i from its state after the sieve, with
+    ps[i] and qs[i] its p and q, or 0: no_match where the state is 0.
+
+    Every prime up to min(isqrt(n), SIEVE_PRIME_LIMIT) that divides a
+    survivor is its p or q, so a cofactor below SIEVE_PRIME_LIMIT^2 is
+    prime, and a larger one is a prime power or holds two primes."""
+    forms = [_NO_MATCH] * len(state)
+    for i in compress(range(len(state)), state):
+        n = m = lo + i
+        p, q = ps[i], qs[i]
+        if p:
+            while m % p == 0:
+                m //= p
+        if q:
+            while m % q == 0:
+                m //= q
+        s = state[i]
+        if m > 1:
+            if p and q:  # a third prime, and no shape has three
+                continue
+            # The cofactor moves the state once more, as a sieve prime would.
+            if m < _COMPOSITE_FROM:
+                s = _STEPS[m % 25][0][s]
+            elif (p or q) and m < MILLER_RABIN_BOUND:
+                # m is a prime power, or n has three primes.
+                r, j = _perfect_power(m)
+                if not is_rational_prime(r):
+                    continue
+                table, square, _ = _STEPS[r % 25]
+                s = table[s]
+                if j > 1:
+                    s = square[s]
+            else:
+                forms[i] = classify_radicand(n).form.value
+                continue
+        forms[i] = _FORM[s]
+    return forms
+
+
 def _scan_chunk(bounds: tuple[int, int]) -> list[tuple[int, str]]:
     """The rows of lo..hi by the shape sieve: (n, form) for every
     fifth-power-free n, ascending."""
     lo, hi = bounds
     size = hi - lo + 1
     keep = bytearray(b"\x01") * size
-    forms = [_NO_MATCH] * size
     state = bytearray(_tile(_CLASS_STATE, lo, size))
     for p in primes_up_to(integer_root(hi, 5)):
         q = p**5
@@ -178,40 +250,16 @@ def _scan_chunk(bounds: tuple[int, int]) -> list[tuple[int, str]]:
         s = -lo % pp
         if s < size:
             state[s::pp] = state[s::pp].translate(square)
-    composite_from = SIEVE_PRIME_LIMIT * SIEVE_PRIME_LIMIT
-    for i in compress(range(size), state):
-        n = m = lo + i
-        factors: dict[int, int] = {}
-        for p in (ps[i], qs[i]):
-            if p:
-                e = 0
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                factors[p] = e
-        if m > 1:
-            if len(factors) == 2:  # a third prime, and no shape has three
-                continue
-            if m < composite_from:
-                factors[m] = 1
-            elif factors and m < MILLER_RABIN_BOUND:
-                # m is a prime power, or n has three primes.
-                r, j = _perfect_power(m)
-                if not is_rational_prime(r):
-                    continue
-                factors[r] = j
-            else:
-                forms[i] = classify_radicand(n).form.value
-                continue
-        forms[i] = radicand_shape(n, factors)[0].value
+    forms = _decide(lo, state, ps, qs)
     return list(compress(zip(range(lo, hi + 1), forms), keep))
 
 
 def iter_scan(lo: int, hi: int, jobs: int = 1) -> Iterator[list[tuple[int, str]]]:
     """The results of scan_range(lo, hi, jobs), one contiguous piece at a time.
 
-    With one job a piece is one sieve block, so a caller that writes each
-    piece out holds no more than a block's results at once.  Raises
+    With one job a piece is one sieve block of SIEVE_BLOCK = 32 768
+    integers, so a caller that writes each piece out holds no more than a
+    block's results at once.  Raises
     ValueError for jobs < 1, and FactorizationLimitExceeded when the fifth
     root of hi exceeds TRIAL_DIVISION_LIMIT.  The pool has no more workers
     than jobs, chunks or CPUs, and is not started for one worker.  The chunk

@@ -2,16 +2,18 @@
 
 Usage: PYTHONPATH=src python3 tests/data/make_scan_digests.py [--check]
 
-The windows cover three sieve blocks from 2, the block edges around 10^7
-and 3163^2, both sides of 2^32, a window of 12-digit and one of 21-digit
-integers, both sides of 2^80 = SIEVE_PRIME_LIMIT^5, above which a prime
-with p^5 <= hi can exceed the sieve primes, 2 000 integers from
+The windows cover the first sieve blocks from 2, the block edges around
+10^7 and 3163^2, both sides of 2^32, a window of 12-digit and one of
+21-digit integers, both sides of 2^80 = SIEVE_PRIME_LIMIT^5, above which a
+prime with p^5 <= hi can exceed the sieve primes, 2 000 integers from
 2^80 + 10^6, a window of 15-digit integers, and three sieve blocks from
-2*10^6, the height of the benchmark's windows.  The two rows at 2^80 were
-first written by a scanner that factored every n there with
-``factor.factorize``; the shape sieve, which marks p^5 for every such
-prime, gives the same rows.  The last two rows were written before the
-sieve moved a state byte per n.  Each row holds the digest of
+2*10^6, the height of the benchmark's windows, once for blocks of 2^14 and
+once for blocks of 2^15.  The two rows at 2^80 were first written by a
+scanner that factored every n there with ``factor.factorize``; the shape
+sieve, which marks p^5 for every such prime, gives the same rows.  The rows
+at 10^14 and 2*10^6 + 3*2^14 were written before the sieve moved a state
+byte per n, and the last row before survivors were decided by the state
+tables in blocks of 2^15.  Each row holds the digest of
 ``render_scan(scan_range(lo, hi))``.  tests/test_scanner.py compares the
 current output at jobs 1 and 2 against the file, so rerun this only when a
 change alters scan output on purpose.  With --check it recomputes every
@@ -36,6 +38,7 @@ WINDOWS = (
     (2**80 + 10**6, 2**80 + 10**6 + 1999),
     (10**14, 10**14 + 20_000),
     (2_000_000, 2_000_000 + 3 * 2**14),
+    (2_000_000, 2_000_000 + 3 * 2**15),
 )
 
 

@@ -1,7 +1,8 @@
 """Slow reference versions of the ring kernel, the fifth-root search, the
 lambda-adic expansion and valuation by exact ring division, the lambda-adic
 inverse, the residue enumeration and its fifth powers, the unit image, the
-unit searches by ring products, the primality test and the scan.
+unit searches by ring products, the primality test, trial division and
+the scan.
 
 These are the bodies the straight-line kernel in ``quintcap.cyclotomic``,
 ``quintcap.primes.fifth_roots_of_unity``, the coordinate digit step of
@@ -11,8 +12,8 @@ Teichmueller rule of ``cyclotomic.fifth_power_solvable_mod_lambda``, the
 unit tables of ``quintcap.primes``, the keys of integer multiples
 (``cyclotomic.lambda_multiple_keys``) in the row search of
 ``primes.first_unit_hit`` that ``capitulation.find_h1`` makes,
-``factor.is_rational_prime``, the scanner's restricted sieve and its shape
-sieve replaced;
+``factor.is_rational_prime``, the gcd blocks of ``factor._trial_divide``,
+the scanner's restricted sieve and its shape sieve replaced;
 the tests cross-check the fast code against them.  The formal tables of
 ``quintcap.capitulation`` are kept as they were written before each shape
 had one table of the paper's six words: every word spelled out in every
@@ -51,7 +52,14 @@ from quintcap.cyclotomic import (
 )
 from quintcap.classify import SHAPE_RESIDUES, NotFifthPowerFree, radicand_shape
 from quintcap.primes import PrimeKind, UnsupportedPrimeError, _unit_table
-from quintcap.factor import MILLER_RABIN_BOUND, factorize, integer_root, primes_up_to
+from quintcap.factor import (
+    MILLER_RABIN_BOUND,
+    TRIAL_DIVISION_LIMIT,
+    _prime_flags,
+    factorize,
+    integer_root,
+    primes_up_to,
+)
 from quintcap.scanner import SIEVE_BLOCK, SIEVE_PRIME_LIMIT
 
 # The offset grid of euclid_divmod, in its order, kept here so that the
@@ -436,6 +444,27 @@ def is_rational_prime(n):
         else:
             return False
     return True
+
+
+@functools.cache
+def _trial_flags():
+    return _prime_flags(TRIAL_DIVISION_LIMIT)
+
+
+def trial_divide(m, factors, k):
+    """factor._trial_divide by one division per prime from 1000 to
+    TRIAL_DIVISION_LIMIT, stopping once m is below MILLER_RABIN_BOUND."""
+    flags = memoryview(_trial_flags())[1000:]
+    for p in itertools.compress(range(1000, TRIAL_DIVISION_LIMIT + 1), flags):
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            factors[p] = factors.get(p, 0) + k * e
+            if m < MILLER_RABIN_BOUND:
+                break
+    return m
 
 
 def factor_window(lo, hi):

@@ -246,7 +246,54 @@ def test_trial_division_sieves_its_flags_once(monkeypatch):
 
 
 def test_trial_division_flags_are_not_sieved_at_import():
-    code = "import quintcap, quintcap.factor as f; print(f._TRIAL_FLAGS)"
+    code = "import quintcap, quintcap.factor as f; print(f._TRIAL_FLAGS, f._TRIAL_PRODUCTS)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert out.stdout == "None\n", out.stderr
+    assert out.stdout == "None []\n", out.stderr
+
+
+def test_trial_divide_matches_per_prime_oracle(monkeypatch):
+    # The examples that took 141 ms and 56 ms with one division per prime,
+    # and cofactors whose primes lie in different blocks of trial divisors:
+    # the first and last primes, the two sides of a block edge, a prime at
+    # the end of its block, and several primes of one block.  With M89 the
+    # cofactor never falls below the bound, so every prime is divided out;
+    # with r it falls below after 1009, so 1013 and 3 999 971 stay in what
+    # is left.  A walk builds the products of the blocks it reaches, and no
+    # others.
+    monkeypatch.setattr(factor, "_TRIAL_PRODUCTS", [])
+    big = 10**12 + 39
+    assert factorize(big**2 * 1009 * 1013) == {1009: 1, 1013: 1, big: 2}
+    assert len(factor._TRIAL_PRODUCTS) == 1
+
+    def block_primes(i):
+        first = 1000 + i * factor._TRIAL_WIDTH
+        return [p for p in range(first, first + factor._TRIAL_WIDTH) if is_rational_prime(p)]
+
+    edge = block_primes(40)[-1], block_primes(41)[0]
+    # A prime that is the last integer of its block.
+    ends = range(999 + factor._TRIAL_WIDTH, factor.TRIAL_DIVISION_LIMIT, factor._TRIAL_WIDTH)
+    last = next(p for p in ends if is_rational_prime(p))
+    r = _random_prime(
+        random.Random(9),
+        MILLER_RABIN_BOUND // (1009 * 1013 * 3_999_971) + 1,
+        MILLER_RABIN_BOUND // (1013 * 3_999_971),
+    )
+    cases = [
+        3_999_971**2 * 10_000_000_000_273,
+        1_350_061**4 * 1123,
+        1009 * 3_999_971 * M89,
+        edge[0] ** 3 * edge[1] * M89,
+        last * M89,
+        math.prod(block_primes(7)[::60]) * block_primes(500)[0] ** 2 * M89,
+        1009 * 1013 * 3_999_971 * r,
+        M89,
+    ]
+    for k, m in enumerate(cases, 1):
+        got, want = {}, {}
+        assert factor._trial_divide(m, got, k) == oracles.trial_divide(m, want, k), m
+        assert got == want, m
+    blocks = range(1000, factor.TRIAL_DIVISION_LIMIT + 1, factor._TRIAL_WIDTH)
+    assert len(factor._TRIAL_PRODUCTS) == len(blocks)
+    assert factorize(3_999_971**2 * 10_000_000_000_273) == {3_999_971: 2, 10_000_000_000_273: 1}
+    assert factorize(1_350_061**4 * 1123) == {1123: 1, 1_350_061: 4}
 

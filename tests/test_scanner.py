@@ -110,6 +110,20 @@ class _InProcessPool:
         return future
 
 
+class _Decisions(list):
+    """Stands in for scanner._FORM: gives the same form for each final state,
+    and records the n whose form each lookup decides, read from the frame of
+    the survivor loop."""
+
+    def __init__(self):
+        super().__init__(scanner._FORM)
+        self.decided = []
+
+    def __getitem__(self, state):
+        self.decided.append(sys._getframe(1).f_locals["n"])
+        return super().__getitem__(state)
+
+
 def test_scan_pool_has_no_more_workers_than_chunks(monkeypatch):
     monkeypatch.setattr(_InProcessPool, "sizes", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
@@ -196,7 +210,8 @@ def test_parallel_chunks_have_a_floor_and_a_cap(monkeypatch):
     assert chunks(10**6, 10**6 + 19_999, 2) == [2_500] * 8
     assert chunks(lo, lo + 99_999, 3) == [8_333] * 12 + [4]
     assert chunks(2, 10**6 + 1, 2) == [scanner.MAX_CHUNK] * 15 + [10**6 - 15 * scanner.MAX_CHUNK]
-    assert chunks(2, 100_001, 1) == [SIEVE_BLOCK] * 6 + [100_000 - 6 * SIEVE_BLOCK]
+    blocks = 100_000 // SIEVE_BLOCK
+    assert chunks(2, 100_001, 1) == [SIEVE_BLOCK] * blocks + [100_000 - blocks * SIEVE_BLOCK]
 
 
 def test_one_sieve_prime_and_a_large_cofactor_need_no_rho(monkeypatch):
@@ -274,10 +289,10 @@ def _classify_each(lo, hi):
 @pytest.mark.parametrize(
     "lo,hi",
     [
-        (2, 40_000),  # three sieve blocks; 2^5, 3^5, 7^5 multiples; prime squares
+        (2, 2 * SIEVE_BLOCK + 7_000),  # three sieve blocks; 2^5, 3^5, 7^5 multiples; prime squares
         (1_018_081 - 9_000, 1_018_081 + SIEVE_BLOCK),  # 1009^2, two blocks
         (9_985_162 - 4_000, 9_985_162 + 4_000),  # 11^5 * 62
-        (10**7 - SIEVE_BLOCK, 10**7 + 6_000),  # 10^7 and 3163^2 = 10004569
+        (10**7 - 16_384, 10**7 + 6_000),  # 10^7 and 3163^2 = 10004569
     ],
 )
 def test_sieve_scan_matches_classify_each(lo, hi):
@@ -372,6 +387,92 @@ def test_sieve_tables_follow_the_shape_rules():
                 assert (state != 0) == (c in shaped), (p, e, c)
 
 
+def test_survivor_decision_follows_the_shape_rules(monkeypatch):
+    # A survivor's state after its sieve primes, moved once more by its
+    # cofactor, gives the form of radicand_shape through the form table.  Two
+    # sieve primes of each residue mod 25 with e = 1..4, and a cofactor prime
+    # of each residue, to the first power and as r^2..r^4, stand for all the
+    # others, as the rules read only residues mod 25.  5^a and pairs of sieve
+    # primes reach every class of SHAPE_RESIDUES and the n with three primes,
+    # whose forms no table lookup decides.
+    by_residue: dict = {}
+    for r in factor.primes_up_to(1000):
+        if r != 5:
+            by_residue.setdefault(r % 25, []).append(r)
+    sieve_primes = [r for rs in by_residue.values() for r in rs[:2]]
+    parts = [{}] + [{p: e} for p in sieve_primes for e in range(1, 5)]
+    firsts = [rs[0] for rs in by_residue.values()]
+    pairs = [{p: 1, q: 1} for i, p in enumerate(firsts) for q in firsts[i + 1 :]]
+    # The first prime of each residue above SIEVE_PRIME_LIMIT, whose square
+    # is above SIEVE_PRIME_LIMIT^2, and above that square.
+    cofactors: list = [None]
+    for start in (SIEVE_PRIME_LIMIT, SIEVE_PRIME_LIMIT**2):
+        seen: dict = {}
+        r = start
+        while len(seen) < 20:
+            if r % 5 and r % 25 not in seen and factor.is_rational_prime(r):
+                seen[r % 25] = r
+            r += 1
+        powers = range(1, 5) if start == SIEVE_PRIME_LIMIT else (1,)
+        cofactors += [(r, f) for r in seen.values() for f in powers]
+
+    def sieved(n, primes):
+        # The state of n, with its p and q, after the sieve.
+        state, p, q = scanner._CLASS_STATE[n % 25], 0, scanner._FIVES[n % 25]
+        for prime, e in primes.items():
+            table, square, role = scanner._STEPS[prime % 25]
+            state = table[state] if e == 1 else square[table[state]]
+            if role == scanner._P:
+                p = prime
+            elif role:
+                q = prime
+        return state, p, q
+
+    decisions = _Decisions()
+    monkeypatch.setattr(scanner, "_FORM", decisions)
+    classes, forms = set(), set()
+    combos = [(a, part) for a in range(5) for part in parts] + [(0, pair) for pair in pairs]
+    for fives, primes in combos:
+        for cofactor in cofactors:
+            factors = dict(primes)
+            if fives:
+                factors[5] = fives
+            if cofactor:
+                factors[cofactor[0]] = cofactor[1]
+            n = math.prod(r**f for r, f in factors.items())
+            if n == 1 or n % 25 not in SHAPE_RESIDUES:
+                continue
+            state, p, q = sieved(n, primes)
+            decisions.decided.clear()
+            form = scanner._decide(n, bytearray([state]), [p], [q])[0]
+            assert form == radicand_shape(n, factors)[0].value, factors
+            assert len(factors) < 3 or not decisions.decided, factors
+            classes.add(n % 25)
+            forms.add(form)
+    assert classes == SHAPE_RESIDUES
+    assert forms == {"p^e", "p^e*q", "5^e*p", "no_match"}
+
+
+def test_survivor_forms_on_windows_match_the_shape_rules(monkeypatch):
+    # Every survivor whose form a table lookup decides has at most two
+    # primes, and gets the form radicand_shape gives its factorisation.
+    decisions = _Decisions()
+    monkeypatch.setattr(scanner, "_FORM", decisions)
+    windows = [(lo, lo + 4_000) for lo in (10**6, 4 * 10**6, 10**7 - 4_001)]
+    windows += [(2**32 - 2_000, 2**32 + 2_000), (10**10, 10**10 + 4_000), (10**12, 10**12 + 4_000)]
+    forms = set()
+    for lo, hi in windows:
+        decisions.decided.clear()
+        rows = dict(scan_range(lo, hi))
+        assert decisions.decided, lo
+        for n in decisions.decided:
+            factors = factor.factorize(n)
+            assert len(factors) <= 2, n
+            assert rows[n] == radicand_shape(n, factors)[0].value, n
+            forms.add(rows[n])
+    assert forms == {"p^e", "p^e*q", "5^e*p", "no_match"}
+
+
 def test_scan_refuses_a_window_past_the_factoriser_reach(monkeypatch, capsys):
     # From (TRIAL_DIVISION_LIMIT + 1)^5, about 1.02*10^33, on, the p^5 marks
     # would need primes beyond TRIAL_DIVISION_LIMIT.  Such a window is
@@ -417,11 +518,15 @@ def test_scan_output_matches_digest(row):
         assert hashlib.sha256(text.encode()).hexdigest() == row["sha256"], jobs
 
 
+# The multiple of SIEVE_BLOCK nearest below 10^7.
+EDGE_NEAR_1E7 = 10**7 // SIEVE_BLOCK * SIEVE_BLOCK
+
+
 @pytest.mark.parametrize(
     "lo,hi",
     [
-        (2, 6 * SIEVE_BLOCK),  # block edges; multiples of 2^5, 3^5, 5^5, 5^7 = 78125
-        (610 * SIEVE_BLOCK - 700, 610 * SIEVE_BLOCK + 700),  # a block edge near 10^7
+        (2, 3 * SIEVE_BLOCK),  # block edges; multiples of 2^5, 3^5, 5^5, 5^7 = 78125
+        (EDGE_NEAR_1E7 - 700, EDGE_NEAR_1E7 + 700),  # a block edge near 10^7
         (9_985_162 - 2_000, 9_985_162 + 2_000),  # 11^5 * 62
         (2**32 - 2_000, 2**32 + 2_000),
         (3 * 10**12, 3 * 10**12 + 2_000),
@@ -434,11 +539,11 @@ def test_scan_matches_full_sieve_oracle(lo, hi):
 
 
 def test_shape_sieve_matches_restricted_sieve_oracle(monkeypatch):
-    # The shape sieve hands radicand_shape only the members of SHAPE_RESIDUES
-    # with at most two sieve primes, and rejects one whose two primes leave a
-    # cofactor; the restricted sieve classified every member.  The jobs=2
-    # chunks run in this process: without the chunk floor, a 2 000-integer
-    # window is cut into eight.
+    # The shape sieve decides by its tables only the members of
+    # SHAPE_RESIDUES with at most two sieve primes, and rejects one whose two
+    # primes leave a cofactor; the restricted sieve classified every member.
+    # The jobs=2 chunks run in this process: without the chunk floor, a
+    # 2 000-integer window is cut into eight.
     monkeypatch.setattr(_InProcessPool, "sizes", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(scanner, "MIN_CHUNK", 1)
@@ -451,54 +556,45 @@ def test_shape_sieve_matches_restricted_sieve_oracle(monkeypatch):
         (3 * 10**12, 3 * 10**12 + 2_000),
         (10**20, 10**20 + 300),
     ]
-    counts, classified = [], []
-
-    def counted(n, factors):
-        # At jobs=1 the sieve primes of n are those up to the square root of
-        # the top of its block, and at most SIEVE_PRIME_LIMIT.
-        top = min(n - (n - lo) % SIEVE_BLOCK + SIEVE_BLOCK - 1, hi)
-        limit = min(math.isqrt(top), SIEVE_PRIME_LIMIT)
-        counts.append(sum(p <= limit for p in factors))
-        classified.append(n)
-        return radicand_shape(n, factors)
-
+    counts = []
     rejected = 0
     for lo, hi in windows:
         want = oracles.restricted_scan(lo, hi)
-        classified.clear()
         with monkeypatch.context() as patched:
-            patched.setattr(scanner, "radicand_shape", counted)
+            decisions = _Decisions()
+            patched.setattr(scanner, "_FORM", decisions)
             assert scan_range(lo, hi) == want, (lo, hi)
         assert scan_range(lo, hi, 2) == want, (lo, hi)
-        rejected += sum(n % 25 in SHAPE_RESIDUES for n, _ in want) - len(classified)
+        for n in decisions.decided:
+            # At jobs=1 the sieve primes of n are those up to the square root
+            # of the top of its block, and at most SIEVE_PRIME_LIMIT.
+            top = min(n - (n - lo) % SIEVE_BLOCK + SIEVE_BLOCK - 1, hi)
+            limit = min(math.isqrt(top), SIEVE_PRIME_LIMIT)
+            counts.append(sum(p <= limit for p in factor.factorize(n)))
+        rejected += sum(n % 25 in SHAPE_RESIDUES for n, _ in want) - len(decisions.decided)
     assert {0, 1, 2} <= set(counts) and max(counts) == 2 and rejected > 0
 
 
 def test_every_class_is_classified_from_the_certification_bound(monkeypatch):
     # On both sides of SIEVE_PRIME_LIMIT^5 = 2^80 the p^5 marks prove the
     # unmarked n fifth-power-free, so only members of SHAPE_RESIDUES with
-    # fewer than three sieve primes reach radicand_shape.
+    # fewer than three sieve primes are decided by the state tables.
     bound = SIEVE_PRIME_LIMIT**5
-    classified = []
-
-    def counted(n, factors):
-        classified.append(n)
-        return radicand_shape(n, factors)
-
-    monkeypatch.setattr(scanner, "radicand_shape", counted)
+    decisions = _Decisions()
+    monkeypatch.setattr(scanner, "_FORM", decisions)
     # Each window holds a classified n, 2^80 - 369 and 2^80 + 49, and no n
     # whose factorisation costs the oracles a long rho run.  (2^80 - 19 =
     # 3*r is class 7, where a q must be 2 mod 5, so the sieve proves it
     # no_match.)
     seen = []
     for lo, hi in ((bound - 371, bound - 368), (bound - 8, bound + 58)):
-        classified.clear()
+        decisions.decided.clear()
         rows = scan_range(lo, hi)
         sieve_primes = {
             n: sum(p < SIEVE_PRIME_LIMIT for p in factors)
             for n, factors in oracles.factor_window(lo, hi)
         }
-        assert all(n % 25 in SHAPE_RESIDUES and sieve_primes[n] < 3 for n in classified)
+        assert all(n % 25 in SHAPE_RESIDUES and sieve_primes[n] < 3 for n in decisions.decided)
         assert rows == oracles.scan_all(lo, hi)
-        seen += classified
+        seen += decisions.decided
     assert min(seen) < bound < max(seen)
