@@ -10,20 +10,26 @@ A fifth-power-free n > 1 is admissible when it matches one of:
 with 1 <= e <= 4 throughout.  These are exactly the shapes for which the
 downstream capitulation tables apply; everything else is NO_MATCH.  The
 rules fix n mod 25 to SHAPE_RESIDUES = {0, 1, 5, 7, 18}, so a
-fifth-power-free n in any other class is NO_MATCH before it is factored;
-the scanner factors only members of those five classes, and only those
-whose small primes fit the shape of their class.
+fifth-power-free n in any other class is NO_MATCH before it is factored.
+
+The rules are stated once, in ``_role``: the role a prime of each residue
+mod 25 fills in the shape of each class, the p or the q of p^e*q, and
+whether the shape allows its square.  The state tables are built from it.
+A state holds n's class and the roles already filled; each prime other
+than 5 moves it by the table of its residue, and by its square table when
+it divides n more than once, and the form is read off the final state.
+``classify_radicand`` moves the state by every prime of n's factorisation,
+the scanner by its sieve primes and a survivor's cofactor.  The tests
+compare both with ``radicand_shape`` in their oracles, which applies the
+same rules to a whole factorisation.
 
 n is factored by ``factor.factorize`` (Miller-Rabin and Brent's rho), so
 every n below ``factor.MILLER_RABIN_BOUND`` is classified.  So is a larger
 n whose part free of the primes up to TRIAL_DIVISION_LIMIT = 4*10^6 is below
 that bound, or is a perfect power of a number below it: every n that
 ``trial_factor`` answers is among them.  FactorizationLimitExceeded is
-raised for the rest.  ``radicand_shape`` applies the shape rules to a
-factorisation already at hand; the scanner's state tables apply the same
-rules one prime at a time, and are tested against it.
-``trial_factor`` is the plain trial-division factoriser, kept as a
-reference.
+raised for the rest.  ``trial_factor`` is the plain trial-division
+factoriser, kept as a reference.
 """
 
 from __future__ import annotations
@@ -113,14 +119,102 @@ def trial_factor(n: int, limit: int = TRIAL_DIVISION_LIMIT) -> dict[int, int]:
     return factors
 
 
-Shape = tuple[RadicandForm, int | None, int | None, int]
+# The roles a prime can fill in a shape: its p, and the q of p^e*q.
+_P, _Q = 1, 2
 
-_NO_MATCH: Shape = (RadicandForm.NO_MATCH, None, None, 0)
+
+def _role(c: int, r: int) -> tuple[int, bool]:
+    """The role a prime of residue r mod 25 fills in the shape of an n of
+    class c in SHAPE_RESIDUES, and whether that shape allows its square:
+    (0, False) when it fills none, so no n of class c with that prime has
+    a shape.
+
+    This is the package's one statement of the shape rules, one prime at a
+    time: the state tables are built from it, and classify_radicand and the
+    scanner decide by those.  The tests hold it to radicand_shape in their
+    oracles, the same rules applied to a whole factorisation."""
+    split = r % 5 == 1 and r != 1
+    if c not in ADMISSIBLE_RESIDUES:  # 5^e*p, with p to the first power
+        return (_P, False) if split else (0, False)
+    if c % 5 == 1:  # p^e, as p^e*q = q (mod 5) is not 1
+        return (_P, True) if r == 1 else (0, False)
+    if split:  # p^e*q, and n = q (mod 5)
+        return _P, True
+    if r % 5 == c % 5 and r not in _EXCLUDED_Q_RESIDUES:
+        return _Q, False
+    return 0, False
+
+
+# A state byte per n: 0 when n is proved no_match, else 4*(c + 1) plus the
+# roles already filled, for n of class c mod 25.  _CLASS_STATE[c] is the
+# state of an n of class c before any of its primes other than 5 is seen.
+_CLASS_STATE = bytes(4 * (c + 1) if c in SHAPE_RESIDUES else 0 for c in range(25))
+
+
+def _step(r: int) -> tuple[bytes, bytes, int]:
+    """(table, square table, role) of a prime of residue r mod 25.
+
+    The table moves the state of each multiple of the prime, and the square
+    table the state of each multiple of its square: a shape that does not
+    allow the square dies.  The role is the one the prime fills in every
+    class where it fills one; with a role of 0 every multiple dies."""
+    table, square, role = bytearray(256), bytearray(256), 0
+    for c in SHAPE_RESIDUES:
+        fill, powers = _role(c, r)
+        role |= fill
+        for state in range(4 * (c + 1), 4 * (c + 2)):
+            if fill and not state & fill:
+                table[state] = state | fill
+            if powers:
+                square[state] = state
+    return bytes(table), bytes(square), role
+
+
+_STEPS = [_step(r) for r in range(25)]
+
+
+def _move(state: int, r: int, j: int) -> int:
+    """The state of n once the prime r, other than 5, is found to divide it
+    exactly j times: moved by r's table, and by its square table when j > 1."""
+    table, square, _ = _STEPS[r % 25]
+    state = table[state]
+    return square[state] if j > 1 else state
+
+
+_NO_MATCH = RadicandForm.NO_MATCH.value
+
+
+def _form_table() -> list[str]:
+    """The form of n by its final state, as the value of a RadicandForm:
+    the form of n's class once every role of its shape is filled, no_match
+    in every other state.  The q of 5^e*p is 5, which fills no role."""
+    forms = [_NO_MATCH] * 256
+    for c in SHAPE_RESIDUES:
+        roles = 0
+        for r in range(25):
+            roles |= _role(c, r)[0]
+        if c not in ADMISSIBLE_RESIDUES:
+            form = RadicandForm.FIVE_POWER_TIMES_P
+        elif roles & _Q:
+            form = RadicandForm.PRIME_POWER_TIMES_Q
+        else:
+            form = RadicandForm.PRIME_POWER
+        forms[4 * (c + 1) | roles] = form.value
+    return forms
+
+
+_FORM = _form_table()
+
+# 5 is the second prime of 5^e*p, where no q fills a role: the scanner
+# records 5 as the q of an n of its classes.
+_FIVES = [5 if c in SHAPE_RESIDUES - ADMISSIBLE_RESIDUES else 0 for c in range(25)]
 
 
 def classify_radicand(n: int) -> RadicandClass:
     """Decide which admissible shape n has, or NO_MATCH.
 
+    n is factored whole, then each prime other than 5 moves the state of
+    n's class by its tables, as a sieve prime moves it in the scanner.
     Raises NotFifthPowerFree when some prime divides n at least five times,
     and FactorizationLimitExceeded when factorize refuses n: a cofactor
     at or above MILLER_RABIN_BOUND stays there after trial division up to
@@ -134,49 +228,22 @@ def classify_radicand(n: int) -> RadicandClass:
         factors = factorize(n)
     except ValueError as exc:
         raise FactorizationLimitExceeded(str(exc)) from None
-    form, p, q, e = radicand_shape(n, factors)
-    return RadicandClass(n, form, p, q, e, n % 25)
-
-
-def radicand_shape(n: int, factors: dict[int, int]) -> Shape:
-    """(form, p, q, e) of n > 1 from its factorisation {prime: exponent}.
-
-    These are the fields of classify_radicand(n); NO_MATCH comes with
-    (None, None, 0).  Raises NotFifthPowerFree like classify_radicand.
-    """
     if max(factors.values()) >= 5:
         raise NotFifthPowerFree(f"{n} is divisible by a fifth power")
     residue = n % 25
-
-    if len(factors) == 1:
-        (p, e), = factors.items()
-        if p != 5 and p % 25 == 1 and residue in ADMISSIBLE_RESIDUES:
-            return RadicandForm.PRIME_POWER, p, None, e
-        return _NO_MATCH
-
-    if len(factors) == 2:
-        if 5 in factors:
-            e5 = factors[5]
-            (p, ep), = ((f, e) for f, e in factors.items() if f != 5)
-            if (
-                ep == 1
-                and p % 5 == 1
-                and p % 25 != 1
-                and residue not in ADMISSIBLE_RESIDUES
-            ):
-                return RadicandForm.FIVE_POWER_TIMES_P, p, None, e5
-            return _NO_MATCH
-        split = [f for f in factors if f % 5 == 1]
-        inert = [f for f in factors if f % 5 in (2, 3)]
-        if len(split) == 1 and len(inert) == 1:
-            p, q = split[0], inert[0]
-            if (
-                factors[q] == 1
-                and p % 25 != 1
-                and q % 25 not in _EXCLUDED_Q_RESIDUES
-                and residue in ADMISSIBLE_RESIDUES
-            ):
-                return RadicandForm.PRIME_POWER_TIMES_Q, p, q, factors[p]
-        return _NO_MATCH
-
-    return _NO_MATCH
+    state, p, q = _CLASS_STATE[residue], None, None
+    for r, j in factors.items():
+        if not state:  # no_match, whatever primes are left
+            break
+        if r != 5:
+            state = _move(state, r, j)
+            if _STEPS[r % 25][2] == _P:
+                p = r
+            else:
+                q = r
+    value = _FORM[state]
+    if value == _NO_MATCH:
+        return RadicandClass(n, RadicandForm.NO_MATCH, None, None, 0, residue)
+    form = RadicandForm(value)
+    e = factors[5] if form is RadicandForm.FIVE_POWER_TIMES_P else factors[p]
+    return RadicandClass(n, form, p, q, e, residue)

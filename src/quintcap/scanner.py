@@ -2,37 +2,31 @@
 
 Every chunk is scanned by one shape sieve.  The multiples of p^5 are
 marked for every prime p with p^5 <= hi and skipped; the marks prove the
-unmarked n fifth-power-free at any height.  Each n carries a state byte:
-its class mod 25 and the roles of its shape, p and q, already filled, or 0
-once n is proved no_match.  Only the classes of ``classify.SHAPE_RESIDUES``
-start alive, and each holds one shape: p^e in class 1, p^e*q in 7 and 18,
-5^e*p in 0 and 5.  Every sieve prime p up to min(isqrt(hi),
-SIEVE_PRIME_LIMIT) other than 5, which divides exactly classes 0 and 5,
-moves the state of its multiples by a translate table chosen by p mod 25.
-The table fills the role p can take in n's class (a p = 1 mod 25 of p^e; a
-p = 1 mod 5 of p^e*q or 5^e*p, not 1 mod 25; a q of p^e*q, = n mod 5 and
-not +-7 mod 25) and kills n when p takes none, or its role is filled.  A
-prime that fits no shape zeroes its multiples with one slice.  A second
-table at the multiples of p^2 kills the shapes that hold p to the first
-power only: q, and the p of 5^e*p.  The p and q of each n are written to
-two lists, with 5 as the q of classes 0 and 5.
+unmarked n fifth-power-free at any height.  Each n carries a state byte of
+``classify``'s tables: its class mod 25 and the roles of its shape, p and
+q, already filled, or 0 once n is proved no_match.  Only the classes of
+``classify.SHAPE_RESIDUES`` start alive.  Every sieve prime p up to
+min(isqrt(hi), SIEVE_PRIME_LIMIT) other than 5, which divides exactly
+classes 0 and 5, moves the state of its multiples by the translate table
+of p mod 25, and the state of the multiples of p^2 by its square table.  A
+prime that fills no role in any class zeroes its multiples with one slice.
+The p and q of each n are written to two lists, with 5 as the q of
+classes 0 and 5.
 
 A survivor is divided by its p and q.  If it has both and a cofactor above
 1 is left, that cofactor holds a third prime, so it is no_match.  Otherwise
 the cofactor moves the state once more, as a sieve prime would: a cofactor
 below SIEVE_PRIME_LIMIT^2 is prime, and a larger one next to one sieve
 prime must be a prime power r^j, by a perfect-power and a primality test,
-or n has three primes; r^j moves the state by r's table, and by its square
-table when j > 1.  The form is then read off the final state, by a table
-that holds the form of each class with every role of its shape filled, and
-no_match for every other state.  A survivor with no sieve prime, or whose
-cofactor is too large for the primality test, goes to
-``classify_radicand``, so a refusal names n with its message.  The tables
-are built from the shape rules of ``radicand_shape``, one prime at a time,
-and the tests hold them to it.  So the scan proves no_match, without
-factoring, an n that ``classify_radicand`` refuses when one of its sieve
-primes fits no shape of its class: 41*(2^89 - 1) is class 1, and 41 is not
-1 mod 25.  A window whose p^5 marks would need primes beyond
+or n has three primes.  The form is then read off the final state.  A
+survivor with no sieve prime, or whose cofactor is too large for the
+primality test, goes to ``classify_radicand``, so a refusal names n with
+its message.  The shape rules are stated once, in ``classify._role``: the
+tables are built from it, and ``classify_radicand`` moves the same states
+by the primes of n's whole factorisation.  So the scan proves no_match,
+without factoring, an n that ``classify_radicand`` refuses when one of its
+sieve primes fits no shape of its class: 41*(2^89 - 1) is class 1, and 41
+is not 1 mod 25.  A window whose p^5 marks would need primes beyond
 ``factor.TRIAL_DIVISION_LIMIT``, hi from about 1.02*10^33 on, is refused
 before any of it is scanned: those primes would not fit in memory.
 
@@ -59,11 +53,14 @@ from itertools import chain, compress
 from typing import Iterator
 
 from .classify import (
-    _EXCLUDED_Q_RESIDUES,
-    ADMISSIBLE_RESIDUES,
-    SHAPE_RESIDUES,
+    _CLASS_STATE,
+    _FIVES,
+    _FORM,
+    _NO_MATCH,
+    _P,
+    _STEPS,
     FactorizationLimitExceeded,
-    RadicandForm,
+    _move,
     classify_radicand,
 )
 from .factor import (
@@ -90,82 +87,6 @@ MAX_CHUNK = 1 << 16
 # Smallest chunk, unless MAX_CHUNK is lower: every chunk repeats the slice
 # work of each sieve prime.  A 20 000-integer window at jobs=2 is 8 of them.
 MIN_CHUNK = 2_500
-
-_NO_MATCH = RadicandForm.NO_MATCH.value
-
-# The roles a prime can fill in a shape: its p, and the q of p^e*q.
-_P, _Q = 1, 2
-
-
-def _role(c: int, r: int) -> tuple[int, bool]:
-    """The role a prime of residue r mod 25 fills in the shape of an n of
-    class c in SHAPE_RESIDUES, and whether that shape allows its square:
-    (0, False) when it fills none, so no n of class c with that prime has
-    a shape.  These are the rules of radicand_shape, one prime at a time."""
-    split = r % 5 == 1 and r != 1
-    if c not in ADMISSIBLE_RESIDUES:  # 5^e*p, with p to the first power
-        return (_P, False) if split else (0, False)
-    if c % 5 == 1:  # p^e, as p^e*q = q (mod 5) is not 1
-        return (_P, True) if r == 1 else (0, False)
-    if split:  # p^e*q, and n = q (mod 5)
-        return _P, True
-    if r % 5 == c % 5 and r not in _EXCLUDED_Q_RESIDUES:
-        return _Q, False
-    return 0, False
-
-
-# A state byte per n: 0 when n is proved no_match, else 4*(c + 1) plus the
-# roles already filled, for n of class c mod 25.  _CLASS_STATE[c] is the
-# state of an n of class c before any sieve prime.
-_CLASS_STATE = bytes(4 * (c + 1) if c in SHAPE_RESIDUES else 0 for c in range(25))
-
-
-def _step(r: int) -> tuple[bytes, bytes, int]:
-    """(table, square table, role) of a sieve prime of residue r mod 25.
-
-    The table moves the state of each multiple of the prime, and the square
-    table the state of each multiple of its square: a shape that does not
-    allow the square dies.  The role is the one the prime fills in every
-    class where it fills one; with a role of 0 every multiple dies."""
-    table, square, role = bytearray(256), bytearray(256), 0
-    for c in SHAPE_RESIDUES:
-        fill, powers = _role(c, r)
-        role |= fill
-        for state in range(4 * (c + 1), 4 * (c + 2)):
-            if fill and not state & fill:
-                table[state] = state | fill
-            if powers:
-                square[state] = state
-    return bytes(table), bytes(square), role
-
-
-_STEPS = [_step(r) for r in range(25)]
-
-
-def _form_table() -> list[str]:
-    """The form of n by its final state: the form of n's class once every
-    role of its shape is filled, no_match in every other state.  The q of
-    5^e*p is 5, which fills no role."""
-    forms = [_NO_MATCH] * 256
-    for c in SHAPE_RESIDUES:
-        roles = 0
-        for r in range(25):
-            roles |= _role(c, r)[0]
-        if c not in ADMISSIBLE_RESIDUES:
-            form = RadicandForm.FIVE_POWER_TIMES_P
-        elif roles & _Q:
-            form = RadicandForm.PRIME_POWER_TIMES_Q
-        else:
-            form = RadicandForm.PRIME_POWER
-        forms[4 * (c + 1) | roles] = form.value
-    return forms
-
-
-_FORM = _form_table()
-
-# 5 is the second prime of 5^e*p, where no q fills a role: the q of an n of
-# its classes is 5.
-_FIVES = [5 if c in SHAPE_RESIDUES - ADMISSIBLE_RESIDUES else 0 for c in range(25)]
 
 
 def _tile(pattern, lo: int, size: int):
@@ -201,16 +122,13 @@ def _decide(lo: int, state: bytearray, ps: list[int], qs: list[int]) -> list[str
                 continue
             # The cofactor moves the state once more, as a sieve prime would.
             if m < _COMPOSITE_FROM:
-                s = _STEPS[m % 25][0][s]
+                s = _move(s, m, 1)
             elif (p or q) and m < MILLER_RABIN_BOUND:
                 # m is a prime power, or n has three primes.
                 r, j = _perfect_power(m)
                 if not is_rational_prime(r):
                     continue
-                table, square, _ = _STEPS[r % 25]
-                s = table[s]
-                if j > 1:
-                    s = square[s]
+                s = _move(s, r, j)
             else:
                 forms[i] = classify_radicand(n).form.value
                 continue

@@ -1,8 +1,8 @@
 """Slow reference versions of the ring kernel, the fifth-root search, the
 lambda-adic expansion and valuation by exact ring division, the lambda-adic
 inverse, the residue enumeration and its fifth powers, the unit image, the
-unit searches by ring products, the primality test, trial division and
-the scan.
+unit searches by ring products, the primality test, trial division, the
+shape rules applied to a whole factorisation, and the scan.
 
 These are the bodies the straight-line kernel in ``quintcap.cyclotomic``,
 ``quintcap.primes.fifth_roots_of_unity``, the coordinate digit step of
@@ -13,7 +13,8 @@ unit tables of ``quintcap.primes``, the keys of integer multiples
 (``cyclotomic.lambda_multiple_keys``) in the row search of
 ``primes.first_unit_hit`` that ``capitulation.find_h1`` makes,
 ``factor.is_rational_prime``, the gcd blocks of ``factor._trial_divide``,
-the scanner's restricted sieve and its shape sieve replaced;
+the state tables of ``quintcap.classify``, and the scanner's restricted
+sieve and its shape sieve replaced;
 the tests cross-check the fast code against them.  The formal tables of
 ``quintcap.capitulation`` are kept as they were written before each shape
 had one table of the paper's six words: every word spelled out in every
@@ -39,7 +40,6 @@ from quintcap.capitulation import (
     _swap_positions_and_values_2_5,
     norm_condition_h1,
 )
-from quintcap.classify import RadicandForm
 from quintcap.cyclotomic import (
     LAMBDA,
     ONE,
@@ -50,7 +50,12 @@ from quintcap.cyclotomic import (
     lambda_key,
     lambda_residue,
 )
-from quintcap.classify import SHAPE_RESIDUES, NotFifthPowerFree, radicand_shape
+from quintcap.classify import (
+    ADMISSIBLE_RESIDUES,
+    SHAPE_RESIDUES,
+    NotFifthPowerFree,
+    RadicandForm,
+)
 from quintcap.primes import PrimeKind, UnsupportedPrimeError, _unit_table
 from quintcap.factor import (
     MILLER_RABIN_BOUND,
@@ -493,6 +498,58 @@ def factor_window(lo, hi):
             elif rest[i] > 1:
                 factors[rest[i]] = 1
             yield start + i, factors
+
+
+# q = +-7 (mod 25) is excluded in the p^e*q shape.
+_EXCLUDED_Q_RESIDUES = frozenset({7, 18})
+
+Shape = tuple[RadicandForm, int | None, int | None, int]
+
+_NO_MATCH: Shape = (RadicandForm.NO_MATCH, None, None, 0)
+
+
+def radicand_shape(n: int, factors: dict[int, int]) -> Shape:
+    """(form, p, q, e) of n > 1 from its factorisation {prime: exponent}.
+
+    These are the fields of classify_radicand(n); NO_MATCH comes with
+    (None, None, 0).  Raises NotFifthPowerFree like classify_radicand.
+    """
+    if max(factors.values()) >= 5:
+        raise NotFifthPowerFree(f"{n} is divisible by a fifth power")
+    residue = n % 25
+
+    if len(factors) == 1:
+        (p, e), = factors.items()
+        if p != 5 and p % 25 == 1 and residue in ADMISSIBLE_RESIDUES:
+            return RadicandForm.PRIME_POWER, p, None, e
+        return _NO_MATCH
+
+    if len(factors) == 2:
+        if 5 in factors:
+            e5 = factors[5]
+            (p, ep), = ((f, e) for f, e in factors.items() if f != 5)
+            if (
+                ep == 1
+                and p % 5 == 1
+                and p % 25 != 1
+                and residue not in ADMISSIBLE_RESIDUES
+            ):
+                return RadicandForm.FIVE_POWER_TIMES_P, p, None, e5
+            return _NO_MATCH
+        split = [f for f in factors if f % 5 == 1]
+        inert = [f for f in factors if f % 5 in (2, 3)]
+        if len(split) == 1 and len(inert) == 1:
+            p, q = split[0], inert[0]
+            if (
+                factors[q] == 1
+                and p % 25 != 1
+                and q % 25 not in _EXCLUDED_Q_RESIDUES
+                and residue in ADMISSIBLE_RESIDUES
+            ):
+                return RadicandForm.PRIME_POWER_TIMES_Q, p, q, factors[p]
+        return _NO_MATCH
+
+    return _NO_MATCH
 
 
 def scan_all(lo, hi):

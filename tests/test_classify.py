@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,13 +11,13 @@ from quintcap.classify import (
     NotFifthPowerFree,
     RadicandForm,
     classify_radicand,
-    radicand_shape,
     trial_factor,
 )
 from quintcap.cli import main
-from quintcap.factor import MILLER_RABIN_BOUND, factorize
+from quintcap.factor import MILLER_RABIN_BOUND, factorize, is_rational_prime
 
-from conftest import ABOVE_BOUND_BY_TRIAL_DIVISION, BEYOND_OLD_CEILING
+from conftest import ABOVE_BOUND_BY_TRIAL_DIVISION, BEYOND_OLD_CEILING, outcome
+from oracles import radicand_shape
 
 
 def test_residue_set():
@@ -196,3 +197,58 @@ def test_classify_above_bound_by_trial_division(n, want):
     form, p, q, e = radicand_shape(n, trial_factor(n))
     assert (form.value, p, q, e) == want
     assert main(["classify", str(n)]) == 0
+
+
+def _fields(n):
+    rc = classify_radicand(n)
+    return rc.form, rc.p, rc.q, rc.e
+
+
+def _first_prime(start, residue):
+    r = start
+    while r % 25 != residue or not is_rational_prime(r):
+        r += 1
+    return r
+
+
+def test_classify_matches_the_shape_rules_oracle():
+    # classify_radicand decides by the state tables, radicand_shape by the
+    # whole factorisation, here found by trial division.
+    for n in range(2, 3 * 10**4 + 1):
+        assert outcome(_fields, n) == outcome(radicand_shape, n, trial_factor(n)), n
+    # The rules read only residues mod 25, so a prime below 2^16 and one
+    # above 2^32 of each residue stand for all the others.  No product has
+    # two primes above 2^32, which would cost factorize a long rho run.
+    smalls = [_first_prime(2, r) for r in range(25) if r % 5]
+    bigs = [_first_prime(2**32, r) for r in range(25) if r % 5]
+    cases = [{p: e} for p in smalls + bigs for e in range(1, 5)]
+    cases += [{5: a, p: e} for a in range(1, 5) for p in smalls + bigs for e in (1, 2)]
+    cases += [
+        {p: e, q: f}
+        for i, p in enumerate(smalls)
+        for q in smalls[i + 1 :] + bigs
+        for e in range(1, 5)
+        for f in range(1, 5)
+    ]
+    cases += [
+        {p: 1, q: 1, r: 1}
+        for i, p in enumerate(smalls)
+        for q in smalls[i + 1 :]
+        for r in [5] + bigs
+    ]
+    forms = set()
+    for factors in cases:
+        n = math.prod(r**f for r, f in factors.items())
+        want = radicand_shape(n, factors)
+        assert _fields(n) == want, factors
+        forms.add(want[0])
+    assert forms == set(RadicandForm)
+    # Refused before the tables are read: factorize cannot decide 2^89 - 1,
+    # and 5^5*31 is not fifth-power-free.
+    m89 = 2**89 - 1
+    for n in (m89, 3 * m89, 41 * m89):
+        with pytest.raises(FactorizationLimitExceeded, match=str(n)):
+            classify_radicand(n)
+    for factors in ({4_000_037: 2}, {5: 3, 1301: 2}, {2: 1, 31: 4}, {5: 5, 31: 1}):
+        n = math.prod(r**f for r, f in factors.items())
+        assert outcome(_fields, n) == outcome(radicand_shape, n, factors), n

@@ -16,13 +16,13 @@ from quintcap.classify import (
     FactorizationLimitExceeded,
     NotFifthPowerFree,
     classify_radicand,
-    radicand_shape,
 )
 from quintcap.cli import main
 from quintcap.factor import integer_root
 from quintcap.scanner import SIEVE_BLOCK, SIEVE_PRIME_LIMIT, iter_scan, render_scan, scan_range
 
 import oracles
+from oracles import radicand_shape
 
 # sha256 of render_scan(scan_range(lo, hi)) per window, written by
 # data/make_scan_digests.py before the scanner factored only the classes
@@ -518,15 +518,11 @@ def test_scan_output_matches_digest(row):
         assert hashlib.sha256(text.encode()).hexdigest() == row["sha256"], jobs
 
 
-# The multiple of SIEVE_BLOCK nearest below 10^7.
-EDGE_NEAR_1E7 = 10**7 // SIEVE_BLOCK * SIEVE_BLOCK
-
-
 @pytest.mark.parametrize(
     "lo,hi",
     [
         (2, 3 * SIEVE_BLOCK),  # block edges; multiples of 2^5, 3^5, 5^5, 5^7 = 78125
-        (EDGE_NEAR_1E7 - 700, EDGE_NEAR_1E7 + 700),  # a block edge near 10^7
+        (10**7 - SIEVE_BLOCK - 700, 10**7 + 700),  # two blocks, their edge near 10^7
         (9_985_162 - 2_000, 9_985_162 + 2_000),  # 11^5 * 62
         (2**32 - 2_000, 2**32 + 2_000),
         (3 * 10**12, 3 * 10**12 + 2_000),
@@ -536,6 +532,9 @@ def test_scan_matches_full_sieve_oracle(lo, hi):
     want = oracles.scan_all(lo, hi)
     for jobs in (1, 2):
         assert scan_range(lo, hi, jobs) == want, jobs
+    # With one job the pieces are sieve blocks from lo on, so only a window
+    # longer than SIEVE_BLOCK crosses a block edge.
+    assert len(list(iter_scan(lo, hi))) == -(-(hi - lo + 1) // SIEVE_BLOCK)
 
 
 def test_shape_sieve_matches_restricted_sieve_oracle(monkeypatch):
