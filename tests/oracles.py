@@ -36,8 +36,6 @@ from quintcap.capitulation import (
     H1Witness,
     RadicalWord,
     SubgroupDescriptor,
-    _alternate_k6_expansion,
-    _swap_positions_and_values_2_5,
     norm_condition_h1,
 )
 from quintcap.cyclotomic import (
@@ -53,6 +51,7 @@ from quintcap.cyclotomic import (
 from quintcap.classify import (
     ADMISSIBLE_RESIDUES,
     SHAPE_RESIDUES,
+    SIEVE_PRIME_LIMIT,
     NotFifthPowerFree,
     RadicandForm,
 )
@@ -65,7 +64,7 @@ from quintcap.factor import (
     integer_root,
     primes_up_to,
 )
-from quintcap.scanner import SIEVE_BLOCK, SIEVE_PRIME_LIMIT
+from quintcap.scanner import SIEVE_BLOCK
 
 # The offset grid of euclid_divmod, in its order, kept here so that the
 # oracle pins the order; and the wider grid it used to try after that one.
@@ -399,6 +398,26 @@ def guaranteed_capitulations(rc, h1=None):
     return {RadicalWord(*w): ClassWord(*w) for w in words}
 
 
+def alternate_k6_types(base):
+    """The types of the other K_6 assignment, in order and without repeats:
+    each type of base with its K_1 entry 6 where it was nonzero, then its
+    K_6 entry 0 and 1."""
+    out = []
+    for i1, i2, i3, i4, i5, _ in base:
+        for i6 in (0, 1):
+            t = (6 if i1 else 0, i2, i3, i4, i5, i6)
+            if t not in out:
+                out.append(t)
+    return out
+
+
+def swap_2_5(t):
+    """The type with K_2 and K_5 exchanged, as positions and as values."""
+    i1, i2, i3, i4, i5, i6 = t
+    other = {2: 5, 5: 2}
+    return tuple(other.get(i, i) for i in (i1, i5, i3, i4, i2, i6))
+
+
 def possible_types(rc, symbol_exponent, k6_choice, h1=None):
     if rc.form is RadicandForm.NO_MATCH:
         raise ValueError("no capitulation types for an unclassified radicand")
@@ -413,14 +432,14 @@ def possible_types(rc, symbol_exponent, k6_choice, h1=None):
         tuples = list(_CASE1_BASE if rc.form is RadicandForm.PRIME_POWER else _CASE2_BASE)
     elif k6_choice == plus_word:
         base = _CASE1_BASE if rc.form is RadicandForm.PRIME_POWER else _CASE2_BASE
-        tuples = _alternate_k6_expansion(base)
+        tuples = alternate_k6_types(base)
     else:
         raise ValueError("k6_choice is not one of the two K6 candidates")
     if rc.form is RadicandForm.PRIME_POWER:
         if symbol_exponent is None:
             raise ValueError("the p^e shape needs the (pi_1/pi_3) symbol exponent")
         if symbol_exponent % 5 != 0:
-            tuples = [_swap_positions_and_values_2_5(t) for t in tuples]
+            tuples = [swap_2_5(t) for t in tuples]
     return [CapitulationType(t) for t in tuples]
 
 

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from quintcap import cli, fixtures
+from quintcap import cli, fixtures, report
+from quintcap.capitulation import H1SearchExhausted
 from quintcap.cli import build_parser, main
 from quintcap.fixtures import packaged_data_path
 
@@ -62,6 +63,20 @@ def test_report_no_match_json_flag(capsys):
     assert main(["report", "2111", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["no_match"] is True
+
+
+def test_report_without_any_h1_exits_one(capsys, monkeypatch):
+    # A search that proves no h1 exists, with no norm-level exponent to
+    # stand in for it, leaves the report nothing to write: exit code 1 and
+    # one error line, with nothing on stdout.
+    def exhausted(*args, **kwargs):
+        raise H1SearchExhausted("no unit meets the congruence", norm_condition_h1=None)
+
+    monkeypatch.setattr(report, "find_h1", exhausted)
+    assert main(["report", "93"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no h1 available for n = 93: no unit meets the congruence\n"
 
 
 def test_scan_command(capsys):

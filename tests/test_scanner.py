@@ -10,16 +10,17 @@ from pathlib import Path
 
 import pytest
 
-from quintcap import factor, scanner
+from quintcap import classify, factor, scanner
 from quintcap.classify import (
     SHAPE_RESIDUES,
+    SIEVE_PRIME_LIMIT,
     FactorizationLimitExceeded,
     NotFifthPowerFree,
     classify_radicand,
 )
 from quintcap.cli import main
 from quintcap.factor import integer_root
-from quintcap.scanner import SIEVE_BLOCK, SIEVE_PRIME_LIMIT, iter_scan, render_scan, scan_range
+from quintcap.scanner import SIEVE_BLOCK, iter_scan, render_scan, scan_range
 
 import oracles
 from oracles import radicand_shape
@@ -111,12 +112,12 @@ class _InProcessPool:
 
 
 class _Decisions(list):
-    """Stands in for scanner._FORM: gives the same form for each final state,
+    """Stands in for classify._FORM: gives the same form for each final state,
     and records the n whose form each lookup decides, read from the frame of
-    the survivor loop."""
+    the survivor loop, or of classify_radicand for a survivor handed to it."""
 
     def __init__(self):
-        super().__init__(scanner._FORM)
+        super().__init__(classify._FORM)
         self.decided = []
 
     def __getitem__(self, state):
@@ -194,7 +195,7 @@ def test_parallel_chunks_have_a_floor_and_a_cap(monkeypatch):
     # MAX_CHUNK integers, so a short window is not cut finer than a long one.
     monkeypatch.setattr(_InProcessPool, "sizes", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
-    monkeypatch.setattr(scanner, "_scan_chunk", lambda bounds: [bounds])
+    monkeypatch.setattr(scanner, "sieve_rows", lambda bounds: [bounds])
     assert scanner.MIN_CHUNK <= 2500 < scanner.MAX_CHUNK
 
     def chunks(lo, hi, jobs):
@@ -223,7 +224,7 @@ def test_one_sieve_prime_and_a_large_cofactor_need_no_rho(monkeypatch):
     def refused(m):
         raise AssertionError(f"classify_radicand({m}) called")
 
-    monkeypatch.setattr(scanner, "classify_radicand", refused)
+    monkeypatch.setattr(classify, "classify_radicand", refused)
     large = [r for r in range(SIEVE_PRIME_LIMIT, SIEVE_PRIME_LIMIT + 400) if factor.is_rational_prime(r)]
     small = [2, 3, 5, 7, 11, 13, 17, 19, 23, 31, 41, 61]
     squares = [p * r * r for p in small for r in large]
@@ -267,6 +268,17 @@ def test_import_leaves_out_process_pools():
     code = "import sys, quintcap; print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_scanner_takes_no_private_name_of_classify_or_factor():
+    # classify owns the shape-state machine: the scanner binds none of the
+    # private tables or helpers of classify or factor, and takes from
+    # classify only the sieve, classify_radicand and the refusal's error.
+    for module in (classify, factor):
+        private = {name for name in vars(module) if name.startswith("_") and not name.startswith("__")}
+        assert not private & set(vars(scanner)), module.__name__
+    taken = {name for name, value in vars(scanner).items() if getattr(value, "__module__", None) == classify.__name__}
+    assert taken == {"FactorizationLimitExceeded", "classify_radicand", "sieve_rows"}
 
 
 def test_scan_never_raises_on_desk_range():
@@ -370,9 +382,7 @@ def test_sieve_tables_follow_the_shape_rules():
         by_residue.setdefault(r % 25, []).append(r)
     others = [r for rs in by_residue.values() for r in rs[:2]]
     for p in factor.primes_up_to(300):
-        if p == 5:
-            continue
-        table, square, role = scanner._STEPS[p % 25]
+        table, square, role = classify._STEPS[p % 25]
         assert (role == 0) == (table == bytes(256)), p
         for e in range(1, 5):
             shaped = set()
@@ -381,7 +391,9 @@ def test_sieve_tables_follow_the_shape_rules():
                 if radicand_shape(n, {p: e, r: f} if f else {p: e})[0].value != "no_match":
                     shaped.add(n % 25)
             for c in SHAPE_RESIDUES:
-                state = table[scanner._CLASS_STATE[c]]
+                if p == 5 and (c == 0) != (e > 1):
+                    continue  # 5 divides an n of class 0 twice or more, of class 5 once
+                state = table[classify._CLASS_STATE[c]]
                 if e > 1:
                     state = square[state]
                 assert (state != 0) == (c in shaped), (p, e, c)
@@ -417,19 +429,19 @@ def test_survivor_decision_follows_the_shape_rules(monkeypatch):
         cofactors += [(r, f) for r in seen.values() for f in powers]
 
     def sieved(n, primes):
-        # The state of n, with its p and q, after the sieve.
-        state, p, q = scanner._CLASS_STATE[n % 25], 0, scanner._FIVES[n % 25]
+        # The state of n, with the primes of its two roles, after the sieve.
+        state, p, q = classify._CLASS_STATE[n % 25], 0, 0
         for prime, e in primes.items():
-            table, square, role = scanner._STEPS[prime % 25]
+            table, square, role = classify._STEPS[prime % 25]
             state = table[state] if e == 1 else square[table[state]]
-            if role == scanner._P:
+            if role == classify._P:
                 p = prime
             elif role:
                 q = prime
         return state, p, q
 
     decisions = _Decisions()
-    monkeypatch.setattr(scanner, "_FORM", decisions)
+    monkeypatch.setattr(classify, "_FORM", decisions)
     classes, forms = set(), set()
     combos = [(a, part) for a in range(5) for part in parts] + [(0, pair) for pair in pairs]
     for fives, primes in combos:
@@ -442,9 +454,9 @@ def test_survivor_decision_follows_the_shape_rules(monkeypatch):
             n = math.prod(r**f for r, f in factors.items())
             if n == 1 or n % 25 not in SHAPE_RESIDUES:
                 continue
-            state, p, q = sieved(n, primes)
+            state, p, q = sieved(n, {**primes, 5: fives} if fives else primes)
             decisions.decided.clear()
-            form = scanner._decide(n, bytearray([state]), [p], [q])[0]
+            form = classify._decide(n, bytearray([state]), [p], [q])[0]
             assert form == radicand_shape(n, factors)[0].value, factors
             assert len(factors) < 3 or not decisions.decided, factors
             classes.add(n % 25)
@@ -457,7 +469,7 @@ def test_survivor_forms_on_windows_match_the_shape_rules(monkeypatch):
     # Every survivor whose form a table lookup decides has at most two
     # primes, and gets the form radicand_shape gives its factorisation.
     decisions = _Decisions()
-    monkeypatch.setattr(scanner, "_FORM", decisions)
+    monkeypatch.setattr(classify, "_FORM", decisions)
     windows = [(lo, lo + 4_000) for lo in (10**6, 4 * 10**6, 10**7 - 4_001)]
     windows += [(2**32 - 2_000, 2**32 + 2_000), (10**10, 10**10 + 4_000), (10**12, 10**12 + 4_000)]
     forms = set()
@@ -493,7 +505,7 @@ def test_scan_refuses_a_window_past_the_factoriser_reach(monkeypatch, capsys):
     # The ceiling is exact: with each chunk's scan replaced by its bounds,
     # the last integer below it is scanned.
     top = (factor.TRIAL_DIVISION_LIMIT + 1) ** 5
-    monkeypatch.setattr(scanner, "_scan_chunk", lambda bounds: [bounds])
+    monkeypatch.setattr(scanner, "sieve_rows", lambda bounds: [bounds])
     assert scan_range(top - 1, top - 1) == [(top - 1, top - 1)]
     with pytest.raises(FactorizationLimitExceeded, match=str(top)):
         scan_range(top - 1, top)
@@ -561,7 +573,7 @@ def test_shape_sieve_matches_restricted_sieve_oracle(monkeypatch):
         want = oracles.restricted_scan(lo, hi)
         with monkeypatch.context() as patched:
             decisions = _Decisions()
-            patched.setattr(scanner, "_FORM", decisions)
+            patched.setattr(classify, "_FORM", decisions)
             assert scan_range(lo, hi) == want, (lo, hi)
         assert scan_range(lo, hi, 2) == want, (lo, hi)
         for n in decisions.decided:
@@ -580,7 +592,7 @@ def test_every_class_is_classified_from_the_certification_bound(monkeypatch):
     # fewer than three sieve primes are decided by the state tables.
     bound = SIEVE_PRIME_LIMIT**5
     decisions = _Decisions()
-    monkeypatch.setattr(scanner, "_FORM", decisions)
+    monkeypatch.setattr(classify, "_FORM", decisions)
     # Each window holds a classified n, 2^80 - 369 and 2^80 + 49, and no n
     # whose factorisation costs the oracles a long rho run.  (2^80 - 19 =
     # 3*r is class 7, where a q must be 2 mod 5, so the sieve proves it
