@@ -114,14 +114,18 @@ class _InProcessPool:
 class _Decisions(list):
     """Stands in for classify._FORM: gives the same form for each final state,
     and records the n whose form each lookup decides, read from the frame of
-    the survivor loop, or of classify_radicand for a survivor handed to it."""
+    the function that looks it up: in decided for the sieve's survivor loop,
+    _decide, and in handed for classify_radicand, to which the loop hands a
+    survivor it cannot settle itself."""
 
     def __init__(self):
         super().__init__(classify._FORM)
-        self.decided = []
+        self.decided, self.handed = [], []
 
     def __getitem__(self, state):
-        self.decided.append(sys._getframe(1).f_locals["n"])
+        frame = sys._getframe(1)
+        lookups = {"_decide": self.decided, "classify_radicand": self.handed}
+        lookups[frame.f_code.co_name].append(frame.f_locals["n"])
         return super().__getitem__(state)
 
 
@@ -456,9 +460,10 @@ def test_survivor_decision_follows_the_shape_rules(monkeypatch):
                 continue
             state, p, q = sieved(n, {**primes, 5: fives} if fives else primes)
             decisions.decided.clear()
+            decisions.handed.clear()
             form = classify._decide(n, bytearray([state]), [p], [q])[0]
             assert form == radicand_shape(n, factors)[0].value, factors
-            assert len(factors) < 3 or not decisions.decided, factors
+            assert len(factors) < 3 or not decisions.decided + decisions.handed, factors
             classes.add(n % 25)
             forms.add(form)
     assert classes == SHAPE_RESIDUES
