@@ -27,10 +27,10 @@ the six extensions K_1..K_6; H_1 = <A>, H_6 = <X>.  The capitulation type
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from typing import ClassVar, Iterable
 
+from ._record import Record
 from .classify import RadicandClass, RadicandForm
 from .cyclotomic import CycInt, congruent_mod_lambda_pow
 from .primes import (
@@ -67,23 +67,20 @@ def w_symbol_for(rc: RadicandClass) -> WSymbol | None:
     raise ValueError("unclassified radicand has no extension data")
 
 
-@dataclass(frozen=True)
-class _Word:
+class _Word(Record):
     """Integer exponents of pi_1, pi_3 and w, or of their classes, mod 5.
 
     ``KEYS`` name the exponents in report JSON, and in the rendering when
     no w symbol is given.  Equality is exact; RadicalWord overrides it.
+    The subclasses declare no ``__slots__``: only the exponents are frozen.
     """
 
     KEYS: ClassVar[tuple[str, str, str]]
 
-    e1: int
-    e3: int
-    ew: int = 0
+    __slots__ = ("e1", "e3", "ew")
 
-    def __post_init__(self) -> None:
-        for name in ("e1", "e3", "ew"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)) % 5)
+    def __init__(self, e1: int, e3: int, ew: int = 0) -> None:
+        self._set(operator.index(e1) % 5, operator.index(e3) % 5, operator.index(ew) % 5)
 
     def is_zero(self) -> bool:
         return self.e1 == self.e3 == self.ew == 0
@@ -150,22 +147,22 @@ class Character(Enum):
     MIXED = "mixed"
 
 
-@dataclass(frozen=True)
-class SubgroupDescriptor:
-    index: int
-    generator: ClassWord
-    character: Character
+class SubgroupDescriptor(Record):
+    __slots__ = ("index", "generator", "character")
+
+    def __init__(self, index: int, generator: ClassWord, character: Character) -> None:
+        self._set(index, generator, character)
 
     @property
     def label(self) -> str:
         return f"H{self.index}"
 
 
-@dataclass(frozen=True)
-class ExtensionDescriptor:
-    index: int
-    candidates: tuple[RadicalWord, ...]
-    resolved: bool
+class ExtensionDescriptor(Record):
+    __slots__ = ("index", "candidates", "resolved")
+
+    def __init__(self, index: int, candidates: tuple[RadicalWord, ...], resolved: bool) -> None:
+        self._set(index, candidates, resolved)
 
     @property
     def label(self) -> str:
@@ -175,15 +172,15 @@ class ExtensionDescriptor:
         return self.candidates[0]
 
 
-@dataclass(frozen=True)
-class CapitulationType:
+class CapitulationType(Record):
     """The 6-tuple (i_1,...,i_6); entry 0 means every class capitulates."""
 
-    entries: tuple[int, int, int, int, int, int]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        if len(self.entries) != 6 or any(not 0 <= i <= 6 for i in self.entries):
+    def __init__(self, entries: tuple[int, int, int, int, int, int]) -> None:
+        if len(entries) != 6 or any(not 0 <= i <= 6 for i in entries):
             raise ValueError("capitulation type needs six entries in 0..6")
+        self._set(entries)
 
     def __iter__(self):
         return iter(self.entries)
@@ -424,13 +421,13 @@ class H1SearchExhausted(Exception):
         self.norm_condition_h1 = norm_condition_h1
 
 
-@dataclass(frozen=True)
-class H1Witness:
-    h1: int
-    unit: CycInt
-    unit_word: UnitWord
-    residue: int
-    product: CycInt
+class H1Witness(Record):
+    __slots__ = ("h1", "unit", "unit_word", "residue", "product")
+
+    def __init__(
+        self, h1: int, unit: CycInt, unit_word: UnitWord, residue: int, product: CycInt
+    ) -> None:
+        self._set(h1, unit, unit_word, residue, product)
 
     def verify(self) -> bool:
         return congruent_mod_lambda_pow(self.product, CycInt(self.residue), 5)

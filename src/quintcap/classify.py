@@ -57,9 +57,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
+
+from ._record import Record
 
 # TRIAL_DIVISION_LIMIT is also the default largest divisor of trial_factor,
 # which raises rather than go past it.
@@ -106,14 +107,13 @@ class RadicandForm(Enum):
     NO_MATCH = "no_match"
 
 
-@dataclass(frozen=True)
-class RadicandClass:
-    n: int
-    form: RadicandForm
-    p: int | None
-    q: int | None
-    e: int
-    residue_mod_25: int
+class RadicandClass(Record):
+    __slots__ = ("n", "form", "p", "q", "e", "residue_mod_25")
+
+    def __init__(
+        self, n: int, form: RadicandForm, p: int | None, q: int | None, e: int, residue_mod_25: int
+    ) -> None:
+        self._set(n, form, p, q, e, residue_mod_25)
 
     def reconstruct(self) -> int:
         if self.form is RadicandForm.PRIME_POWER:

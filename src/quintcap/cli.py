@@ -8,7 +8,9 @@
 Exit codes: 0 on success (a NO_MATCH classification is still success, the
 output carries the flag), 2 for input errors, 1 for anything unexpected and
 for an output pipe closed by its reader, such as ``| head``.  ``verify``
-checks its options, an empty ``--cas-cmd`` included, before any row.
+checks its options, an empty ``--cas-cmd`` included, before any row.  Only
+``verify`` imports ``cas`` and ``fixtures``, so the other commands start
+without them and without ``subprocess``.
 """
 
 from __future__ import annotations
@@ -17,11 +19,8 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
 
-from .cas import DEFAULT_TIMEOUT, CasProtocolError, CasTimeoutError, cas_adapter_check, cas_argv
 from .classify import classify_radicand
-from .fixtures import packaged_data_path, verify_fixtures
 from .report import ReportError, run_report
 from .scanner import iter_scan, render_scan
 
@@ -54,8 +53,20 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from dataclasses import replace
+
+    from .cas import (
+        DEFAULT_TIMEOUT,
+        CasProtocolError,
+        CasTimeoutError,
+        cas_adapter_check,
+        cas_argv,
+    )
+    from .fixtures import packaged_data_path, verify_fixtures
+
     # An empty adapter command is refused before any row is checked.
     cas_cmd = None if args.cas_cmd is None else cas_argv(args.cas_cmd)
+    timeout = DEFAULT_TIMEOUT if args.cas_timeout is None else args.cas_timeout
     summary = verify_fixtures(args.fixtures or packaged_data_path("table1.json"), args.anomalies)
     for row in summary.rows:
         detail = f"  ({row['detail']})" if "detail" in row else ""
@@ -67,7 +78,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if cas_cmd is not None:
         for entry in summary.entries:
             try:
-                got = cas_adapter_check(entry.n, cas_cmd, timeout=args.cas_timeout)
+                got = cas_adapter_check(entry.n, cas_cmd, timeout=timeout)
             except (CasProtocolError, CasTimeoutError) as exc:
                 print(f"cas {entry.n}: error ({exc})")
                 cas_failures += 1
@@ -123,7 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--fixtures", default=None, help="fixtures JSON path")
     p_verify.add_argument("--anomalies", default=None, help="override anomaly list")
     p_verify.add_argument("--cas-cmd", default=None, help="external adapter command")
-    p_verify.add_argument("--cas-timeout", type=_seconds, default=DEFAULT_TIMEOUT)
+    # None stands for cas.DEFAULT_TIMEOUT, which is read only when verify runs.
+    p_verify.add_argument("--cas-timeout", type=_seconds, default=None)
     p_verify.set_defaults(func=_cmd_verify)
     return parser
 

@@ -44,8 +44,9 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Union
+
+from ._record import Record
 
 IntoCycInt = Union["CycInt", int]
 Coords = tuple[int, int, int, int]
@@ -380,11 +381,13 @@ def lambda_valuation(x: CycInt) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class LambdaExpansion:
+class LambdaExpansion(Record):
     """Digits d_i in {0..4} with x = sum d_i lambda^i modulo lambda^len."""
 
-    digits: tuple[int, ...]
+    __slots__ = ("digits",)
+
+    def __init__(self, digits: tuple[int, ...]) -> None:
+        self._set(digits)
 
     def __len__(self) -> int:
         return len(self.digits)

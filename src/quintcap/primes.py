@@ -30,10 +30,10 @@ Rational integers are factored, and tested for primality, only in
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
 
+from ._record import Record
 from .cyclotomic import (
     CycInt,
     LAMBDA,
@@ -62,26 +62,31 @@ class PrimeKind(Enum):
     LAMBDA = "lambda"
 
 
-@dataclass(frozen=True)
-class PrimeElement:
+class PrimeElement(Record):
     """A prime of Z[zeta] with its Galois label.
 
     ``label`` is 1..4 for the split conjugates, 5 for an inert prime and 0
     for lambda.  ``root`` is the residue-field image of zeta (split only).
     """
 
-    value: CycInt
-    kind: PrimeKind
-    label: int
-    rational_below: int
-    root: int | None = None
+    __slots__ = ("value", "kind", "label", "rational_below", "root")
+
+    def __init__(
+        self,
+        value: CycInt,
+        kind: PrimeKind,
+        label: int,
+        rational_below: int,
+        root: int | None = None,
+    ) -> None:
+        self._set(value, kind, label, rational_below, root)
 
 
-@dataclass(frozen=True)
-class SplittingData:
-    prime: int
-    factors: tuple[PrimeElement, ...]
-    root: int | None
+class SplittingData(Record):
+    __slots__ = ("prime", "factors", "root")
+
+    def __init__(self, prime: int, factors: tuple[PrimeElement, ...], root: int | None) -> None:
+        self._set(prime, factors, root)
 
 
 def fifth_roots_of_unity(p: int) -> list[int]:
@@ -158,13 +163,13 @@ UNIT_BOUND = 8
 UNIT_SCAN = f"sign * zeta^a * (1+zeta)^t; a ascending 0..4, t by |t| <= {UNIT_BOUND}, sign +,-"
 
 
-@dataclass(frozen=True)
-class UnitWord:
+class UnitWord(Record):
     """A unit written as sign * zeta^zeta_exp * (1+zeta)^fund_exp."""
 
-    zeta_exp: int
-    fund_exp: int
-    sign: int
+    __slots__ = ("zeta_exp", "fund_exp", "sign")
+
+    def __init__(self, zeta_exp: int, fund_exp: int, sign: int) -> None:
+        self._set(zeta_exp, fund_exp, sign)
 
     def value(self) -> CycInt:
         base = _INV_ONE_PLUS_ZETA if self.fund_exp < 0 else ONE_PLUS_ZETA
@@ -256,12 +261,13 @@ def first_unit_hit(
     return None
 
 
-@dataclass(frozen=True)
-class AssociateNormalization:
-    unit: CycInt
-    unit_word: UnitWord
-    normalized: CycInt
-    residue: CycInt
+class AssociateNormalization(Record):
+    __slots__ = ("unit", "unit_word", "normalized", "residue")
+
+    def __init__(
+        self, unit: CycInt, unit_word: UnitWord, normalized: CycInt, residue: CycInt
+    ) -> None:
+        self._set(unit, unit_word, normalized, residue)
 
 
 def normalize_associate(

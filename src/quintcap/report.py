@@ -24,10 +24,10 @@ encoder remain the oracle the tests compare the writer against.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any
 
+from ._record import Record
 from .capitulation import (
     ClassWord,
     ExtensionDescriptor,
@@ -96,8 +96,7 @@ def _render(value: Any, pad: str) -> str:
     raise TypeError(f"{type(value).__name__} is not a report JSON value")
 
 
-@dataclass(frozen=True)
-class FormalTables:
+class FormalTables(Record):
     """The part of a report fixed by (form, h1, symbol), with its JSON.
 
     ``capitulations`` pairs each extension word with the class that dies
@@ -107,15 +106,22 @@ class FormalTables:
     with the value rendered at depth 1, in sorted-key order.
     """
 
-    w_symbol: WSymbol | None
-    generators: tuple[RadicalWord, RadicalWord]
-    extensions: tuple[ExtensionDescriptor, ...]
-    subgroups: tuple[SubgroupDescriptor, ...]
-    capitulations: tuple[tuple[RadicalWord, ClassWord], ...]
-    type_lists: tuple[tuple[RadicalWord, tuple[tuple[int, ...], ...]], ...]
-    fragments: tuple[str, ...] = field(init=False, repr=False)
+    __slots__ = (
+        "w_symbol", "generators", "extensions", "subgroups", "capitulations", "type_lists",
+        "fragments",
+    )
+    _UNSHOWN = ("fragments",)
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        w_symbol: WSymbol | None,
+        generators: tuple[RadicalWord, RadicalWord],
+        extensions: tuple[ExtensionDescriptor, ...],
+        subgroups: tuple[SubgroupDescriptor, ...],
+        capitulations: tuple[tuple[RadicalWord, ClassWord], ...],
+        type_lists: tuple[tuple[RadicalWord, tuple[tuple[int, ...], ...]], ...],
+    ) -> None:
+        self._set(w_symbol, generators, extensions, subgroups, capitulations, type_lists)
         tables = self.json_dict()
         fragments = tuple(
             f'  "{key}": {_render(tables[key], "  ")}' for key in sorted(tables)
@@ -179,18 +185,35 @@ def formal_tables(rc: RadicandClass, h1: int | None, symbol: int) -> FormalTable
     return tables
 
 
-@dataclass
-class Report:
-    n: int
-    classification: RadicandClass
-    no_match: bool
-    primes: list[PrimeElement] = field(default_factory=list)
-    root: int | None = None
-    normalization: dict[str, Any] | None = None
-    h1: dict[str, Any] | None = None
-    symbol_exponent: int | None = None
-    notes: list[str] = field(default_factory=list)
-    formal: FormalTables | None = None
+class Report(Record):
+    """One radicand's report; ``build_report`` fills it in place, so it is
+    mutable, and, being compared by its fields, unhashable."""
+
+    __slots__ = (
+        "n", "classification", "no_match", "primes", "root", "normalization", "h1",
+        "symbol_exponent", "notes", "formal",
+    )
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self,
+        n: int,
+        classification: RadicandClass,
+        no_match: bool,
+        primes: list[PrimeElement] | None = None,
+        root: int | None = None,
+        normalization: dict[str, Any] | None = None,
+        h1: dict[str, Any] | None = None,
+        symbol_exponent: int | None = None,
+        notes: list[str] | None = None,
+        formal: FormalTables | None = None,
+    ) -> None:
+        self._set(
+            n, classification, no_match, [] if primes is None else primes, root,
+            normalization, h1, symbol_exponent, [] if notes is None else notes, formal,
+        )
 
     # -- serialisation -----------------------------------------------------
 

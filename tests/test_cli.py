@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from quintcap import cli, fixtures, report
+from quintcap import cas, fixtures, report
 from quintcap.capitulation import H1SearchExhausted
 from quintcap.cli import build_parser, main
 from quintcap.fixtures import packaged_data_path
@@ -194,8 +194,9 @@ def test_verify_refuses_bad_cas_timeout_before_any_work(value, capsys, monkeypat
     def no_work(*args, **kwargs):
         raise AssertionError("work started")
 
-    monkeypatch.setattr(cli, "verify_fixtures", no_work)
-    monkeypatch.setattr(cli, "cas_adapter_check", no_work)
+    # verify looks both up in their modules when it runs.
+    monkeypatch.setattr(fixtures, "verify_fixtures", no_work)
+    monkeypatch.setattr(cas, "cas_adapter_check", no_work)
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--cas-cmd", "true", f"--cas-timeout={value}"])
     assert exc.value.code == 2
@@ -204,9 +205,19 @@ def test_verify_refuses_bad_cas_timeout_before_any_work(value, capsys, monkeypat
     assert "--cas-timeout" in captured.err
 
 
-def test_verify_accepts_positive_cas_timeout():
+def test_verify_accepts_positive_cas_timeout(tmp_path, capsys, monkeypatch):
     assert build_parser().parse_args(["verify", "--cas-timeout", "2.5"]).cas_timeout == 2.5
-    assert build_parser().parse_args(["verify"]).cas_timeout == 600.0
+    # Without the option, each adapter call waits cas.DEFAULT_TIMEOUT, 600 s.
+    timeouts = []
+
+    def no_reply(n, command, timeout):
+        timeouts.append(timeout)
+        raise cas.CasTimeoutError(n, timeout)
+
+    monkeypatch.setattr(cas, "cas_adapter_check", no_reply)
+    assert _verify_93(tmp_path, "true") == 1
+    assert timeouts == [600.0]
+    assert capsys.readouterr().out.endswith("cas summary: 1 failures\n")
 
 
 @pytest.mark.parametrize("option", ["--fixtures", "--anomalies"])

@@ -1,6 +1,5 @@
 """The formal tables of a report are built once per (form, h1, symbol) and shared."""
 
-import dataclasses
 import json
 
 import pytest
@@ -77,7 +76,7 @@ def test_changing_one_report_leaves_another_intact(reports):
         a, b = build_report(group[0].n), build_report(group[1].n)
         json_b, text_b = b.to_json(), b.to_text(explain=True)
         # The shared tables cannot be changed in place.
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             a.formal.extensions = ()
         with pytest.raises(TypeError):
             a.formal.extensions[0] = a.formal.extensions[1]
