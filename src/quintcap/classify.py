@@ -292,15 +292,20 @@ def _decide(lo: int, state: bytearray, ps: list[int], qs: list[int]) -> list[str
 
     Every prime up to min(isqrt(n), SIEVE_PRIME_LIMIT) that divides a
     survivor fills one of its roles, so a cofactor below _COMPOSITE_FROM
-    is prime, and a larger one is a prime power or holds two primes."""
+    is prime, and a larger one is a prime power or holds two primes.  A
+    prime cofactor moves the state by one read of its table, as _move(s,
+    m, 1) would, without the call: this loop runs once per survivor.  ps[i]
+    and qs[i] divide n, so each is divided out once before it is tested."""
     forms = [_NO_MATCH] * len(state)
     for i in compress(range(len(state)), state):
         n = m = lo + i
         p, q = ps[i], qs[i]
         if p:
+            m //= p
             while m % p == 0:
                 m //= p
         if q:
+            m //= q
             while m % q == 0:
                 m //= q
         s = state[i]
@@ -309,7 +314,7 @@ def _decide(lo: int, state: bytearray, ps: list[int], qs: list[int]) -> list[str
                 continue
             # The cofactor moves the state once more, as a sieve prime would.
             if m < _COMPOSITE_FROM:
-                s = _move(s, m, 1)
+                s = _STEPS[m % 25][0][s]
             elif (p or q) and m < MILLER_RABIN_BOUND:
                 # m is a prime power, or n has three primes.
                 r, j = _perfect_power(m)

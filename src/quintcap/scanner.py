@@ -11,12 +11,15 @@ Output order is by n regardless of worker count; chunks are contiguous and
 reassembled in submission order, so the parallel path is bit-identical to
 the sequential one.  With one job a chunk is one sieve block of
 SIEVE_BLOCK = 32 768 integers: every chunk repeats the slice work of each
-sieve prime, and a longer one spreads it over more integers.  The pool has
-at most one worker per CPU, however many jobs are asked for.  With more
-than one job a chunk holds a quarter of a worker's share of the window,
-kept between MIN_CHUNK and MAX_CHUNK integers (the last may be shorter),
-and at most two chunks per worker are in flight, so a worker's result
-list, and the memory of a long parallel scan, stay small.
+sieve prime, and a longer one spreads it over more integers; no pool is
+started and ``os.cpu_count()`` is not read.  ``scan_range`` returns the
+first block's rows, extended in place by the others, so a window of one
+block is not copied.  The pool has at most one worker per CPU, however
+many jobs are asked for.  With more than one job a chunk holds a quarter
+of a worker's share of the window, kept between MIN_CHUNK and MAX_CHUNK
+integers (the last may be shorter), and at most two chunks per worker are
+in flight, so a worker's result list, and the memory of a long parallel
+scan, stay small.
 ``concurrent.futures`` is imported only when a pool is started, that is,
 with two or more workers.
 """
@@ -25,7 +28,6 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from itertools import chain
 from typing import Iterator
 
 # The sieve hands classify_radicand what it cannot decide, so a scan's
@@ -56,7 +58,8 @@ def iter_scan(lo: int, hi: int, jobs: int = 1) -> Iterator[list[tuple[int, str]]
     ValueError for jobs < 1, and FactorizationLimitExceeded when the fifth
     root of hi exceeds TRIAL_DIVISION_LIMIT.  The pool has no more workers
     than jobs, chunks or CPUs, and is not started for one worker.  The chunk
-    size depends on jobs, not on the CPU count.
+    size depends on jobs, not on the CPU count, and with one job the CPU
+    count is not read.  Each piece is a new list.
     """
     if not 1 < lo <= hi:
         raise ValueError("need 1 < lo <= hi")
@@ -69,13 +72,12 @@ def iter_scan(lo: int, hi: int, jobs: int = 1) -> Iterator[list[tuple[int, str]]
             f" fifth-power marks, beyond {TRIAL_DIVISION_LIMIT}"
         )
     if jobs == 1:
-        chunk = SIEVE_BLOCK
+        chunk, workers = SIEVE_BLOCK, 1
     else:
         chunk = min(max((hi - lo + 1) // (jobs * 4), MIN_CHUNK), MAX_CHUNK)
-    starts = range(lo, hi + 1, chunk)
-    bounds = ((start, min(start + chunk - 1, hi)) for start in starts)
-    # Counted, not len(starts): a range longer than sys.maxsize has no len.
-    workers = min(jobs, (hi - lo) // chunk + 1, os.cpu_count() or 1)
+        # Counted, not by len(): a range longer than sys.maxsize has no len.
+        workers = min(jobs, (hi - lo) // chunk + 1, os.cpu_count() or 1)
+    bounds = ((start, min(start + chunk - 1, hi)) for start in range(lo, hi + 1, chunk))
     if workers == 1:
         yield from map(sieve_rows, bounds)
         return
@@ -92,7 +94,16 @@ def iter_scan(lo: int, hi: int, jobs: int = 1) -> Iterator[list[tuple[int, str]]
 
 
 def scan_range(lo: int, hi: int, jobs: int = 1) -> list[tuple[int, str]]:
-    return list(chain.from_iterable(iter_scan(lo, hi, jobs)))
+    """(n, form) for every fifth-power-free n in lo..hi, ascending, with each
+    form a RadicandForm value; raises as iter_scan does.
+
+    The first piece of iter_scan is the result, extended in place by the
+    others: a window of one block is returned as the sieve built it."""
+    pieces = iter_scan(lo, hi, jobs)
+    rows = next(pieces)
+    for piece in pieces:
+        rows.extend(piece)
+    return rows
 
 
 def render_scan(results: list[tuple[int, str]]) -> str:

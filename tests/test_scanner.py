@@ -166,6 +166,22 @@ def test_scan_with_one_worker_starts_no_pool(monkeypatch):
     assert [row for piece in pieces for row in piece] == scan_range(lo, lo + 19_999)
 
 
+def test_one_job_scan_reads_no_cpu_count(monkeypatch):
+    # One job starts no pool, so the CPU count is never read: not on the
+    # benchmark's 20 000-integer window at 10^6, nor on three sieve blocks.
+    def no_count():
+        raise AssertionError("os.cpu_count() read with one job")
+
+    windows = [(10**6, 10**6 + 19_999), (2 * 10**6, 2 * 10**6 + 3 * SIEVE_BLOCK - 1)]
+    want = [scan_range(lo, hi) for lo, hi in windows]
+    monkeypatch.setattr(os, "cpu_count", no_count)
+    for (lo, hi), rows in zip(windows, want):
+        assert scan_range(lo, hi) == rows
+        pieces = list(iter_scan(lo, hi, 1))
+        assert len(pieces) == -(-(hi - lo + 1) // SIEVE_BLOCK)
+        assert [row for piece in pieces for row in piece] == rows
+
+
 def test_scan_of_a_window_longer_than_maxsize_streams(monkeypatch):
     # 10**24 integers make more chunks than len() of a range can count.
     first = next(iter_scan(2, 10**24))
@@ -318,9 +334,19 @@ def test_sieve_scan_matches_classify_each(lo, hi):
 
 
 def test_iter_scan_pieces_join_to_scan_range():
-    pieces = list(iter_scan(2, 2 * SIEVE_BLOCK + 10))
-    assert len(pieces) == 3
-    assert [row for piece in pieces for row in piece] == scan_range(2, 2 * SIEVE_BLOCK + 10)
+    # scan_range extends the first piece in place, so each call must still
+    # return a list of its own: emptying one result changes no later one.
+    hi = 3 * SIEVE_BLOCK + 10
+    pieces = list(iter_scan(2, hi))
+    assert len(pieces) == 4
+    first = scan_range(2, hi)
+    assert first == [row for piece in pieces for row in piece]
+    # Four pieces, and one: the last 20 000 integers are one block.
+    for lo in (2, hi - 19_999):
+        rows, again = scan_range(lo, hi), scan_range(lo, hi)
+        assert rows is not again
+        rows.clear()
+        assert again == scan_range(lo, hi) == [row for row in first if row[0] >= lo]
 
 
 def test_scan_short_window_near_1e20():
