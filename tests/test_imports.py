@@ -37,7 +37,7 @@ def _loaded_by(module):
 
 def test_import_quintcap_loads_no_dataclasses_and_every_traced_module():
     loaded = _loaded_by("quintcap")
-    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "array"}
     assert TRACED <= loaded
 
 

@@ -487,7 +487,11 @@ def test_survivor_decision_follows_the_shape_rules(monkeypatch):
             state, p, q = sieved(n, {**primes, 5: fives} if fives else primes)
             decisions.decided.clear()
             decisions.handed.clear()
-            form = classify._decide(n, bytearray([state]), [p], [q])[0]
+            # _decide returns only the n with a shape, so every other n, and
+            # an n with a third prime, reads as no_match.
+            shaped = dict(classify._decide(n, bytearray([state]), [p], [q]))
+            assert shaped.keys() <= {0}, factors
+            form = shaped.get(0, "no_match")
             assert form == radicand_shape(n, factors)[0].value, factors
             assert len(factors) < 3 or not decisions.decided + decisions.handed, factors
             classes.add(n % 25)
@@ -578,6 +582,42 @@ def test_scan_matches_full_sieve_oracle(lo, hi):
     # With one job the pieces are sieve blocks from lo on, so only a window
     # longer than SIEVE_BLOCK crosses a block edge.
     assert len(list(iter_scan(lo, hi))) == -(-(hi - lo + 1) // SIEVE_BLOCK)
+
+
+def test_shaped_rows_are_written_at_their_index(monkeypatch):
+    # sieve_rows lays every fifth-power-free n down as no_match and writes
+    # each shaped n over the row at the count of kept n below it.  These
+    # windows put a shaped n at lo and at hi, right after a p^5-marked n,
+    # alone in a one-integer window, on both sides of a block edge, and
+    # after classify_radicand has decided it.
+    windows = [
+        (993, 1_025),  # shaped at lo and at hi; 1 024 = 2^10 is marked
+        (1_024, 1_025),
+        (9_985_162, 9_985_601),  # lo = 11^5 * 62; 9 985 600 = 2^6 * 156 025
+        (937_499, 937_502),  # 937 500 = 12 * 5^7
+        (937_501, 937_501),
+        (1_024, 1_024),
+        (1_026, 1_026),
+        (1_002_775, 1_002_775 + SIEVE_BLOCK),  # hi is the first n of the second block
+        (10**20 + 55, 10**20 + 151),  # hi is prime, with no sieve prime
+    ]
+    decisions = _Decisions()
+    monkeypatch.setattr(classify, "_FORM", decisions)
+    rows = {}
+    for lo, hi in windows:
+        want = oracles.scan_all(lo, hi)
+        for jobs in (1, 2):
+            assert scan_range(lo, hi, jobs) == want, (lo, hi, jobs)
+        rows.update(want)
+    # The windows hold what they are chosen for.
+    shaped = {n for n, form in rows.items() if form != "no_match"}
+    for lo, hi in (windows[0], windows[7], windows[8]):
+        assert {lo, hi} <= shaped, (lo, hi)
+    marked = {1_024, 9_985_162, 9_985_600, 937_500}
+    assert not marked & rows.keys()
+    assert {1_025, 9_985_601, 937_501} <= shaped and rows[1_026] == "no_match"
+    assert len(list(iter_scan(1_002_775, 1_002_775 + SIEVE_BLOCK))) == 2
+    assert 10**20 + 151 in decisions.handed
 
 
 def test_shape_sieve_matches_restricted_sieve_oracle(monkeypatch):
