@@ -25,10 +25,10 @@ state by every prime of n's factorisation.  The tests compare it with
 ``radicand_shape`` in their oracles, which applies the same rules to a
 whole factorisation.
 
-``sieve_rows``, the scanner's kernel, moves the same states for a block of
-integers.  The multiples of p^5 are marked for every prime p with p^5 <= hi
-and skipped; the marks prove the unmarked n fifth-power-free at any
-height.  Only the classes of SHAPE_RESIDUES start alive.  Every prime p up
+``sieve_block``, the scanner's kernel, moves the same states for a block
+of integers.  The multiples of p^5 are marked for every prime p with
+p^5 <= hi and skipped; the marks prove the unmarked n fifth-power-free at
+any height.  Only the classes of SHAPE_RESIDUES start alive.  Every prime p up
 to min(isqrt(hi), SIEVE_PRIME_LIMIT) moves the state of its multiples by
 its table, and of the multiples of p^2 by its square table; a prime that
 fills no role in any class zeroes its multiples with one slice.  The
@@ -46,9 +46,12 @@ an n that ``classify_radicand`` refuses when one of its sieve primes fits
 no shape of its class: 41*(2^89 - 1) is class 1, and 41 is not 1 mod 25.
 Only the survivors with a shape, about 300 in 20 000 integers at 5*10^6,
 come back from this loop, as a sparse list of (index, form) pairs.  The
-rows of the block are laid down as no_match and those few are written
-over, so the rows are the only Python list of the block's length, and the
-only one the cyclic garbage collector walks.
+kernel returns the block compactly, as that list and the p^5-mark bytes,
+about one byte per integer, which is all a worker of the scanner's pool
+sends back.  ``block_rows`` lays the rows of a block down from it: every
+unmarked n as no_match, and those few written over, so the rows are the
+only Python list of the block's length, and the only one the cyclic
+garbage collector walks.  ``sieve_rows`` is the two in one.
 
 n is factored by ``factor.factorize`` (Miller-Rabin and Brent's rho), so
 every n below ``factor.MILLER_RABIN_BOUND`` is classified.  So is a larger
@@ -251,7 +254,7 @@ def classify_radicand(n: int) -> RadicandClass:
     """Decide which admissible shape n has, or NO_MATCH.
 
     n is factored whole, then each of its primes moves the state of n's
-    class by its tables, as a sieve prime moves it in ``sieve_rows``.
+    class by its tables, as a sieve prime moves it in ``sieve_block``.
     Raises NotFifthPowerFree when some prime divides n at least five times,
     and FactorizationLimitExceeded when factorize refuses n: a cofactor
     at or above MILLER_RABIN_BOUND stays there after trial division up to
@@ -342,16 +345,18 @@ def _decide(
     return shaped
 
 
-def sieve_rows(bounds: tuple[int, int]) -> list[tuple[int, str]]:
-    """The rows of lo..hi by the shape sieve: (n, form) for every
-    fifth-power-free n, ascending, with each form a RadicandForm value.
+# A block of the shape sieve: lo, the p^5-mark bytes (0 where some p^5
+# divides n = lo + i, 1 elsewhere), and _decide's sparse list.
+Block = tuple[int, bytearray, list[tuple[int, str]]]
+
+
+def sieve_block(bounds: tuple[int, int]) -> Block:
+    """The block of lo..hi by the shape sieve, from which block_rows lays
+    down its rows.
 
     The role primes are kept in two arrays of C integers, which the cyclic
     garbage collector does not walk, and ``array`` is imported here, off
-    the import path of the package.  Every row is laid down as no_match,
-    and each pair of _decide's sparse list is written over its row: the row
-    of n = lo + i is the count of fifth-power-free n below it, counted on
-    from the previous shaped n."""
+    the import path of the package."""
     from array import array
 
     lo, hi = bounds
@@ -386,10 +391,26 @@ def sieve_rows(bounds: tuple[int, int]) -> list[tuple[int, str]]:
         s = -lo % pp
         if s < size:
             state[s::pp] = state[s::pp].translate(square)
-    rows = list(compress(zip(range(lo, hi + 1), repeat(_NO_MATCH)), keep))
+    return lo, keep, _decide(lo, state, ps, qs)
+
+
+def block_rows(block: Block) -> list[tuple[int, str]]:
+    """The rows of a block: (n, form) for every fifth-power-free n,
+    ascending, with each form a RadicandForm value.
+
+    Every row is laid down as no_match, and each pair of the sparse list
+    is written over its row: the row of n = lo + i is the count of
+    fifth-power-free n below it, counted on from the previous shaped n."""
+    lo, keep, shaped = block
+    rows = list(compress(zip(range(lo, lo + len(keep)), repeat(_NO_MATCH)), keep))
     row = start = 0
-    for i, form in _decide(lo, state, ps, qs):
+    for i, form in shaped:
         row += keep.count(1, start, i)
         start = i
         rows[row] = (lo + i, form)
     return rows
+
+
+def sieve_rows(bounds: tuple[int, int]) -> list[tuple[int, str]]:
+    """The rows of lo..hi by the shape sieve: block_rows(sieve_block(bounds))."""
+    return block_rows(sieve_block(bounds))

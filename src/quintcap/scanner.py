@@ -1,27 +1,24 @@
 """Range scanner: classify every fifth-power-free n in an interval.
 
-The window is cut into contiguous chunks, and each chunk is scanned by
-``classify.sieve_rows``, the shape sieve that ``classify``'s docstring
-describes: it gives every fifth-power-free n of the chunk its form, and
-leaves out the rest.  A window whose p^5 marks would need primes beyond
-``factor.TRIAL_DIVISION_LIMIT``, hi from about 1.02*10^33 on, is refused
-before any of it is scanned: those primes would not fit in memory.
+The window is cut into contiguous chunks of SIEVE_BLOCK = 32 768 integers
+(the last may be shorter), whatever the job count, and each chunk is one
+block of the shape sieve that ``classify``'s docstring describes: it gives
+every fifth-power-free n of the chunk its form, and leaves out the rest.
+Every chunk repeats the slice work of each sieve prime, and a longer one
+spreads it over more integers.  A window whose p^5 marks would need
+primes beyond ``factor.TRIAL_DIVISION_LIMIT``, hi from about 1.02*10^33
+on, is refused before any of it is scanned: those primes would not fit in
+memory.
 
-Output order is by n regardless of worker count; chunks are contiguous and
-reassembled in submission order, so the parallel path is bit-identical to
-the sequential one.  With one job a chunk is one sieve block of
-SIEVE_BLOCK = 32 768 integers: every chunk repeats the slice work of each
-sieve prime, and a longer one spreads it over more integers; no pool is
-started and ``os.cpu_count()`` is not read.  ``scan_range`` returns the
-first block's rows, extended in place by the others, so a window of one
-block is not copied.  The pool has at most one worker per CPU, however
-many jobs are asked for.  With more than one job a chunk holds a quarter
-of a worker's share of the window, kept between MIN_CHUNK and MAX_CHUNK
-integers (the last may be shorter), and at most two chunks per worker are
-in flight, so a worker's result list, and the memory of a long parallel
-scan, stay small.
-``concurrent.futures`` is imported only when a pool is started, that is,
-with two or more workers.
+The pool has at most one worker per chunk and per CPU, however many jobs
+are asked for, so a window of one block starts no pool; with one job
+``os.cpu_count()`` is not read.  A worker runs only ``sieve_block`` and
+sends back the compact block, about one byte per integer, and this
+process lays the rows down from it with ``block_rows``, as
+``sieve_rows`` does with one worker.  Chunks are reassembled in
+submission order, at most two per worker in flight, so the output is
+bit-identical at every job count and a long parallel scan holds little.
+``concurrent.futures`` is imported only when a pool is started.
 """
 
 from __future__ import annotations
@@ -33,33 +30,29 @@ from typing import Iterator
 # The sieve hands classify_radicand what it cannot decide, so a scan's
 # refusals are its own.  It stays bound here, where perfbench/tracing.py
 # wraps it among the scanner's names.
-from .classify import FactorizationLimitExceeded, classify_radicand, sieve_rows  # noqa: F401
+from .classify import (  # noqa: F401
+    FactorizationLimitExceeded,
+    block_rows,
+    classify_radicand,
+    sieve_block,
+    sieve_rows,
+)
 from .factor import TRIAL_DIVISION_LIMIT, integer_root
 
-# Integers one chunk holds with one job.
+# Integers in one chunk.
 SIEVE_BLOCK = 1 << 15
-
-# Largest chunk given to one worker, a multiple of SIEVE_BLOCK.  Above
-# 2 500, so a 20 000-integer window at jobs=2 is still cut into the jobs*4
-# chunks of an uncapped scan.
-MAX_CHUNK = 1 << 16
-
-# Smallest chunk, unless MAX_CHUNK is lower: every chunk repeats the slice
-# work of each sieve prime.  A 20 000-integer window at jobs=2 is 8 of them.
-MIN_CHUNK = 2_500
 
 
 def iter_scan(lo: int, hi: int, jobs: int = 1) -> Iterator[list[tuple[int, str]]]:
-    """The results of scan_range(lo, hi, jobs), one contiguous piece at a time.
+    """The results of scan_range(lo, hi, jobs), one chunk of SIEVE_BLOCK
+    integers at a time, so a caller that writes each piece out holds the
+    rows of no more than one block at once.
 
-    With one job a piece is one sieve block of SIEVE_BLOCK = 32 768
-    integers, so a caller that writes each piece out holds no more than a
-    block's results at once.  Raises
-    ValueError for jobs < 1, and FactorizationLimitExceeded when the fifth
-    root of hi exceeds TRIAL_DIVISION_LIMIT.  The pool has no more workers
-    than jobs, chunks or CPUs, and is not started for one worker.  The chunk
-    size depends on jobs, not on the CPU count, and with one job the CPU
-    count is not read.  Each piece is a new list.
+    Raises ValueError for jobs < 1, and FactorizationLimitExceeded when
+    the fifth root of hi exceeds TRIAL_DIVISION_LIMIT.  The pool has no
+    more workers than jobs, chunks or CPUs, and is not started for one
+    worker, so neither one job nor a window of one block starts it or
+    reads the CPU count.  Each piece is a new list.
     """
     if not 1 < lo <= hi:
         raise ValueError("need 1 < lo <= hi")
@@ -71,13 +64,11 @@ def iter_scan(lo: int, hi: int, jobs: int = 1) -> Iterator[list[tuple[int, str]]
             f"scanning up to {hi} needs the primes up to {root} for its"
             f" fifth-power marks, beyond {TRIAL_DIVISION_LIMIT}"
         )
-    if jobs == 1:
-        chunk, workers = SIEVE_BLOCK, 1
-    else:
-        chunk = min(max((hi - lo + 1) // (jobs * 4), MIN_CHUNK), MAX_CHUNK)
-        # Counted, not by len(): a range longer than sys.maxsize has no len.
-        workers = min(jobs, (hi - lo) // chunk + 1, os.cpu_count() or 1)
-    bounds = ((start, min(start + chunk - 1, hi)) for start in range(lo, hi + 1, chunk))
+    bounds = ((start, min(start + SIEVE_BLOCK - 1, hi)) for start in range(lo, hi + 1, SIEVE_BLOCK))
+    # Counted, not by len(): a range longer than sys.maxsize has no len.
+    workers = min(jobs, (hi - lo) // SIEVE_BLOCK + 1)
+    if workers > 1:
+        workers = min(workers, os.cpu_count() or 1)
     if workers == 1:
         yield from map(sieve_rows, bounds)
         return
@@ -86,11 +77,11 @@ def iter_scan(lo: int, hi: int, jobs: int = 1) -> Iterator[list[tuple[int, str]]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         pending: deque = deque()
         for b in bounds:
-            pending.append(pool.submit(sieve_rows, b))
+            pending.append(pool.submit(sieve_block, b))
             if len(pending) == 2 * workers:
-                yield pending.popleft().result()
+                yield block_rows(pending.popleft().result())
         while pending:
-            yield pending.popleft().result()
+            yield block_rows(pending.popleft().result())
 
 
 def scan_range(lo: int, hi: int, jobs: int = 1) -> list[tuple[int, str]]:

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
 
 import pytest
@@ -60,22 +61,28 @@ def test_scan_validates_bounds():
         scan_range(50, 10)
 
 
-def test_scan_parallel_matches_sequential():
+def test_scan_parallel_matches_sequential(monkeypatch):
+    # Blocks of 512 integers cut the window into eight chunks, which a pool
+    # of three runs in this process.
     seq = scan_range(2, 4000, jobs=1)
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4096)
+    monkeypatch.setattr(scanner, "SIEVE_BLOCK", 512)
     par = scan_range(2, 4000, jobs=3)
+    assert _InProcessPool.sizes == [3]
     assert seq == par
     assert render_scan(seq) == render_scan(par)
 
 
 def test_scan_capped_chunks_match_sequential(monkeypatch):
-    # The real cap is a multiple of the sieve block above the 2 500-integer
-    # chunks of a 20 000-integer window at jobs=2.  Lowering it here makes a
-    # short range span many capped chunks, more than the 2*jobs in flight.
-    assert scanner.MAX_CHUNK % SIEVE_BLOCK == 0 and scanner.MAX_CHUNK > 2500
+    # Every chunk is one sieve block at every job count.  Lowering the block
+    # here makes a short range span many chunks, more than the 2*jobs in
+    # flight.
     lo, hi = 1000, 31000
     want = scan_range(lo, hi, jobs=1)
-    monkeypatch.setattr(scanner, "MAX_CHUNK", 1024)
-    for jobs in (2, 3):
+    monkeypatch.setattr(scanner, "SIEVE_BLOCK", 1024)
+    for jobs in (1, 2, 3):
         pieces = list(iter_scan(lo, hi, jobs))
         assert len(pieces) == 30, jobs
         assert [row for piece in pieces for row in piece] == want, jobs
@@ -111,6 +118,18 @@ class _InProcessPool:
         return future
 
 
+class _PicklingPool(_InProcessPool):
+    """An _InProcessPool that also records, for each chunk, its bounds and
+    the length of its result as a worker would pickle it to send back."""
+
+    sent: list = []
+
+    def submit(self, fn, *args):
+        future = super().submit(fn, *args)
+        self.sent.append((args[0], len(ForkingPickler.dumps(future.result()))))
+        return future
+
+
 class _Decisions(list):
     """Stands in for classify._FORM: gives the same form for each final state,
     and records the n whose form each lookup decides, read from the frame of
@@ -133,9 +152,8 @@ def test_scan_pool_has_no_more_workers_than_chunks(monkeypatch):
     monkeypatch.setattr(_InProcessPool, "sizes", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4096)
-    # Without the chunk floor, 10 integers at 1000 jobs make 10 one-integer
-    # chunks.
-    monkeypatch.setattr(scanner, "MIN_CHUNK", 1)
+    # With one-integer blocks, 10 integers at 1000 jobs make 10 chunks.
+    monkeypatch.setattr(scanner, "SIEVE_BLOCK", 1)
     assert scan_range(2, 11, jobs=1000) == scan_range(2, 11)
     assert scan_range(2, 4000, jobs=3) == scan_range(2, 4000)
     assert _InProcessPool.sizes == [10, 3]
@@ -150,8 +168,8 @@ def test_scan_pool_has_no_more_workers_than_chunks(monkeypatch):
 
 
 def test_scan_with_one_worker_starts_no_pool(monkeypatch):
-    # One chunk, or one CPU, makes one worker: the chunks of the jobs=2 plan
-    # run in this process.
+    # One chunk, or one CPU, makes one worker: the chunks run in this
+    # process.
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
@@ -161,9 +179,43 @@ def test_scan_with_one_worker_starts_no_pool(monkeypatch):
     assert len(list(iter_scan(lo, lo + 1_999, 2))) == 1
     assert scan_range(lo, lo + 1_999, 2) == scan_range(lo, lo + 1_999)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    pieces = list(iter_scan(lo, lo + 19_999, 2))
-    assert len(pieces) == 8
-    assert [row for piece in pieces for row in piece] == scan_range(lo, lo + 19_999)
+    hi = lo + 3 * SIEVE_BLOCK - 1
+    pieces = list(iter_scan(lo, hi, 2))
+    assert len(pieces) == 3
+    assert [row for piece in pieces for row in piece] == scan_range(lo, hi)
+
+
+def test_a_one_block_window_starts_no_pool(monkeypatch):
+    # A window of one sieve block is one chunk, so one worker, at any job
+    # count and however many CPUs: the benchmark's 20 000-integer window at
+    # 10^6 among them.
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    windows = [(10**6, 10**6 + 19_999), (2, 1 + SIEVE_BLOCK), (5 * 10**6, 5 * 10**6)]
+    want = [scan_range(lo, hi) for lo, hi in windows]
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4096)
+    for (lo, hi), rows in zip(windows, want):
+        for jobs in (2, 3, 1000):
+            assert scan_range(lo, hi, jobs) == rows, (lo, jobs)
+
+
+def test_workers_return_compact_blocks(monkeypatch):
+    # A worker sends back a block's p^5-mark bytes and the sparse list of
+    # its shaped n, under 2 bytes an integer, not the block's rows; this
+    # process lays the rows down.
+    monkeypatch.setattr(_PicklingPool, "sizes", [])
+    monkeypatch.setattr(_PicklingPool, "sent", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _PicklingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4096)
+    lo, hi = 2 * 10**6, 2 * 10**6 + 3 * SIEVE_BLOCK - 1
+    assert scan_range(lo, hi, 2) == oracles.scan_all(lo, hi)
+    assert _PicklingPool.sizes == [2]
+    blocks = [(start, start + SIEVE_BLOCK - 1) for start in range(lo, hi, SIEVE_BLOCK)]
+    assert [bounds for bounds, _ in _PicklingPool.sent] == blocks
+    for (a, b), size in _PicklingPool.sent:
+        assert size < 2 * (b - a + 1), (a, size)
 
 
 def test_one_job_scan_reads_no_cpu_count(monkeypatch):
@@ -190,15 +242,16 @@ def test_scan_of_a_window_longer_than_maxsize_streams(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4096)
     pieces = iter_scan(2, 10**24, 2)
-    assert next(pieces) == scan_range(2, 1 + scanner.MAX_CHUNK)
+    assert next(pieces) == first
     pieces.close()
     assert _InProcessPool.sizes == [2]
 
 
-@pytest.mark.parametrize("method", ["forkserver", "spawn"])
+@pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
 def test_scan_pool_under_start_method(method):
-    # Workers that start afresh, rather than as forks of this process, give
-    # the same rows.  Two CPUs are claimed, so the pool is started.
+    # Workers forked from this process, or started afresh, give the same
+    # rows on a two-block window.  Two CPUs are claimed, so the pool is
+    # started.
     code = (
         "import multiprocessing, os, sys\n"
         f"multiprocessing.set_start_method({method!r})\n"
@@ -209,30 +262,36 @@ def test_scan_pool_under_start_method(method):
     subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
 
 
-def test_parallel_chunks_have_a_floor_and_a_cap(monkeypatch):
+def test_chunks_are_sieve_blocks_at_every_job_count(monkeypatch):
     # With each chunk's scan replaced by its bounds, scan_range returns the
-    # chunks in order.  Every chunk but the last holds between MIN_CHUNK and
-    # MAX_CHUNK integers, so a short window is not cut finer than a long one.
+    # chunks in order.  Every chunk but the last holds SIEVE_BLOCK integers
+    # whatever the job count, so each n has the same sieve primes at every
+    # job count, and the pool has one worker per chunk up to the job count.
     monkeypatch.setattr(_InProcessPool, "sizes", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4096)
     monkeypatch.setattr(scanner, "sieve_rows", lambda bounds: [bounds])
-    assert scanner.MIN_CHUNK <= 2500 < scanner.MAX_CHUNK
+    monkeypatch.setattr(scanner, "sieve_block", lambda bounds: bounds)
+    monkeypatch.setattr(scanner, "block_rows", lambda bounds: [bounds])
 
-    def chunks(lo, hi, jobs):
-        found = scan_range(lo, hi, jobs)
-        assert found[0][0] == lo and found[-1][1] == hi
-        assert all(b[0] == a[1] + 1 for a, b in zip(found, found[1:]))
-        return [b - a + 1 for a, b in found]
+    def chunks(lo, hi):
+        plans = []
+        for jobs in (1, 2, 3, 1000):
+            found = scan_range(lo, hi, jobs)
+            assert found[0][0] == lo and found[-1][1] == hi
+            assert all(b[0] == a[1] + 1 for a, b in zip(found, found[1:]))
+            plans.append([b - a + 1 for a, b in found])
+        assert all(plan == plans[0] for plan in plans), (lo, hi)
+        return plans[0]
 
     lo = 3 * 10**12
-    assert chunks(lo, lo + 1_999, 2) == [2_000]
-    assert chunks(lo, lo + 4_999, 2) == [2_500, 2_500]
-    # The benchmark's windows: 20 000 integers at jobs=2 are 8 chunks of 2 500.
-    assert chunks(10**6, 10**6 + 19_999, 2) == [2_500] * 8
-    assert chunks(lo, lo + 99_999, 3) == [8_333] * 12 + [4]
-    assert chunks(2, 10**6 + 1, 2) == [scanner.MAX_CHUNK] * 15 + [10**6 - 15 * scanner.MAX_CHUNK]
-    blocks = 100_000 // SIEVE_BLOCK
-    assert chunks(2, 100_001, 1) == [SIEVE_BLOCK] * blocks + [100_000 - blocks * SIEVE_BLOCK]
+    assert chunks(lo, lo + 1_999) == [2_000]
+    # The benchmark's windows: 20 000 integers are one chunk.
+    assert chunks(10**6, 10**6 + 19_999) == [20_000]
+    assert chunks(lo, lo + SIEVE_BLOCK) == [SIEVE_BLOCK, 1]
+    assert chunks(lo, lo + 99_999) == [SIEVE_BLOCK] * 3 + [100_000 - 3 * SIEVE_BLOCK]
+    assert chunks(2, 10**6 + 1) == [SIEVE_BLOCK] * 30 + [10**6 - 30 * SIEVE_BLOCK]
+    assert _InProcessPool.sizes == [2, 2, 2, 2, 3, 4, 2, 3, 31]
 
 
 def test_one_sieve_prime_and_a_large_cofactor_need_no_rho(monkeypatch):
@@ -293,12 +352,19 @@ def test_import_leaves_out_process_pools():
 def test_scanner_takes_no_private_name_of_classify_or_factor():
     # classify owns the shape-state machine: the scanner binds none of the
     # private tables or helpers of classify or factor, and takes from
-    # classify only the sieve, classify_radicand and the refusal's error.
+    # classify only the sieve's three entry points, classify_radicand and
+    # the refusal's error.
     for module in (classify, factor):
         private = {name for name in vars(module) if name.startswith("_") and not name.startswith("__")}
         assert not private & set(vars(scanner)), module.__name__
     taken = {name for name, value in vars(scanner).items() if getattr(value, "__module__", None) == classify.__name__}
-    assert taken == {"FactorizationLimitExceeded", "classify_radicand", "sieve_rows"}
+    assert taken == {
+        "FactorizationLimitExceeded",
+        "block_rows",
+        "classify_radicand",
+        "sieve_block",
+        "sieve_rows",
+    }
 
 
 def test_scan_never_raises_on_desk_range():
@@ -624,11 +690,11 @@ def test_shape_sieve_matches_restricted_sieve_oracle(monkeypatch):
     # The shape sieve decides by its tables only the members of
     # SHAPE_RESIDUES with at most two sieve primes, and rejects one whose two
     # primes leave a cofactor; the restricted sieve classified every member.
-    # The jobs=2 chunks run in this process: without the chunk floor, a
+    # The jobs=2 chunks run in this process: with blocks of 250 integers, a
     # 2 000-integer window is cut into eight.
     monkeypatch.setattr(_InProcessPool, "sizes", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
-    monkeypatch.setattr(scanner, "MIN_CHUNK", 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4096)
     rng = random.Random(18)
     windows = [(lo, lo + 1_999) for lo in (rng.randrange(2, 10**13 - 2_000) for _ in range(3))]
     windows += [
@@ -646,7 +712,9 @@ def test_shape_sieve_matches_restricted_sieve_oracle(monkeypatch):
             decisions = _Decisions()
             patched.setattr(classify, "_FORM", decisions)
             assert scan_range(lo, hi) == want, (lo, hi)
-        assert scan_range(lo, hi, 2) == want, (lo, hi)
+        with monkeypatch.context() as patched:
+            patched.setattr(scanner, "SIEVE_BLOCK", 250)
+            assert scan_range(lo, hi, 2) == want, (lo, hi)
         for n in decisions.decided:
             # At jobs=1 the sieve primes of n are those up to the square root
             # of the top of its block, and at most SIEVE_PRIME_LIMIT.
@@ -655,6 +723,7 @@ def test_shape_sieve_matches_restricted_sieve_oracle(monkeypatch):
             counts.append(sum(p <= limit for p in factor.factorize(n)))
         rejected += sum(n % 25 in SHAPE_RESIDUES for n, _ in want) - len(decisions.decided)
     assert {0, 1, 2} <= set(counts) and max(counts) == 2 and rejected > 0
+    assert _InProcessPool.sizes == [2] * len(windows)
 
 
 def test_every_class_is_classified_from_the_certification_bound(monkeypatch):
