@@ -16,9 +16,8 @@ class Record:
     ``==`` holds between two records of the same class whose fields are
     equal, ``hash`` is the hash of the tuple of the fields and ``repr`` is
     ``Name(field=value, ...)`` without the fields in ``_UNSHOWN``.
-    Assigning or deleting a field raises AttributeError; a mutable record
-    puts ``object.__setattr__`` and ``object.__delattr__`` back, and sets
-    ``__hash__ = None``.
+    Assigning or deleting a field raises AttributeError.  A record whose
+    fields hold lists or dicts is unhashable, as its tuple of fields is.
     """
 
     __slots__ = ()

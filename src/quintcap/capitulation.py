@@ -182,9 +182,6 @@ class CapitulationType(Record):
             raise ValueError("capitulation type needs six entries in 0..6")
         self._set(entries)
 
-    def __iter__(self):
-        return iter(self.entries)
-
     def __repr__(self) -> str:
         return "(" + ",".join(str(i) for i in self.entries) + ")"
 

@@ -226,9 +226,6 @@ class CycInt:
         """
         return _norm(self._c)
 
-    def is_unit(self) -> bool:
-        return not self.is_zero() and self.norm() == 1
-
     def __divmod__(self, other: IntoCycInt) -> tuple["CycInt", "CycInt"]:
         if isinstance(other, int):
             other = CycInt(other)

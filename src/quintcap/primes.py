@@ -171,14 +171,6 @@ class UnitWord(Record):
     def __init__(self, zeta_exp: int, fund_exp: int, sign: int) -> None:
         self._set(zeta_exp, fund_exp, sign)
 
-    def value(self) -> CycInt:
-        base = _INV_ONE_PLUS_ZETA if self.fund_exp < 0 else ONE_PLUS_ZETA
-        u = ONE
-        for _ in range(abs(self.fund_exp)):
-            u = u * base
-        u = u * (ZETA ** self.zeta_exp)
-        return u if self.sign > 0 else -u
-
     def render(self) -> str:
         parts = [] if self.sign > 0 else ["-1"]
         if self.zeta_exp:

@@ -9,16 +9,17 @@ rendered, once per process for each such key, in a FormalTables that every
 report with that key shares read-only.
 
 ``Report.to_json`` writes the document in one pass, byte for byte what
-``json.dumps(to_json_dict(), sort_keys=True, indent=2)`` gives.  The keys
-of the per-radicand part have a fixed layout: classification, conventions,
-n, no_match, schema, symbol, w_symbol and each entry of primes are filled
+``json.dumps(..., sort_keys=True, indent=2)`` gives.  The keys of the
+per-radicand part have a fixed layout: classification, conventions, n,
+no_match, schema, symbol, w_symbol and each entry of primes are filled
 into f-string templates in sorted-key order, and the formal tables' stored
 fragments are spliced in between.  Only the values whose keys vary (h1,
 normalization and the notes) and the formal tables go through ``_render``,
 a direct writer for the few kinds of value a report holds.  With
 ``indent`` set, the stdlib encoder falls back to its pure-Python generator,
-which took about a third of a warm report's time; ``to_json_dict`` and that
-encoder remain the oracle the tests compare the writer against.
+which took about a third of a warm report's time; the report as a dict
+(``report_dict`` in tests/oracles.py) and that encoder remain the oracle
+the tests compare the writer against.
 """
 
 from __future__ import annotations
@@ -186,16 +187,14 @@ def formal_tables(rc: RadicandClass, h1: int | None, symbol: int) -> FormalTable
 
 
 class Report(Record):
-    """One radicand's report; ``build_report`` fills it in place, so it is
-    mutable, and, being compared by its fields, unhashable."""
+    """One radicand's report.  Its fields are frozen, but primes, notes,
+    normalization and h1 are the report's own lists and dicts; being
+    compared by its fields, which hold lists, it is unhashable."""
 
     __slots__ = (
         "n", "classification", "no_match", "primes", "root", "normalization", "h1",
         "symbol_exponent", "notes", "formal",
     )
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None  # type: ignore[assignment]
 
     def __init__(
         self,
@@ -215,51 +214,8 @@ class Report(Record):
             normalization, h1, symbol_exponent, [] if notes is None else notes, formal,
         )
 
-    # -- serialisation -----------------------------------------------------
-
-    def to_json_dict(self) -> dict[str, Any]:
-        """The report as a JSON object; the oracle of ``to_json``."""
-        rc = self.classification
-        out: dict[str, Any] = {
-            "schema": REPORT_SCHEMA_ID,
-            "n": self.n,
-            "no_match": self.no_match,
-            "classification": {
-                "form": rc.form.value,
-                "p": rc.p,
-                "q": rc.q,
-                "e": rc.e,
-                "residue_mod_25": rc.residue_mod_25,
-            },
-        }
-        if self.no_match:
-            return out
-        assert self.formal is not None
-        ws = self.formal.w_symbol
-        out["w_symbol"] = ws.radical_name if ws else None
-        out["primes"] = [
-            {
-                "label": _prime_label(pe),
-                "kind": pe.kind.value,
-                "rational_below": pe.rational_below,
-                "coords": list(pe.value.coords),
-                "root": pe.root,
-            }
-            for pe in self.primes
-        ]
-        out["normalization"] = self.normalization
-        out["h1"] = self.h1
-        out["symbol"] = self.symbol_exponent
-        out.update(self.formal.json_dict())
-        out["conventions"] = {
-            "root": self.root,
-            "unit_scan": UNIT_SCAN,
-            "notes": self.notes,
-        }
-        return out
-
     def to_json(self) -> str:
-        """json.dumps(self.to_json_dict(), sort_keys=True, indent=2), written
+        """The report as json.dumps(..., sort_keys=True, indent=2) writes it,
         in one fixed layout; only the dicts whose keys vary go through
         _render, and the formal tables come already rendered."""
         rc = self.classification
@@ -485,22 +441,22 @@ def build_report(n: int) -> Report:
     rc = classify_radicand(n)
     if rc.form is RadicandForm.NO_MATCH:
         return Report(n, rc, True)
-    report = Report(n, rc, False)
     assert rc.p is not None
     split = _split_prime(rc.p)  # classify_radicand proved p prime
-    report.root = split.root
-    report.primes = list(split.factors)
+    primes = list(split.factors)
     w = _w_prime(rc)
     if w is not None:
-        report.primes.append(w)
+        primes.append(w)
     h1: int | None = None
+    normalization = section = None
+    notes: list[str] = []
     symbol_argument = split.factors[0].value
     if rc.form is RadicandForm.PRIME_POWER:
-        report.normalization, normalized = _attempt_case1_normalization(split)
+        normalization, normalized = _attempt_case1_normalization(split)
         if normalized is not None:
             symbol_argument = normalized
         else:
-            report.notes.append(
+            notes.append(
                 "unit normalization of pi1 to 1 mod lambda^5 is impossible;"
                 " radical words are formal and the symbol uses the stored"
                 " gcd representative"
@@ -508,15 +464,16 @@ def build_report(n: int) -> Report:
     else:
         assert w is not None
         h1, section = _h1_section(rc, split.factors[0], w)
-        report.h1 = section
         if section["source"] == "norm_condition":
-            report.notes.append(
+            notes.append(
                 "h1 from the norm-level necessary condition; the stated"
                 " lambda^5 congruence has no witness (see h1.note)"
             )
-    report.symbol_exponent = quintic_symbol(symbol_argument, split.factors[2])
-    report.formal = formal_tables(rc, h1, report.symbol_exponent)
-    return report
+    symbol = quintic_symbol(symbol_argument, split.factors[2])
+    return Report(
+        n, rc, False, primes, split.root, normalization, section, symbol, notes,
+        formal_tables(rc, h1, symbol),
+    )
 
 
 def run_report(n: int, fmt: str = "text", explain: bool = False) -> str:

@@ -15,7 +15,11 @@ unit tables of ``quintcap.primes``, the keys of integer multiples
 ``factor.is_rational_prime``, the gcd blocks of ``factor._trial_divide``,
 the state tables of ``quintcap.classify``, and the scanner's restricted
 sieve and its shape sieve replaced;
-the tests cross-check the fast code against them.  The formal tables of
+the tests cross-check the fast code against them.  ``report_dict`` is the
+report as a JSON object, which ``json.dumps(..., sort_keys=True,
+indent=2)`` writes as ``Report.to_json`` does, and ``unit_word_value``
+evaluates a unit word by its own ring products, not by ``iter_units``'
+running ones.  The formal tables of
 ``quintcap.capitulation`` are kept as they were written before each shape
 had one table of the paper's six words: every word spelled out in every
 table.
@@ -55,7 +59,8 @@ from quintcap.classify import (
     NotFifthPowerFree,
     RadicandForm,
 )
-from quintcap.primes import PrimeKind, UnsupportedPrimeError, _unit_table
+from quintcap.primes import UNIT_SCAN, PrimeKind, UnsupportedPrimeError, _unit_table
+from quintcap.report import REPORT_SCHEMA_ID
 from quintcap.factor import (
     MILLER_RABIN_BOUND,
     TRIAL_DIVISION_LIMIT,
@@ -249,6 +254,19 @@ def unit_image(k):
                     nxt.append(rep)
         frontier = nxt
     return image
+
+
+def unit_word_value(word):
+    """sign * zeta^a * (1+zeta)^t of a UnitWord by |t| ring products, with
+    (1+zeta)^-1 the product of the other three conjugates of 1+zeta."""
+    f = ONE + ZETA
+    base = mul(mul(galois(f, 1), galois(f, 2)), galois(f, 3)) if word.fund_exp < 0 else f
+    u = ONE
+    for _ in range(abs(word.fund_exp)):
+        u = mul(u, base)
+    for _ in range(word.zeta_exp):
+        u = mul(u, ZETA)
+    return u if word.sign > 0 else -u
 
 
 def first_unit_hit(b, k, targets):
@@ -604,3 +622,45 @@ def restricted_scan(lo, hi):
         if form is not RadicandForm.NO_MATCH:
             shapes[n] = form.value
     return [(n, shapes.get(n, "no_match")) for n in itertools.compress(range(lo, hi + 1), keep)]
+
+
+def report_dict(report):
+    """The report as a JSON object, each key built from the report's fields;
+    the formal part is ``report.formal.json_dict()``."""
+    rc = report.classification
+    out = {
+        "schema": REPORT_SCHEMA_ID,
+        "n": report.n,
+        "no_match": report.no_match,
+        "classification": {
+            "form": rc.form.value,
+            "p": rc.p,
+            "q": rc.q,
+            "e": rc.e,
+            "residue_mod_25": rc.residue_mod_25,
+        },
+    }
+    if report.no_match:
+        return out
+    ws = report.formal.w_symbol
+    out["w_symbol"] = ws.radical_name if ws else None
+    out["primes"] = [
+        {
+            "label": "lambda" if pe.kind is PrimeKind.LAMBDA else f"pi{pe.label}",
+            "kind": pe.kind.value,
+            "rational_below": pe.rational_below,
+            "coords": list(pe.value.coords),
+            "root": pe.root,
+        }
+        for pe in report.primes
+    ]
+    out["normalization"] = report.normalization
+    out["h1"] = report.h1
+    out["symbol"] = report.symbol_exponent
+    out.update(report.formal.json_dict())
+    out["conventions"] = {
+        "root": report.root,
+        "unit_scan": UNIT_SCAN,
+        "notes": report.notes,
+    }
+    return out

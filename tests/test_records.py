@@ -1,5 +1,6 @@
 """The package's records print, compare, hash and refuse assignment as the
-frozen dataclasses they replaced did; ``Report`` stays mutable and unhashable.
+frozen dataclasses they replaced did; ``Report``, whose fields hold lists,
+is unhashable.
 
 Every repr, and every hash that does not depend on the string-hash seed, is
 the value the dataclass version gave.  A hash over an Enum or a string
@@ -255,14 +256,21 @@ def test_records_keep_their_field_defaults():
         UnitWord(0, 0, 1, zeta_exp=0)
 
 
-def test_report_is_mutable_compared_by_fields_and_unhashable():
+def test_report_is_frozen_compared_by_fields_and_unhashable():
     report = build_report(4)
     assert repr(report) == REPORT_4
     assert report == build_report(4)
     assert report != build_report(8)
     with pytest.raises(TypeError):
         hash(report)
+    for name in Report.__slots__:
+        value = getattr(report, name)
+        with pytest.raises(AttributeError):
+            setattr(report, name, value)
+        with pytest.raises(AttributeError):
+            delattr(report, name)
+        assert getattr(report, name) is value
+    # Its lists are its own to change.
     report.notes.append("changed")
-    report.root = 3
-    assert report.root == 3 and report.notes == ["changed"]
+    assert report.notes == ["changed"]
     assert report != build_report(4)

@@ -7,6 +7,7 @@ from quintcap.fixtures import packaged_data_path
 from quintcap.report import REPORT_SCHEMA_ID, build_report, run_report
 
 from conftest import ABOVE_BOUND_BY_TRIAL_DIVISION, BEYOND_OLD_CEILING
+from oracles import report_dict
 
 try:
     import jsonschema
@@ -56,18 +57,18 @@ def test_report_proves_each_prime_once(monkeypatch, n, proofs):
 
 def test_schema_validates_reports(schema, reports):
     for n, report in reports.items():
-        jsonschema.validate(report.to_json_dict(), schema)
+        jsonschema.validate(json.loads(report.to_json()), schema)
 
 
 def test_schema_validates_no_match(schema):
     report = build_report(2111)
     assert report.no_match
-    jsonschema.validate(report.to_json_dict(), schema)
+    jsonschema.validate(json.loads(report.to_json()), schema)
 
 
 def test_report_json_roundtrip(reports):
     for report in reports.values():
-        assert json.loads(report.to_json()) == report.to_json_dict()
+        assert json.loads(report.to_json()) == report_dict(report)
 
 
 def test_report_deterministic():
@@ -76,7 +77,7 @@ def test_report_deterministic():
 
 
 def test_report_151_structure(reports):
-    d = reports[151].to_json_dict()
+    d = report_dict(reports[151])
     assert d["classification"]["form"] == "p^e"
     assert d["conventions"]["root"] == 8
     assert d["symbol"] in range(5)
@@ -94,7 +95,7 @@ def test_report_151_structure(reports):
 
 
 def test_report_93_h1_section(reports):
-    d = reports[93].to_json_dict()
+    d = report_dict(reports[93])
     assert d["classification"]["form"] == "p^e*q"
     assert d["h1"]["value"] == 4
     assert d["h1"]["source"] == "norm_condition"
@@ -105,7 +106,7 @@ def test_report_93_h1_section(reports):
 
 
 def test_report_55_lambda_shape(reports):
-    d = reports[55].to_json_dict()
+    d = report_dict(reports[55])
     assert d["classification"]["form"] == "5^e*p"
     assert d["w_symbol"] == "lambda"
     assert d["h1"]["value"] == 1
@@ -117,7 +118,7 @@ def test_report_55_lambda_shape(reports):
 
 
 def test_report_case1_type_lists(reports):
-    d = reports[151].to_json_dict()
+    d = report_dict(reports[151])
     sizes = sorted(len(entry["types"]) for entry in d["possible_types"])
     assert sizes == [12, 24]
     for entry in d["possible_types"]:
@@ -149,7 +150,7 @@ def test_report_rejects_non_integer_radicand():
 
 def test_schema_id_stable(reports):
     for report in reports.values():
-        assert report.to_json_dict()["schema"] == REPORT_SCHEMA_ID
+        assert json.loads(report.to_json())["schema"] == REPORT_SCHEMA_ID
 
 
 def test_full_corpus_reports(schema):
@@ -159,9 +160,9 @@ def test_full_corpus_reports(schema):
     anomalies = load_anomalies()
     for entry in load_fixtures(packaged_data_path("table1.json")):
         report = build_report(entry.n)
-        payload = report.to_json_dict()
+        payload = json.loads(report.to_json())
         jsonschema.validate(payload, schema)
-        assert json.loads(report.to_json()) == payload
+        assert payload == report_dict(report)
         if entry.n in anomalies:
             assert payload["no_match"]
             continue

@@ -8,6 +8,8 @@ from quintcap.classify import RadicandForm
 from quintcap.report import _FORMAL_TABLES, build_report
 from quintcap.scanner import scan_range
 
+from oracles import report_dict
+
 FORMAL_KEYS = (
     "genus_generators",
     "extensions",
@@ -62,7 +64,7 @@ def test_reports_with_one_key_share_equal_formal_sections(reports):
     assert shared
     for a, b, *_ in shared:
         assert a.formal is b.formal
-        da, db = a.to_json_dict(), b.to_json_dict()
+        da, db = report_dict(a), report_dict(b)
         for key in FORMAL_KEYS:
             assert da[key] == db[key]
 
@@ -82,17 +84,19 @@ def test_changing_one_report_leaves_another_intact(reports):
             a.formal.extensions[0] = a.formal.extensions[1]
         with pytest.raises(TypeError):
             a.formal.type_lists[0][1][0] = (0,) * 6
-        # What to_json_dict returns is the caller's to change.
-        d = a.to_json_dict()
+        # What report_dict returns is the caller's to change.
+        d = report_dict(a)
         for key in FORMAL_KEYS:
             d[key].clear()
         d["conventions"]["notes"].append("changed")
-        # The per-radicand fields are the report's own.
+        # The per-radicand lists and dicts are the report's own; its
+        # fields cannot be reassigned.
         a.notes.append("changed")
         a.primes.pop()
-        a.symbol_exponent = (a.symbol_exponent + 1) % 5
         (a.normalization or a.h1)["note"] = "changed"
+        with pytest.raises(AttributeError):
+            a.symbol_exponent = (a.symbol_exponent + 1) % 5
         assert b.to_json() == json_b
         assert b.to_text(explain=True) == text_b
-        assert a.to_json() == json.dumps(a.to_json_dict(), sort_keys=True, indent=2)
+        assert a.to_json() == json.dumps(report_dict(a), sort_keys=True, indent=2)
         assert json.loads(a.to_json())["conventions"]["notes"][-1] == "changed"

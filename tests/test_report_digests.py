@@ -4,9 +4,9 @@ data/report_digests.json holds the sha256 of ``run_report(n, "json")`` and
 of ``run_report(n, "text", explain=True)`` for the corpus rows, 843, 7157
 and 60 seeded random admissible radicands (data/make_report_digests.py
 wrote it before the formal tables were shared between reports).  The
-report's fixed-layout writer is checked against the stdlib encoder on
-those rows and on 300 seeded radicands of every kind, and ``_render`` on
-edge values directly.
+report's fixed-layout writer is checked against the stdlib encoder of
+``oracles.report_dict`` on those rows and on 300 seeded radicands of every
+kind, and ``_render`` on edge values directly.
 """
 
 import hashlib
@@ -18,7 +18,9 @@ import pytest
 
 from quintcap.classify import RadicandForm, classify_radicand
 from quintcap.factor import is_rational_prime
-from quintcap.report import _render, build_report, run_report
+from quintcap.report import Report, _render, build_report, run_report
+
+from oracles import report_dict
 
 ROWS = json.loads((Path(__file__).parent / "data" / "report_digests.json").read_text())
 
@@ -73,12 +75,21 @@ def generated_radicands(seed=20261019, per_shape=95, no_match=15):
     return out
 
 
+def _oracle_json(report):
+    return json.dumps(report_dict(report), sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("row", ROWS, ids=lambda row: str(row["n"]))
+def test_to_json_matches_stdlib_oracle_on_digest_rows(row):
+    report = build_report(row["n"])
+    assert report.to_json() == _oracle_json(report)
+
+
 def test_to_json_matches_stdlib_oracle():
     seen = set()
-    for n in [row["n"] for row in ROWS] + generated_radicands():
+    for n in generated_radicands():
         report = build_report(n)
-        oracle = json.dumps(report.to_json_dict(), sort_keys=True, indent=2)
-        assert report.to_json() == oracle, n
+        assert report.to_json() == _oracle_json(report), n
         seen.add(
             (
                 report.classification.form,
@@ -96,11 +107,13 @@ def test_to_json_matches_stdlib_oracle():
         (RadicandForm.FIVE_POWER_TIMES_P, "norm_condition", None, True),
         (RadicandForm.NO_MATCH, None, None, False),
     }
-    # a report whose lists and variable sections are emptied by hand
-    report = build_report(93)
-    report.primes, report.notes, report.h1, report.root = [], [], {}, None
-    oracle = json.dumps(report.to_json_dict(), sort_keys=True, indent=2)
-    assert report.to_json() == oracle
+    # a report of 93 with empty lists and variable sections
+    full = build_report(93)
+    report = Report(
+        93, full.classification, False, [], None, full.normalization, {},
+        full.symbol_exponent, [], full.formal,
+    )
+    assert report.to_json() == _oracle_json(report)
 
 
 WRITER_CASES = [
