@@ -29,14 +29,19 @@ builds no CycInt.
 The ramified prime above 5 is lambda = 1 - zeta; 5 itself is a unit times
 lambda^4.  The lambda-adic layer reads one set of coordinates, the a_j with
 x = sum a_j*lambda^j, j = 0..3: the residue mod lambda is a0 mod 5,
-``lambda_key`` packs the a_j modulo powers of 5 and every lambda-adic decision
-compares keys, and digits and valuations come from one step on the a_j.
+``lambda_key`` packs the a_j modulo powers of 5 and every congruence
+compares keys, fifth powers are read from the a_j by divisibility, and
+digits and valuations come from one step on the a_j.
 
 Fifth powers need no search: for theta prime to lambda with residue d and
 1 <= k <= 8, theta is a fifth power mod lambda^k exactly when
 theta = d^5 (mod lambda^min(k, 6)), since (1 + lambda*y)^5 = 1 (mod lambda^6)
 and (1 + lambda^2*y)^5 = 1 + 5*lambda^2*y (mod lambda^8) meets every class
 that is 1 mod lambda^6; ``fifth_power_solvable_mod_lambda`` has the proof.
+So one number answers every k: theta's fifth-power level, the largest
+k <= 6 it meets, is min(6, v(theta - omega)) with omega = d^5 mod 25.  For
+theta - omega = sum b_j*lambda^j that valuation is min_j(4*v_5(b_j) + j),
+and ``_fifth_power_level`` reads it from a few tests of the b_j by 5 and 25.
 """
 
 from __future__ import annotations
@@ -478,6 +483,37 @@ def lambda_inverse(x: CycInt, k: int) -> CycInt:
 _TEICHMULLER = tuple(d**5 % 25 for d in range(5))
 
 
+def _fifth_power_level(theta: CycInt) -> int:
+    """The largest k <= 6 with theta = x^5 (mod lambda^k) for a lambda-unit x;
+    0 when lambda divides theta.
+
+    By the Teichmueller rule (``fifth_power_solvable_mod_lambda``) this is
+    min(6, v(theta - omega)), v the lambda-adic valuation and omega = d^5
+    mod 25 for theta's residue d.  With theta - omega = sum b_j*lambda^j,
+    v = min_j(4*v_5(b_j) + j), as lambda^j * 5^e has valuation 4e + j,
+    distinct mod 4.  Up to sign, b0 = c0+c1+c2+c3 - omega, b1 = c1+2c2+3c3,
+    b2 = c2+3c3 and b3 = c3 (``_lambda_coords``); 5 divides b0, so below 6
+    the level is read off b1, b2, b3 mod 5, then b0 and b1 mod 25.
+    """
+    c0, c1, c2, c3 = theta._c
+    a0 = c0 + c1 + c2 + c3
+    d = a0 % 5
+    if d == 0:
+        return 0
+    b1 = c1 + 2 * c2 + 3 * c3
+    if b1 % 5:
+        return 1
+    if (c2 + 3 * c3) % 5:
+        return 2
+    if c3 % 5:
+        return 3
+    if (a0 - _TEICHMULLER[d]) % 25:
+        return 4
+    if b1 % 25:
+        return 5
+    return 6
+
+
 def fifth_power_solvable_mod_lambda(theta: CycInt, k: int) -> bool:
     """Decide x^5 = theta (mod lambda^k) by the Teichmueller rule.
 
@@ -487,15 +523,14 @@ def fifth_power_solvable_mod_lambda(theta: CycInt, k: int) -> bool:
     5 = -lambda^4 * (1 mod lambda) and y^5 = y (mod lambda), so
     (1 + lambda*y)^5 = 1 (mod lambda^6) and x^5 = omega (mod lambda^6);
     and (1 + lambda^2*y)^5 = 1 + 5*lambda^2*y (mod lambda^8) meets every
-    class that is 1 mod lambda^6.  The key of the integer omega mod lambda^j
-    is omega mod 5^ceil(j/4), so the test is one key comparison.
+    class that is 1 mod lambda^6.  So the test compares min(k, 6) with
+    theta's level from ``_fifth_power_level``, min(6, v(theta - omega)).
     """
     if k < 1:
         raise ValueError("modulus exponent must be at least 1")
     if k > 8:
         raise ValueError("modulus exponent beyond supported bound 8")
-    d = lambda_residue(theta)
-    if d == 0:
+    level = _fifth_power_level(theta)
+    if level == 0:
         raise ValueError("theta must be coprime to lambda")
-    j = min(k, 6)
-    return lambda_key(theta, j) == _TEICHMULLER[d] % _key_moduli(j)[0]
+    return level >= min(k, 6)

@@ -4,12 +4,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .cyclotomic import (
-    CycInt,
-    euclid_divmod,
-    fifth_power_solvable_mod_lambda,
-    lambda_valuation,
-)
+from .cyclotomic import CycInt, _fifth_power_level, euclid_divmod, lambda_valuation
 from .primes import PrimeElement, PrimeKind, UnsupportedPrimeError, residue_field_reduce
 
 
@@ -70,8 +65,12 @@ def decomposition_type(theta: CycInt, at: PrimeElement) -> DecompositionType:
     lambda^5 but not lambda^6, else ramified.  By the Teichmueller rule
     (``fifth_power_solvable_mod_lambda``, with its proof), theta is a fifth
     power mod lambda^k, k <= 6, iff theta = d^5 (mod lambda^k) for its
-    residue d mod lambda, as (1 + lambda*y)^5 = 1 (mod lambda^6): two key
-    comparisons.  Inert primes are out of scope.
+    residue d mod lambda, as (1 + lambda*y)^5 = 1 (mod lambda^6).  So one
+    fifth-power level decides, min(6, v(theta - omega)) for omega = d^5 mod
+    25, read off the lambda-coordinates b_j of theta - omega as
+    min_j(4*v_5(b_j) + j) (``_fifth_power_level``): 6 is split, 5 inert,
+    1 to 4 ramified, and 0, lambda dividing theta, goes by the valuation.
+    Inert primes are out of scope.
     """
     if theta.is_zero():
         raise ValueError("theta must be nonzero")
@@ -85,14 +84,12 @@ def decomposition_type(theta: CycInt, at: PrimeElement) -> DecompositionType:
             return DecompositionType.SPLIT
         return DecompositionType.INERT
     if at.kind is PrimeKind.LAMBDA:
-        v = lambda_valuation(theta)
-        if v >= 5:
-            raise ValueError("theta must be fifth-power-free at lambda")
-        if v:
-            return DecompositionType.RAMIFIED
-        if fifth_power_solvable_mod_lambda(theta, 6):
+        level = _fifth_power_level(theta)
+        if level == 6:
             return DecompositionType.SPLIT
-        if fifth_power_solvable_mod_lambda(theta, 5):
+        if level == 5:
             return DecompositionType.INERT
+        if level == 0 and lambda_valuation(theta) >= 5:
+            raise ValueError("theta must be fifth-power-free at lambda")
         return DecompositionType.RAMIFIED
     raise UnsupportedPrimeError("decomposition at inert primes is out of scope")

@@ -8,14 +8,18 @@ These are the bodies the straight-line kernel in ``quintcap.cyclotomic``,
 ``quintcap.primes.fifth_roots_of_unity``, the coordinate digit step of
 ``cyclotomic.lambda_expand`` and ``cyclotomic.lambda_valuation``,
 ``cyclotomic.lambda_inverse``, the
-Teichmueller rule of ``cyclotomic.fifth_power_solvable_mod_lambda``, the
+Teichmueller rule of ``cyclotomic.fifth_power_solvable_mod_lambda`` and its
+key comparison (``teichmuller_solvable``), the
 unit tables of ``quintcap.primes``, the keys of integer multiples
 (``cyclotomic.lambda_multiple_keys``) in the row search of
 ``primes.first_unit_hit`` that ``capitulation.find_h1`` makes,
 ``factor.is_rational_prime``, the gcd blocks of ``factor._trial_divide``,
 the state tables of ``quintcap.classify``, and the scanner's restricted
 sieve and its shape sieve replaced;
-the tests cross-check the fast code against them.  ``report_dict`` is the
+the tests cross-check the fast code against them.  The key comparison
+gave way to ``cyclotomic._fifth_power_level``: min(6, v(theta - omega)),
+read from theta - omega = sum b_j*lambda^j as min_j(4*v_5(b_j) + j), with
+omega = d^5 mod 25.  ``report_dict`` is the
 report as a JSON object, which ``json.dumps(..., sort_keys=True,
 indent=2)`` writes as ``Report.to_json`` does, and ``unit_word_value``
 evaluates a unit word by its own ring products, not by ``iter_units``'
@@ -48,6 +52,7 @@ from quintcap.cyclotomic import (
     ZETA,
     CycInt,
     LambdaExpansion,
+    _key_moduli,
     lambda_inverse as fast_lambda_inverse,
     lambda_key,
     lambda_residue,
@@ -231,6 +236,15 @@ def fifth_power_keys(k):
         for x in iter_residues_mod_lambda_pow(max(1, k - 4))
         if lambda_residue(x)
     )
+
+
+def teichmuller_solvable(theta, k):
+    """The Teichmueller rule by one key comparison, for theta prime to
+    lambda and 1 <= k <= 8: theta = omega (mod lambda^min(k, 6)) for omega =
+    d^5 mod 25, d its residue, whose key mod lambda^j is omega mod
+    5^ceil(j/4)."""
+    j = min(k, 6)
+    return lambda_key(theta, j) == lambda_residue(theta) ** 5 % 25 % _key_moduli(j)[0]
 
 
 @functools.cache

@@ -606,6 +606,66 @@ def test_teichmuller_rule_needs_the_fifth_powers_mod_25(monkeypatch):
     assert rule_mismatches(oracles.iter_residues_mod_lambda_pow(5), 5) != []
 
 
+# --- the fifth-power level against the key rule and the valuation -----------
+
+def level_thetas(rng):
+    # Units with coordinates up to 10^e, e drawn per element, negative ones
+    # included; then omega + lambda^j*y for each omega = d^5 mod 25, whose
+    # level is at least min(j, 6), and each omega itself, whose level is 6.
+    thetas = []
+    while len(thetas) < 1000:
+        e = rng.randint(0, 30)
+        theta = CycInt(*(rng.randint(-(10**e), 10**e) for _ in range(4)))
+        if lambda_residue(theta):
+            thetas.append(theta)
+    for d in range(1, 5):
+        omega = CycInt(d ** 5 % 25)
+        thetas.append(omega)
+        for j in range(1, 10):
+            for _ in range(20):
+                e = rng.randint(0, 30)
+                y = CycInt(*(rng.randint(-(10**e), 10**e) for _ in range(4)))
+                thetas.append(omega + LAMBDA ** j * y)
+    return thetas
+
+
+def test_fifth_power_level_matches_the_key_rule(rng):
+    # On every unit class mod lambda^6 and on large seeded units, the level
+    # gives the key comparison's answer at every k = 1..8, and so does
+    # fifth_power_solvable_mod_lambda.
+    units = [x for x in oracles.iter_residues_mod_lambda_pow(6) if lambda_residue(x)]
+    assert len(units) == 12_500
+    levels = set()
+    for theta in units + level_thetas(rng):
+        level = cyclotomic._fifth_power_level(theta)
+        levels.add(level)
+        for k in range(1, 9):
+            expected = oracles.teichmuller_solvable(theta, k)
+            assert (level >= min(k, 6)) == expected, (theta, k)
+            assert fifth_power_solvable_mod_lambda(theta, k) == expected, (theta, k)
+    assert levels == {1, 2, 3, 4, 5, 6}
+
+
+def test_fifth_power_level_is_the_valuation_of_theta_minus_omega(rng):
+    for theta in level_thetas(rng):
+        diff = theta - lambda_residue(theta) ** 5 % 25
+        expected = 6 if diff.is_zero() else min(6, oracles.lambda_valuation(diff))
+        assert cyclotomic._fifth_power_level(theta) == expected, theta
+
+
+def test_fifth_power_level_is_zero_on_lambda_multiples(rng):
+    thetas = [ZERO, LAMBDA, CycInt(5), CycInt(-25, 10**30)]
+    for v in range(1, 10):
+        e = rng.randint(0, 30)
+        y = CycInt(*(rng.randint(-(10**e), 10**e) for _ in range(4)))
+        thetas.append(LAMBDA ** v * y)
+    for theta in thetas:
+        assert lambda_residue(theta) == 0
+        assert cyclotomic._fifth_power_level(theta) == 0, theta
+        with pytest.raises(ValueError, match="coprime to lambda"):
+            fifth_power_solvable_mod_lambda(theta, 6)
+
+
 # --- operands ---------------------------------------------------------------
 
 def test_non_integer_operands_raise_type_error():

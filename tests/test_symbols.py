@@ -1,6 +1,15 @@
 import pytest
 
-from quintcap.cyclotomic import CycInt, LAMBDA, ONE, ZERO, euclid_divmod
+from quintcap.cyclotomic import (
+    CycInt,
+    LAMBDA,
+    ONE,
+    ZERO,
+    ZETA,
+    euclid_divmod,
+    lambda_key,
+    lambda_residue,
+)
 from quintcap.primes import (
     UnsupportedPrimeError,
     factor_rational_prime,
@@ -14,6 +23,7 @@ from quintcap.symbols import (
     quintic_symbol,
 )
 
+import oracles
 from conftest import random_cycint
 
 
@@ -132,6 +142,49 @@ def test_decomposition_at_lambda_split():
 def test_decomposition_at_lambda_valuation():
     lam = factor_rational_prime(5).factors[0]
     assert decomposition_type(LAMBDA * 7, lam) is DecompositionType.RAMIFIED
+
+
+def test_decomposition_at_lambda_on_every_unit_class():
+    # Split exactly when theta's class mod lambda^6 is a unit's fifth power,
+    # inert when only its class mod lambda^5 is, ramified otherwise, by the
+    # enumeration of fifth powers, on all 12 500 unit classes mod lambda^6.
+    lam = factor_rational_prime(5).factors[0]
+    split, inert = oracles.fifth_power_keys(6), oracles.fifth_power_keys(5)
+    counts = {kind: 0 for kind in DecompositionType}
+    for theta in oracles.iter_residues_mod_lambda_pow(6):
+        if lambda_residue(theta) == 0:
+            continue
+        if lambda_key(theta, 6) in split:
+            expected = DecompositionType.SPLIT
+        elif lambda_key(theta, 5) in inert:
+            expected = DecompositionType.INERT
+        else:
+            expected = DecompositionType.RAMIFIED
+        assert decomposition_type(theta, lam) is expected, theta
+        counts[expected] += 1
+    assert counts == {
+        DecompositionType.SPLIT: 4,
+        DecompositionType.INERT: 16,
+        DecompositionType.RAMIFIED: 12_480,
+    }
+
+
+def test_decomposition_at_lambda_of_lambda_multiples():
+    # lambda^v * u, u a unit of each type, is ramified for v = 1..4; from
+    # v = 5 on theta is not fifth-power-free at lambda.
+    lam = factor_rational_prime(5).factors[0]
+    units = [
+        ONE, CycInt(7), CycInt(7) * (ONE + LAMBDA ** 5), ZETA, CycInt(11),
+        CycInt(3, -10**30, 8, 10**20),
+    ]
+    kinds = {decomposition_type(u, lam) for u in units}
+    assert kinds == set(DecompositionType)
+    for u in units:
+        for v in range(1, 5):
+            assert decomposition_type(LAMBDA ** v * u, lam) is DecompositionType.RAMIFIED
+        for v in (5, 6):
+            with pytest.raises(ValueError, match="fifth-power-free at lambda"):
+                decomposition_type(LAMBDA ** v * u, lam)
 
 
 def test_decomposition_rejects_zero(split_11):
