@@ -9,17 +9,17 @@ rendered, once per process for each such key, in a FormalTables that every
 report with that key shares read-only.
 
 ``Report.to_json`` writes the document in one pass, byte for byte what
-``json.dumps(..., sort_keys=True, indent=2)`` gives.  The keys of the
-per-radicand part have a fixed layout: classification, conventions, n,
-no_match, schema, symbol, w_symbol and each entry of primes are filled
-into f-string templates in sorted-key order, and the formal tables' stored
-fragments are spliced in between.  Only the values whose keys vary (h1,
-normalization and the notes) and the formal tables go through ``_render``,
-a direct writer for the few kinds of value a report holds.  With
-``indent`` set, the stdlib encoder falls back to its pure-Python generator,
-which took about a third of a warm report's time; the report as a dict
-(``report_dict`` in tests/oracles.py) and that encoder remain the oracle
-the tests compare the writer against.
+``json.dumps(..., sort_keys=True, indent=2)`` gives: one ``  "key": value``
+line per key, sorted and joined.  classification, conventions, n,
+no_match, schema, symbol, w_symbol and each entry of primes are filled into
+f-string templates, and the formal tables' stored fragments are lines of
+the same kind.  Only the values whose keys vary (h1, normalization and the
+notes) and the formal tables go through ``_render``, a direct writer for
+the few kinds of value a report holds.  With ``indent`` set, the stdlib
+encoder falls back to its pure-Python generator, which took about a third
+of a warm report's time; the report as a dict (``report_dict`` in
+tests/oracles.py) and that encoder remain the oracle the tests compare the
+writer against.
 """
 
 from __future__ import annotations
@@ -104,7 +104,8 @@ class FormalTables(Record):
     there; ``type_lists`` pairs each K6 candidate with its admissible
     capitulation types.  ``fragments`` holds the five keys of
     ``json_dict()`` as lines of the report document, ``  "key": value``
-    with the value rendered at depth 1, in sorted-key order.
+    with the value rendered at depth 1; ``Report.to_json`` sorts them with
+    its own lines, so their order does not matter.
     """
 
     __slots__ = (
@@ -123,9 +124,8 @@ class FormalTables(Record):
         type_lists: tuple[tuple[RadicalWord, tuple[tuple[int, ...], ...]], ...],
     ) -> None:
         self._set(w_symbol, generators, extensions, subgroups, capitulations, type_lists)
-        tables = self.json_dict()
         fragments = tuple(
-            f'  "{key}": {_render(tables[key], "  ")}' for key in sorted(tables)
+            f'  "{key}": {_render(value, "  ")}' for key, value in self.json_dict().items()
         )
         object.__setattr__(self, "fragments", fragments)
 
@@ -215,37 +215,37 @@ class Report(Record):
         )
 
     def to_json(self) -> str:
-        """The report as json.dumps(..., sort_keys=True, indent=2) writes it,
-        in one fixed layout; only the dicts whose keys vary go through
-        _render, and the formal tables come already rendered."""
+        """The report as json.dumps(..., sort_keys=True, indent=2) writes it:
+        one '  "key": value' line per key, sorted and joined.  Every key is a
+        lower-case ASCII identifier, so the '"' that closes it sorts below
+        any character of a longer key and sorting the lines sorts the keys.
+        Only the dicts whose keys vary go through _render, and the formal
+        tables come already rendered."""
         rc = self.classification
-        classification = (
-            f'{{\n    "e": {_scalar(rc.e)},\n    "form": "{rc.form.value}",\n'
-            f'    "p": {_scalar(rc.p)},\n    "q": {_scalar(rc.q)},\n'
-            f'    "residue_mod_25": {rc.residue_mod_25}\n  }}'
-        )
-        if self.no_match:
-            return (
-                f'{{\n  "classification": {classification},\n  "n": {self.n},\n'
-                f'  "no_match": true,\n  "schema": "{REPORT_SCHEMA_ID}"\n}}'
+        lines = [
+            f'  "classification": {{\n    "e": {_scalar(rc.e)},\n'
+            f'    "form": "{rc.form.value}",\n    "p": {_scalar(rc.p)},\n'
+            f'    "q": {_scalar(rc.q)},\n    "residue_mod_25": {rc.residue_mod_25}\n  }}',
+            f'  "n": {self.n}',
+            f'  "no_match": {"true" if self.no_match else "false"}',
+            f'  "schema": "{REPORT_SCHEMA_ID}"',
+        ]
+        if not self.no_match:
+            assert self.formal is not None
+            primes = ",\n".join(map(_prime_json, self.primes))
+            ws = self.formal.w_symbol
+            lines += self.formal.fragments
+            lines += (
+                f'  "conventions": {{\n    "notes": {_render(self.notes, "    ")},\n'
+                f'    "root": {_scalar(self.root)},\n    "unit_scan": {_UNIT_SCAN_JSON}\n  }}',
+                f'  "h1": {_render(self.h1, "  ")}',
+                f'  "normalization": {_render(self.normalization, "  ")}',
+                f'  "primes": [\n{primes}\n  ]' if primes else '  "primes": []',
+                f'  "symbol": {_scalar(self.symbol_exponent)}',
+                f'  "w_symbol": "{ws.radical_name}"' if ws else '  "w_symbol": null',
             )
-        assert self.formal is not None
-        extensions, generators, capitulations, types, subgroups = self.formal.fragments
-        primes = ",\n".join(map(_prime_json, self.primes))
-        primes = f"[\n{primes}\n  ]" if primes else "[]"
-        ws = self.formal.w_symbol
-        w_symbol = f'"{ws.radical_name}"' if ws else "null"
-        return (
-            f'{{\n  "classification": {classification},\n'
-            f'  "conventions": {{\n    "notes": {_render(self.notes, "    ")},\n'
-            f'    "root": {_scalar(self.root)},\n    "unit_scan": {_UNIT_SCAN_JSON}\n  }},\n'
-            f"{extensions},\n{generators},\n{capitulations},\n"
-            f'  "h1": {_render(self.h1, "  ")},\n  "n": {self.n},\n  "no_match": false,\n'
-            f'  "normalization": {_render(self.normalization, "  ")},\n{types},\n'
-            f'  "primes": {primes},\n  "schema": "{REPORT_SCHEMA_ID}",\n'
-            f'{subgroups},\n  "symbol": {_scalar(self.symbol_exponent)},\n'
-            f'  "w_symbol": {w_symbol}\n}}'
-        )
+        lines.sort()
+        return "{\n" + ",\n".join(lines) + "\n}"
 
     def to_text(self, explain: bool = False) -> str:
         rc = self.classification
@@ -377,16 +377,6 @@ def _prime_label(pe: PrimeElement) -> str:
     return f"pi{pe.label}"
 
 
-def _w_prime(rc: RadicandClass) -> PrimeElement | None:
-    # classify_radicand proved q prime; 5 is.
-    if rc.form is RadicandForm.PRIME_POWER_TIMES_Q:
-        assert rc.q is not None
-        return _split_prime(rc.q).factors[0]
-    if rc.form is RadicandForm.FIVE_POWER_TIMES_P:
-        return _split_prime(5).factors[0]
-    return None
-
-
 def _attempt_case1_normalization(
     split: SplittingData,
 ) -> tuple[dict[str, Any], CycInt | None]:
@@ -444,9 +434,6 @@ def build_report(n: int) -> Report:
     assert rc.p is not None
     split = _split_prime(rc.p)  # classify_radicand proved p prime
     primes = list(split.factors)
-    w = _w_prime(rc)
-    if w is not None:
-        primes.append(w)
     h1: int | None = None
     normalization = section = None
     notes: list[str] = []
@@ -462,7 +449,10 @@ def build_report(n: int) -> Report:
                 " gcd representative"
             )
     else:
-        assert w is not None
+        # classify_radicand proved q prime; q is None exactly for 5^e*p,
+        # whose w is lambda.
+        w = _split_prime(rc.q or 5).factors[0]
+        primes.append(w)
         h1, section = _h1_section(rc, split.factors[0], w)
         if section["source"] == "norm_condition":
             notes.append(

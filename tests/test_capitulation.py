@@ -35,6 +35,7 @@ from quintcap.primes import (
     first_unit_hit,
     iter_units,
 )
+from quintcap.scanner import scan_range
 
 import oracles
 from conftest import digits_congruent, oracle_radicands, outcome
@@ -473,6 +474,34 @@ def test_find_h1_lambda_valuation_proof():
         find_h1(pi1, lam, e=rc.e)
     assert "no witness exists" in str(exc.value)
     assert exc.value.norm_condition_h1 == 1
+
+
+def test_find_h1_has_a_witness_exactly_when_x3_is_primary():
+    # In exponents pi1 is a quarter of the sum of p's tau-eigenwords x_mu;
+    # x_2 and x_4 are primary up to a unit and x_1 = p is rational, so
+    # u*pi1*q^h can meet +-1, +-7 only when x_3(p) = pi1*pi2^2*pi3^4*pi4^3
+    # is.  On every admissible p^e*q below 2*10^4 the converse holds too.
+    radicands = [
+        n for n, form in scan_range(2, 2 * 10**4)
+        if form == RadicandForm.PRIME_POWER_TIMES_Q.value
+    ]
+    assert len(radicands) == 211
+    witnesses = []
+    for n in radicands:
+        rc = classify_radicand(n)
+        pi1, pi2, pi3, pi4 = factor_rational_prime(rc.p).factors
+        x3 = pi1.value * pi2.value**2 * pi3.value**4 * pi4.value**3
+        primary = first_unit_hit(x3, 5, [[1, -1, 7, -7]]) is not None
+        w = factor_rational_prime(rc.q).factors[0]
+        try:
+            witness = find_h1(pi1, w, e=rc.e)
+        except H1SearchExhausted:
+            assert not primary, n
+        else:
+            assert primary, n
+            witnesses.append((n, witness.h1))
+    assert len(witnesses) == 32
+    assert witnesses[0] == (843, 4)
 
 
 def test_find_h1_rejects_bad_arguments(split_11):
