@@ -256,6 +256,17 @@ def test_records_keep_their_field_defaults():
         UnitWord(0, 0, 1, zeta_exp=0)
 
 
+@pytest.mark.parametrize("n", [93, 151, 55, 2111])
+def test_report_survives_pickle(n):
+    # Each shape and a no_match n: the report's fields stay plain lists,
+    # dicts and records, which pickle.
+    report = build_report(n)
+    twin = pickle.loads(pickle.dumps(report))
+    assert twin == report
+    assert twin.to_json() == report.to_json()
+    assert twin.to_text(explain=True) == report.to_text(explain=True)
+
+
 def test_report_is_frozen_compared_by_fields_and_unhashable():
     report = build_report(4)
     assert repr(report) == REPORT_4

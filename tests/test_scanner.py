@@ -586,6 +586,49 @@ def test_survivor_forms_on_windows_match_the_shape_rules(monkeypatch):
     assert forms == {"p^e", "p^e*q", "5^e*p", "no_match"}
 
 
+def _shaped_windows():
+    # Short windows whose first and last n both have a shape: one n, two
+    # shaped neighbours, and a run of three, at heights where the survivor
+    # loop takes each of its cofactor branches.
+    windows = []
+    for start in (2, 10**6, 2**32 - 300, 10**10, 10**12):
+        shaped = []
+        n = start
+        while len(shaped) < 4:
+            try:
+                if classify_radicand(n).form.value != "no_match":
+                    shaped.append(n)
+            except NotFifthPowerFree:
+                pass
+            n += 1
+        windows += [(shaped[0], shaped[0]), (shaped[0], shaped[1]), (shaped[1], shaped[3])]
+    return windows
+
+
+@pytest.mark.parametrize("lo,hi", _shaped_windows())
+def test_sieve_block_decides_the_first_and_last_n_of_a_window(lo, hi):
+    _, keep, shaped = classify.sieve_block((lo, hi))
+    assert len(keep) == hi - lo + 1
+    assert shaped[0][0] == 0 and shaped[-1][0] == hi - lo
+    assert shaped == [(n - lo, form) for n, form in _classify_each(lo, hi) if form != "no_match"]
+
+
+def test_survivor_search_finds_live_states_at_both_ends(monkeypatch):
+    # The states of a window whose first and last n have a shape, with every
+    # state between them zeroed: _decide finds exactly those two.
+    lo, hi = next((lo, hi) for lo, hi in _shaped_windows() if hi - lo > 1)
+    seen = []
+    real = classify._decide
+    monkeypatch.setattr(classify, "_decide", lambda *args: seen.append(args) or real(*args))
+    classify.sieve_block((lo, hi))
+    _, state, ps, qs = seen[0]
+    ends = bytearray(len(state))
+    ends[0], ends[-1] = state[0], state[-1]
+    want = [(i, classify_radicand(lo + i).form.value) for i in (0, len(state) - 1)]
+    assert real(lo, ends, ps, qs) == want
+    assert real(lo, bytearray(len(state)), ps, qs) == []
+
+
 def test_scan_refuses_a_window_past_the_factoriser_reach(monkeypatch, capsys):
     # From (TRIAL_DIVISION_LIMIT + 1)^5, about 1.02*10^33, on, the p^5 marks
     # would need primes beyond TRIAL_DIVISION_LIMIT.  Such a window is
