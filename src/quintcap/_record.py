@@ -1,9 +1,10 @@
-"""The base class of the package's records.
+"""The base class of the package's records: every record in the package,
+the fixture rows and the verify summary included, is a ``Record``.
 
 A record's fields are the names in ``__slots__``, a base class's first.
 Records compare, hash and print as ``@dataclass(frozen=True)`` classes do,
 without importing ``dataclasses``, which pulls in ``inspect`` and costs
-several milliseconds of every cold start.
+several milliseconds of every cold start and of every CAS adapter process.
 """
 
 from __future__ import annotations

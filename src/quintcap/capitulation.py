@@ -351,16 +351,8 @@ _CASE2_BASE = (
 def _alternate_k6_expansion(base: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
     # When the tau^2-fixed pair (K_1, K_6) takes the other assignment, the
     # guaranteed deaths swap roles: i_1 becomes 0 or 6 and i_6 becomes 0 or 1.
-    out = []
-    seen = set()
-    for t in base:
-        i1 = 6 if t[0] else 0
-        for i6 in (0, 1):
-            tup = (i1, t[1], t[2], t[3], t[4], i6)
-            if tup not in seen:
-                seen.add(tup)
-                out.append(tup)
-    return out
+    # Both paper tables expand with no repeats.
+    return [(6 if t[0] else 0, t[1], t[2], t[3], t[4], i6) for t in base for i6 in (0, 1)]
 
 
 def _swap_positions_and_values_2_5(t: tuple[int, ...]) -> tuple[int, ...]:

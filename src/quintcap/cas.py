@@ -111,6 +111,6 @@ def cas_adapter_check(
     if not isinstance(payload, dict):
         raise CasProtocolError(f"adapter response must be an object: {line}")
     try:
-        return _parse_entry(dict(payload, n=n, label=None))
+        return _parse_entry(dict(payload, n=n))
     except FixtureFormatError as exc:
         raise CasProtocolError(f"adapter response has a bad shape: {line}") from exc

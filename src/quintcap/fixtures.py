@@ -2,19 +2,20 @@
 
 The shipped corpus (data/table1.json) lists radicands whose 5-class group is
 known to be (5,5) with a fully ambiguous Galois action, together with the
-class-number data an external CAS can re-check.  Rows on the shipped
-discrepancy list (data/anomalies.json) are expected to classify as NO_MATCH;
-they are counted as known anomalies, not failures.
+class-number data an external CAS can re-check.  A row is an object with the
+keys n, h_k5, type and rank_ambiguous; any other key is ignored.  Rows on
+the shipped discrepancy list (data/anomalies.json) are expected to classify
+as NO_MATCH; they are counted as known anomalies, not failures.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Any
 
+from ._record import Record
 from .classify import ClassificationError, RadicandForm, classify_radicand
 
 
@@ -22,19 +23,22 @@ class FixtureFormatError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FixtureEntry:
-    n: int
-    h_k5: int
-    group_type: tuple[int, int]
-    rank_ambiguous: int
-    label: str | None = None
+class FixtureEntry(Record):
+    __slots__ = ("n", "h_k5", "group_type", "rank_ambiguous")
+
+    def __init__(self, n: int, h_k5: int, group_type: tuple[int, int], rank_ambiguous: int) -> None:
+        self._set(n, h_k5, group_type, rank_ambiguous)
 
 
-@dataclass
-class VerifySummary:
-    entries: list[FixtureEntry]
-    rows: list[dict[str, Any]] = field(default_factory=list)
+class VerifySummary(Record):
+    """The loaded rows and a result dict for each; unhashable, as its fields are lists."""
+
+    __slots__ = ("entries", "rows")
+
+    def __init__(
+        self, entries: list[FixtureEntry], rows: list[dict[str, Any]] | None = None
+    ) -> None:
+        self._set(entries, [] if rows is None else rows)
 
     def counts(self) -> tuple[int, int, int]:
         """The numbers of rows that pass, are known anomalies and fail."""
@@ -63,10 +67,7 @@ def _parse_entry(raw: Any) -> FixtureEntry:
         or not all(type(v) is int for v in (n, h, rank, *gtype))
     ):
         raise FixtureFormatError(f"malformed fixture row for n={raw.get('n')!r}")
-    label = raw.get("label")
-    if label is not None and not isinstance(label, str):
-        raise FixtureFormatError("fixture label must be a string")
-    return FixtureEntry(n, h, (gtype[0], gtype[1]), rank, label)
+    return FixtureEntry(n, h, (gtype[0], gtype[1]), rank)
 
 
 def _read_json(path: "str | Path") -> Any:

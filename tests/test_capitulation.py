@@ -1,6 +1,8 @@
 import pytest
 
 from quintcap.capitulation import (
+    _CASE1_BASE,
+    _CASE2_BASE,
     CapitulationType,
     Character,
     ClassWord,
@@ -8,6 +10,7 @@ from quintcap.capitulation import (
     H1Witness,
     RadicalWord,
     WSymbol,
+    _alternate_k6_expansion,
     correspondence,
     find_h1,
     guaranteed_capitulations,
@@ -31,6 +34,7 @@ from quintcap.cyclotomic import (
 from quintcap.primes import (
     PrimeElement,
     PrimeKind,
+    UnsupportedPrimeError,
     factor_rational_prime,
     first_unit_hit,
     iter_units,
@@ -429,6 +433,15 @@ def test_possible_types_k6_validation():
         possible_types(CASE2, None, RadicalWord(1, 0, 1), 1)
 
 
+def test_paper_tables_expand_with_no_repeats():
+    # _alternate_k6_expansion keeps every tuple it builds, so no table may
+    # give one twice.
+    for base in (_CASE1_BASE, _CASE2_BASE):
+        expanded = _alternate_k6_expansion(base)
+        assert len(expanded) == 2 * len(base) == len(set(expanded))
+    assert len(_CASE1_BASE) == 12 and len(_CASE2_BASE) == 18
+
+
 def test_capitulation_type_validation():
     with pytest.raises(ValueError):
         CapitulationType((0, 1, 2, 3, 4, 7))
@@ -508,6 +521,51 @@ def test_find_h1_rejects_bad_arguments(split_11):
     pi1 = split_11.factors[0]
     with pytest.raises(Exception):
         find_h1(pi1, pi1)
+
+
+PI_11 = factor_rational_prime(11).factors[0]
+INERT_7 = factor_rational_prime(7).factors[0]
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: w_symbol_for(classify_radicand(4)),
+            ValueError,
+            "unclassified radicand has no extension data",
+        ),
+        (
+            lambda: hilbert_class_field_generators(CASE2, h1=5),
+            ValueError,
+            "h1 must be nonzero mod 5",
+        ),
+        (
+            lambda: possible_types(CASE1, None, RadicalWord(1, 4, 0)),
+            ValueError,
+            "the p^e shape needs the (pi_1/pi_3) symbol exponent",
+        ),
+        (
+            lambda: find_h1(INERT_7, factor_rational_prime(3).factors[0]),
+            UnsupportedPrimeError,
+            "pi_1 must be a split prime",
+        ),
+        (
+            lambda: find_h1(PI_11, PrimeElement(CycInt(3, 1), PrimeKind.INERT, 5, 3)),
+            UnsupportedPrimeError,
+            "an inert w must be a rational prime",
+        ),
+    ],
+    ids=["no-match", "h1-zero-mod-5", "pe-without-symbol", "inert-pi1", "inert-w-not-rational"],
+)
+def test_capitulation_refusals(call, error, message):
+    assert outcome(call)[:3] == ("raised", error, message)
+
+
+def test_norm_condition_h1_has_no_solution_when_q4_is_one_mod_25():
+    # 7^4 = 1 (mod 25): p * 7^(4h) = 1 (mod 25) has no h for p = 31.
+    assert pow(7, 4, 25) == 1
+    assert norm_condition_h1(31, INERT_7) is None
 
 
 def lambda_coprime_twist(value, n, e, h):

@@ -8,6 +8,7 @@ import pytest
 from quintcap.cas import CasProtocolError, CasTimeoutError, cas_adapter_check
 from quintcap.cli import main
 from quintcap.fixtures import (
+    FixtureEntry,
     FixtureFormatError,
     load_anomalies,
     load_fixtures,
@@ -55,6 +56,20 @@ def test_adapter_json_response_of_wrong_shape(response):
     with pytest.raises(CasProtocolError, match="bad shape") as exc:
         cas_adapter_check(55, adapter)
     assert line in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "code, message",
+    [
+        ("pass", "adapter produced no response for n = 55"),
+        ("print('[1]')", "adapter response must be an object: '[1]'"),
+    ],
+    ids=["silent", "array"],
+)
+def test_adapter_reply_that_is_empty_or_no_object(code, message):
+    with pytest.raises(CasProtocolError) as exc:
+        cas_adapter_check(55, [sys.executable, "-c", code])
+    assert str(exc.value) == message
 
 
 def test_adapter_unknown_n():
@@ -155,6 +170,41 @@ def test_malformed_fixture_rejected(tmp_path):
     path.write_text(json.dumps({"not": "a list"}))
     with pytest.raises(FixtureFormatError):
         load_fixtures(path)
+
+
+def test_fixture_row_that_is_no_object_rejected(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text("[5]")
+    with pytest.raises(FixtureFormatError) as exc:
+        load_fixtures(path)
+    assert str(exc.value) == "fixture row must be an object, got int"
+
+
+def test_fixture_row_ignores_keys_beyond_the_four(tmp_path):
+    # A row is read by its four keys: label, or any other, is not checked.
+    path = tmp_path / "extra.json"
+    row = {"n": 55, "h_k5": 25, "type": [5, 5], "rank_ambiguous": 2}
+    path.write_text(json.dumps([dict(row, label=7), dict(row, label="x", note=None)]))
+    assert load_fixtures(path) == [FixtureEntry(55, 25, (5, 5), 2)] * 2
+
+
+@pytest.mark.parametrize(
+    "n, anomalies, detail",
+    [
+        (32, [], "classification error: 32 is divisible by a fifth power"),
+        (55, [55], "expected no_match per the discrepancy list"),
+        (56, [], "expected an admissible shape, got no_match"),
+    ],
+)
+def test_verify_failing_row_says_why(tmp_path, n, anomalies, detail):
+    fixtures_path = tmp_path / "rows.json"
+    row = {"n": n, "h_k5": 25, "type": [5, 5], "rank_ambiguous": 2}
+    fixtures_path.write_text(json.dumps([row]))
+    anomalies_path = tmp_path / "anomalies.json"
+    anomalies_path.write_text(json.dumps({"no_match_expected": anomalies}))
+    summary = verify_fixtures(fixtures_path, anomalies_path)
+    assert summary.counts() == (0, 0, 1)
+    assert summary.rows[0]["status"] == "fail" and summary.rows[0]["detail"] == detail
 
 
 @pytest.mark.parametrize(

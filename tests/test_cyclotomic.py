@@ -27,7 +27,7 @@ from quintcap.factor import is_rational_prime
 from quintcap.primes import fifth_roots_of_unity
 
 import oracles
-from conftest import random_cycint
+from conftest import outcome, random_cycint
 
 
 # --- ring operations ------------------------------------------------------
@@ -471,6 +471,26 @@ def test_lambda_key_rejects_empty_precision():
     for k in (0, -1):
         with pytest.raises(ValueError, match="at least 1"):
             lambda_inverse(ONE, k)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: lambda_expand(CycInt(2), 0), "expansion length must be at least 1"),
+        (
+            lambda: fifth_power_solvable_mod_lambda(CycInt(2), 0),
+            "modulus exponent must be at least 1",
+        ),
+        (
+            lambda: fifth_power_solvable_mod_lambda(CycInt(2), 9),
+            "modulus exponent beyond supported bound 8",
+        ),
+        (lambda: CycInt(2) ** -1, "negative powers are not defined in Z[zeta]"),
+    ],
+    ids=["expand-length-0", "solvable-k-0", "solvable-k-9", "negative-power"],
+)
+def test_cyclotomic_refusals(call, message):
+    assert outcome(call)[:3] == ("raised", ValueError, message)
 
 
 def test_lambda_inverse(rng):

@@ -1,8 +1,9 @@
 """What a fresh interpreter loads for ``import quintcap`` and for the CLI.
 
 Every ``quintcap report`` and every cold start of the benchmark pays for
-the import, so the package stays off ``dataclasses`` and what that pulls
-in, and only ``verify`` loads the CAS adapter and the fixtures.
+the import, as does each adapter process that ``verify --cas-cmd`` starts
+with the fake adapter, so the package stays off ``dataclasses`` and what
+that pulls in, and only ``verify`` loads the CAS adapter and the fixtures.
 """
 
 import json
@@ -39,6 +40,11 @@ def test_import_quintcap_loads_no_dataclasses_and_every_traced_module():
     loaded = _loaded_by("quintcap")
     assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "array"}
     assert TRACED <= loaded
+
+
+def test_fake_adapter_loads_no_dataclasses():
+    # verify --cas-cmd starts one adapter process per corpus row.
+    assert not _loaded_by("quintcap.cas_fake") & {"dataclasses", "inspect"}
 
 
 def test_cli_leaves_the_cas_adapter_and_fixtures_to_verify():

@@ -272,6 +272,28 @@ def test_normalize_pair_product_succeeds(split_151):
     assert hit == 1
 
 
+PI_11 = factor_rational_prime(11).factors[0]
+BAD_K = "modulus exponent must be in 1..5"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: residue_field_reduce(CycInt(2), factor_rational_prime(7).factors[0]),
+            UnsupportedPrimeError,
+            "residue reduction needs a split prime with a root",
+        ),
+        (lambda: normalize_associate(PI_11, 0, [1]), ValueError, BAD_K),
+        (lambda: normalize_associate(PI_11, 6, [1]), ValueError, BAD_K),
+        (lambda: normalize_associate(PI_11, 5, []), ValueError, "empty target set"),
+    ],
+    ids=["reduce-at-inert", "normalize-k-0", "normalize-k-6", "normalize-no-targets"],
+)
+def test_primes_refusals(call, error, message):
+    assert outcome(call)[:3] == ("raised", error, message)
+
+
 def test_normalize_rejects_inert():
     q = factor_rational_prime(3).factors[0]
     with pytest.raises(UnsupportedPrimeError):

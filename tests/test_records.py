@@ -1,9 +1,10 @@
 """The package's records print, compare, hash and refuse assignment as the
-frozen dataclasses they replaced did; ``Report``, whose fields hold lists,
-is unhashable.
+frozen dataclasses they replaced did; ``Report`` and ``VerifySummary``,
+whose fields hold lists, are unhashable.
 
 Every repr, and every hash that does not depend on the string-hash seed, is
-the value the dataclass version gave.  A hash over an Enum or a string
+the value the dataclass version gave, but for ``FixtureEntry``, which lost
+its ``label`` field when it became a record.  A hash over an Enum or a string
 changes with the seed, so for those the test pins the dataclass rule: the
 hash of the tuple of the fields.
 """
@@ -25,6 +26,7 @@ from quintcap.capitulation import (
 )
 from quintcap.classify import RadicandClass, RadicandForm, classify_radicand
 from quintcap.cyclotomic import CycInt, LambdaExpansion
+from quintcap.fixtures import FixtureEntry, VerifySummary
 from quintcap.primes import (
     AssociateNormalization,
     PrimeElement,
@@ -160,6 +162,13 @@ CASES = [
         _formal((RadicalWord(1, 0), RadicalWord(1, 1))),
         None,
     ),
+    (
+        FixtureEntry(55, 25, (5, 5), 2),
+        "FixtureEntry(n=55, h_k5=25, group_type=(5, 5), rank_ambiguous=2)",
+        FixtureEntry(n=55, h_k5=25, group_type=(5, 5), rank_ambiguous=2),
+        FixtureEntry(55, 25, (5, 5), 1),
+        -3795777992995132813,
+    ),
 ]
 
 REPORT_4 = (
@@ -194,6 +203,7 @@ def _fields(record):
             "type_lists",
             "fragments",
         ),
+        FixtureEntry: ("n", "h_k5", "group_type", "rank_ambiguous"),
     }[type(record)]
 
 
@@ -285,3 +295,28 @@ def test_report_is_frozen_compared_by_fields_and_unhashable():
     report.notes.append("changed")
     assert report.notes == ["changed"]
     assert report != build_report(4)
+
+
+def test_verify_summary_is_frozen_compared_by_fields_and_unhashable():
+    entry = FixtureEntry(55, 25, (5, 5), 2)
+    summary = VerifySummary([entry], [{"n": 55, "status": "pass"}])
+    assert repr(summary) == (
+        "VerifySummary(entries=[FixtureEntry(n=55, h_k5=25, group_type=(5, 5),"
+        " rank_ambiguous=2)], rows=[{'n': 55, 'status': 'pass'}])"
+    )
+    assert summary == VerifySummary([entry], [{"n": 55, "status": "pass"}])
+    assert summary != VerifySummary([entry])
+    assert VerifySummary([entry]).rows == []
+    assert VerifySummary([]).rows is not VerifySummary([]).rows
+    with pytest.raises(TypeError):
+        hash(summary)
+    for name in ("entries", "rows"):
+        value = getattr(summary, name)
+        with pytest.raises(AttributeError):
+            setattr(summary, name, value)
+        with pytest.raises(AttributeError):
+            delattr(summary, name)
+        assert getattr(summary, name) is value
+    for twin in (pickle.loads(pickle.dumps(summary)), copy.copy(summary), copy.deepcopy(summary)):
+        assert type(twin) is VerifySummary
+        assert twin == summary and repr(twin) == repr(summary)

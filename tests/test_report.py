@@ -6,7 +6,7 @@ from quintcap import factor, primes
 from quintcap.fixtures import packaged_data_path
 from quintcap.report import REPORT_SCHEMA_ID, build_report, run_report
 
-from conftest import ABOVE_BOUND_BY_TRIAL_DIVISION, BEYOND_OLD_CEILING
+from conftest import ABOVE_BOUND_BY_TRIAL_DIVISION, BEYOND_OLD_CEILING, outcome
 from oracles import report_dict
 
 try:
@@ -139,6 +139,11 @@ def test_report_rejects_bad_input():
         run_report(1)
     with pytest.raises(Exception):
         run_report(32)
+
+
+@pytest.mark.parametrize("fmt", ["xml", "JSON", ""])
+def test_run_report_refuses_an_unknown_format(fmt):
+    assert outcome(run_report, 93, fmt)[:3] == ("raised", ValueError, f"unknown format {fmt!r}")
 
 
 def test_report_rejects_non_integer_radicand():

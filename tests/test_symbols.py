@@ -24,7 +24,7 @@ from quintcap.symbols import (
 )
 
 import oracles
-from conftest import random_cycint
+from conftest import outcome, random_cycint
 
 
 def fifth_power_set(p):
@@ -185,6 +185,24 @@ def test_decomposition_at_lambda_of_lambda_multiples():
         for v in (5, 6):
             with pytest.raises(ValueError, match="fifth-power-free at lambda"):
                 decomposition_type(LAMBDA ** v * u, lam)
+
+
+PI_11 = factor_rational_prime(11).factors[0]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: prime_valuation(CycInt(0), PI_11), "valuation of zero is undefined"),
+        (
+            lambda: decomposition_type(CycInt(11**5), PI_11),
+            "theta must be fifth-power-free at the prime",
+        ),
+    ],
+    ids=["valuation-of-zero", "fifth-power-at-the-prime"],
+)
+def test_symbols_refusals(call, message):
+    assert outcome(call)[:3] == ("raised", ValueError, message)
 
 
 def test_decomposition_rejects_zero(split_11):
