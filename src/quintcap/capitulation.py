@@ -31,7 +31,7 @@ from enum import Enum
 from typing import ClassVar, Iterable
 
 from ._record import Record
-from .classify import RadicandClass, RadicandForm
+from .classify import ADMISSIBLE_RESIDUES, RadicandClass, RadicandForm
 from .cyclotomic import CycInt, congruent_mod_lambda_pow
 from .primes import (
     PrimeElement,
@@ -391,7 +391,7 @@ def possible_types(
 
 # --- the h1 search --------------------------------------------------------
 
-_H1_TARGETS = (1, 7, 18, 24)
+_H1_TARGETS = tuple(sorted(ADMISSIBLE_RESIDUES))
 
 
 class H1SearchExhausted(Exception):

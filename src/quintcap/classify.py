@@ -95,9 +95,6 @@ ADMISSIBLE_RESIDUES = frozenset({1, 7, 18, 24})
 # class outside these five is NO_MATCH.
 SHAPE_RESIDUES = frozenset({0, 1, 5, 7, 18})
 
-# q = +-7 (mod 25) is excluded in the p^e*q shape.
-_EXCLUDED_Q_RESIDUES = frozenset({7, 18})
-
 
 class ClassificationError(ValueError):
     pass
@@ -185,7 +182,8 @@ def _role(c: int, r: int) -> tuple[int, bool]:
         return (_P, True) if r == 1 else (0, False)
     if split:  # p^e*q, and n = q (mod 5)
         return _P, True
-    if r % 5 == c % 5 and r not in _EXCLUDED_Q_RESIDUES:
+    # q = +-7 (mod 25), the admissible residues that are q (mod 5), is excluded.
+    if r % 5 == c % 5 and r not in ADMISSIBLE_RESIDUES:
         return _Q, False
     return 0, False
 

@@ -2,9 +2,10 @@
 
 Elements are stored in the power basis {1, zeta, zeta^2, zeta^3} with
 zeta^4 = -(1 + zeta + zeta^2 + zeta^3), so every element has a unique
-coordinate vector and equality is coordinate equality.  All coordinates are
-arbitrary-precision integers; nothing in this module ever rounds through
-floats.
+coordinate vector and equality is coordinate equality.  A CycInt never
+equals an int, whose hash differs; +, - and * take an int operand as the
+element it names.  All coordinates are arbitrary-precision integers;
+nothing in this module ever rounds through floats.
 
 The ring kernel is straight-line integer code.  A product is one closed
 form reduced mod zeta^4 + zeta^3 + zeta^2 + zeta + 1, and each Galois
@@ -136,8 +137,6 @@ class CycInt:
         return f"CycInt{self._c}"
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = CycInt(other)
         if isinstance(other, CycInt):
             return self._c == other._c
         return NotImplemented
@@ -435,8 +434,7 @@ def lambda_key(x: CycInt, k: int) -> int:
     each a_j is divisible by 5^ceil((k-j)/4).  The key packs the a_j modulo
     those powers, whose product is 5^k, in mixed radix; key 0 is the class of 0.
     """
-    (a0, a1, a2, a3), (m0, m1, m2, m3) = _lambda_coords(x), _key_moduli(k)
-    return a0 % m0 + m0 * (a1 % m1 + m1 * (a2 % m2 + m2 * (a3 % m3)))
+    return lambda_multiple_keys(x, k, (1,))[0]
 
 
 def lambda_multiple_keys(x: CycInt, k: int, scalars: Iterable[int]) -> list[int]:

@@ -160,8 +160,9 @@ class FormalTables(Record):
         }
 
 
-# (form, h1, symbol) -> FormalTables, filled on first use.  h1 is None or
-# 1..4 and the symbol exponent 0..4, so it holds at most 3*5*5 entries.
+# (form, h1, symbol) -> FormalTables, filled on first use.  The symbol
+# exponent is 0..4 and h1 is None for p^e and 1..4 for the other two shapes,
+# so it holds at most 5 + 20 + 20 = 45 entries.
 # Threads that miss the same key at once build equal entries; either may stay.
 _FORMAL_TABLES: dict[tuple[RadicandForm, int | None, int], FormalTables] = {}
 
@@ -187,32 +188,28 @@ def formal_tables(rc: RadicandClass, h1: int | None, symbol: int) -> FormalTable
 
 
 class Report(Record):
-    """One radicand's report.  Its fields are frozen, but primes, notes,
-    normalization and h1 are the report's own lists and dicts; being
-    compared by its fields, which hold lists, it is unhashable."""
+    """One radicand's report.  n is classification.n; a no_match report is
+    Report(classification) and holds nothing else.  primes and notes are
+    tuples, but normalization and h1 are the report's own dicts, and a
+    report, compared by its fields, is unhashable."""
 
     __slots__ = (
-        "n", "classification", "no_match", "primes", "root", "normalization", "h1",
-        "symbol_exponent", "notes", "formal",
+        "classification", "primes", "normalization", "h1", "symbol_exponent", "notes",
+        "formal",
     )
+    __hash__ = None  # type: ignore[assignment]
 
     def __init__(
         self,
-        n: int,
         classification: RadicandClass,
-        no_match: bool,
-        primes: list[PrimeElement] | None = None,
-        root: int | None = None,
+        primes: tuple[PrimeElement, ...] = (),
         normalization: dict[str, Any] | None = None,
         h1: dict[str, Any] | None = None,
         symbol_exponent: int | None = None,
-        notes: list[str] | None = None,
+        notes: tuple[str, ...] = (),
         formal: FormalTables | None = None,
     ) -> None:
-        self._set(
-            n, classification, no_match, [] if primes is None else primes, root,
-            normalization, h1, symbol_exponent, [] if notes is None else notes, formal,
-        )
+        self._set(classification, primes, normalization, h1, symbol_exponent, notes, formal)
 
     def to_json(self) -> str:
         """The report as json.dumps(..., sort_keys=True, indent=2) writes it:
@@ -222,25 +219,27 @@ class Report(Record):
         Only the dicts whose keys vary go through _render, and the formal
         tables come already rendered."""
         rc = self.classification
+        no_match = rc.form is RadicandForm.NO_MATCH
         lines = [
             f'  "classification": {{\n    "e": {_scalar(rc.e)},\n'
             f'    "form": "{rc.form.value}",\n    "p": {_scalar(rc.p)},\n'
             f'    "q": {_scalar(rc.q)},\n    "residue_mod_25": {rc.residue_mod_25}\n  }}',
-            f'  "n": {self.n}',
-            f'  "no_match": {"true" if self.no_match else "false"}',
+            f'  "n": {rc.n}',
+            f'  "no_match": {"true" if no_match else "false"}',
             f'  "schema": "{REPORT_SCHEMA_ID}"',
         ]
-        if not self.no_match:
+        if not no_match:
             assert self.formal is not None
             primes = ",\n".join(map(_prime_json, self.primes))
             ws = self.formal.w_symbol
             lines += self.formal.fragments
             lines += (
                 f'  "conventions": {{\n    "notes": {_render(self.notes, "    ")},\n'
-                f'    "root": {_scalar(self.root)},\n    "unit_scan": {_UNIT_SCAN_JSON}\n  }}',
+                f'    "root": {_scalar(self.primes[0].root)},\n'
+                f'    "unit_scan": {_UNIT_SCAN_JSON}\n  }}',
                 f'  "h1": {_render(self.h1, "  ")}',
                 f'  "normalization": {_render(self.normalization, "  ")}',
-                f'  "primes": [\n{primes}\n  ]' if primes else '  "primes": []',
+                f'  "primes": [\n{primes}\n  ]',
                 f'  "symbol": {_scalar(self.symbol_exponent)}',
                 f'  "w_symbol": "{ws.radical_name}"' if ws else '  "w_symbol": null',
             )
@@ -249,7 +248,7 @@ class Report(Record):
 
     def to_text(self, explain: bool = False) -> str:
         rc = self.classification
-        lines = [f"n = {self.n}"]
+        lines = [f"n = {rc.n}"]
         lines.append(
             f"classification: {rc.form.value}"
             + (f"  p={rc.p}" if rc.p else "")
@@ -257,7 +256,7 @@ class Report(Record):
             + (f" e={rc.e}" if rc.e else "")
             + f"  (n mod 25 = {rc.residue_mod_25})"
         )
-        if self.no_match:
+        if rc.form is RadicandForm.NO_MATCH:
             lines.append("no admissible shape: the (5,5) analysis does not apply")
             return "\n".join(lines)
         if explain:
@@ -278,7 +277,6 @@ class Report(Record):
             lines.append(f"quintic symbol (pi1/pi3): exponent {self.symbol_exponent}")
             if explain:
                 lines.append(_EXPLAIN["symbol"])
-        assert self.formal is not None
         ft, ws = self.formal, self.formal.w_symbol
         x1, x2 = ft.generators
         lines.append("")
@@ -430,39 +428,38 @@ def build_report(n: int) -> Report:
     """Run the whole pipeline for n.  Classification errors propagate."""
     rc = classify_radicand(n)
     if rc.form is RadicandForm.NO_MATCH:
-        return Report(n, rc, True)
+        return Report(rc)
     assert rc.p is not None
     split = _split_prime(rc.p)  # classify_radicand proved p prime
-    primes = list(split.factors)
+    primes = split.factors
     h1: int | None = None
     normalization = section = None
-    notes: list[str] = []
+    notes: tuple[str, ...] = ()
     symbol_argument = split.factors[0].value
     if rc.form is RadicandForm.PRIME_POWER:
         normalization, normalized = _attempt_case1_normalization(split)
         if normalized is not None:
             symbol_argument = normalized
         else:
-            notes.append(
+            notes = (
                 "unit normalization of pi1 to 1 mod lambda^5 is impossible;"
                 " radical words are formal and the symbol uses the stored"
-                " gcd representative"
+                " gcd representative",
             )
     else:
         # classify_radicand proved q prime; q is None exactly for 5^e*p,
         # whose w is lambda.
         w = _split_prime(rc.q or 5).factors[0]
-        primes.append(w)
+        primes += (w,)
         h1, section = _h1_section(rc, split.factors[0], w)
         if section["source"] == "norm_condition":
-            notes.append(
+            notes = (
                 "h1 from the norm-level necessary condition; the stated"
-                " lambda^5 congruence has no witness (see h1.note)"
+                " lambda^5 congruence has no witness (see h1.note)",
             )
     symbol = quintic_symbol(symbol_argument, split.factors[2])
     return Report(
-        n, rc, False, primes, split.root, normalization, section, symbol, notes,
-        formal_tables(rc, h1, symbol),
+        rc, primes, normalization, section, symbol, notes, formal_tables(rc, h1, symbol)
     )
 
 

@@ -640,12 +640,15 @@ def restricted_scan(lo, hi):
 
 def report_dict(report):
     """The report as a JSON object, each key built from the report's fields;
-    the formal part is ``report.formal.json_dict()``."""
+    the formal part is ``report.formal.json_dict()``.  n and no_match come
+    from the classification and the root from p's own fifth roots of unity,
+    not from the primes the report holds."""
     rc = report.classification
+    no_match = rc.form is RadicandForm.NO_MATCH
     out = {
         "schema": REPORT_SCHEMA_ID,
-        "n": report.n,
-        "no_match": report.no_match,
+        "n": rc.n,
+        "no_match": no_match,
         "classification": {
             "form": rc.form.value,
             "p": rc.p,
@@ -654,7 +657,7 @@ def report_dict(report):
             "residue_mod_25": rc.residue_mod_25,
         },
     }
-    if report.no_match:
+    if no_match:
         return out
     ws = report.formal.w_symbol
     out["w_symbol"] = ws.radical_name if ws else None
@@ -673,8 +676,8 @@ def report_dict(report):
     out["symbol"] = report.symbol_exponent
     out.update(report.formal.json_dict())
     out["conventions"] = {
-        "root": report.root,
+        "root": fifth_roots_by_primitive_root(rc.p)[0],
         "unit_scan": UNIT_SCAN,
-        "notes": report.notes,
+        "notes": list(report.notes),
     }
     return out

@@ -710,6 +710,15 @@ def test_non_integer_operands_raise_type_error():
     assert CycInt(7) % 2 == CycInt(7) % CycInt(2)
 
 
+def test_cycint_never_equals_an_int():
+    # Equal objects must hash equal, and hash(CycInt(2)) is not hash(2); the
+    # ring operations still take an int as the element it names.
+    assert CycInt(2) != 2 and 2 != CycInt(2)
+    assert not CycInt(2) == 2 and not 2 == CycInt(2)
+    assert len({2, CycInt(2)}) == 2 and 2 not in {CycInt(2)}
+    assert CycInt(2) == ONE + 1 == 1 + ONE == ONE * 2 == 3 - ONE
+
+
 def test_from_coords_rejects_non_integers():
     # No coordinate is truncated: [1.9, 0, 0, 0] is an error, not CycInt(1).
     for coords in ([1.9, 0, 0, 0], (1, 2, 3, 4.0), [1, Fraction(1, 2), 0, 0], ["1", 0, 0, 0]):

@@ -1,12 +1,13 @@
 """The package's records print, compare, hash and refuse assignment as the
-frozen dataclasses they replaced did; ``Report`` and ``VerifySummary``,
-whose fields hold lists, are unhashable.
+frozen dataclasses they replaced did; ``Report`` and ``VerifySummary`` are
+unhashable.
 
 Every repr, and every hash that does not depend on the string-hash seed, is
 the value the dataclass version gave, but for ``FixtureEntry``, which lost
-its ``label`` field when it became a record.  A hash over an Enum or a string
-changes with the seed, so for those the test pins the dataclass rule: the
-hash of the tuple of the fields.
+its ``label`` field when it became a record, and ``Report``, which lost
+``n``, ``no_match`` and ``root``, the fields that restated others.  A hash
+over an Enum or a string changes with the seed, so for those the test pins
+the dataclass rule: the hash of the tuple of the fields.
 """
 
 import copy
@@ -172,10 +173,9 @@ CASES = [
 ]
 
 REPORT_4 = (
-    "Report(n=4, classification=RadicandClass(n=4, form=<RadicandForm.NO_MATCH:"
-    " 'no_match'>, p=None, q=None, e=0, residue_mod_25=4), no_match=True, primes=[],"
-    " root=None, normalization=None, h1=None, symbol_exponent=None, notes=[],"
-    " formal=None)"
+    "Report(classification=RadicandClass(n=4, form=<RadicandForm.NO_MATCH:"
+    " 'no_match'>, p=None, q=None, e=0, residue_mod_25=4), primes=(),"
+    " normalization=None, h1=None, symbol_exponent=None, notes=(), formal=None)"
 )
 
 
@@ -257,9 +257,9 @@ def test_word_subclasses_freeze_only_the_exponents():
 
 def test_records_keep_their_field_defaults():
     # CASES pins the other defaults through repr.
-    report = Report(4, classify_radicand(4), True)
-    assert report.primes == [] and report.primes is not report.notes
-    assert Report(4, classify_radicand(4), True).primes is not report.primes
+    report = Report(classify_radicand(4))
+    assert report.primes == () and report.notes == ()
+    assert report == build_report(4)
     with pytest.raises(TypeError):
         PrimeElement(CycInt(2), PrimeKind.INERT, 5)
     with pytest.raises(TypeError):
@@ -268,7 +268,7 @@ def test_records_keep_their_field_defaults():
 
 @pytest.mark.parametrize("n", [93, 151, 55, 2111])
 def test_report_survives_pickle(n):
-    # Each shape and a no_match n: the report's fields stay plain lists,
+    # Each shape and a no_match n: the report's fields stay tuples, plain
     # dicts and records, which pickle.
     report = build_report(n)
     twin = pickle.loads(pickle.dumps(report))
@@ -282,8 +282,16 @@ def test_report_is_frozen_compared_by_fields_and_unhashable():
     assert repr(report) == REPORT_4
     assert report == build_report(4)
     assert report != build_report(8)
-    with pytest.raises(TypeError):
-        hash(report)
+    assert Report.__slots__ == (
+        "classification", "primes", "normalization", "h1", "symbol_exponent", "notes",
+        "formal",
+    )
+    # A no_match report holds no dict, yet it is unhashable like the others.
+    for twin in (report, build_report(93)):
+        with pytest.raises(TypeError):
+            hash(twin)
+    full = build_report(93)
+    assert type(full.primes) is tuple and type(full.notes) is tuple
     for name in Report.__slots__:
         value = getattr(report, name)
         with pytest.raises(AttributeError):
@@ -291,10 +299,9 @@ def test_report_is_frozen_compared_by_fields_and_unhashable():
         with pytest.raises(AttributeError):
             delattr(report, name)
         assert getattr(report, name) is value
-    # Its lists are its own to change.
-    report.notes.append("changed")
-    assert report.notes == ["changed"]
-    assert report != build_report(4)
+    # Its dicts are its own to change.
+    full.h1["note"] = "changed"
+    assert full != build_report(93)
 
 
 def test_verify_summary_is_frozen_compared_by_fields_and_unhashable():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from quintcap import factor, primes
+from quintcap.classify import RadicandForm
 from quintcap.fixtures import packaged_data_path
 from quintcap.report import REPORT_SCHEMA_ID, build_report, run_report
 
@@ -62,7 +63,7 @@ def test_schema_validates_reports(schema, reports):
 
 def test_schema_validates_no_match(schema):
     report = build_report(2111)
-    assert report.no_match
+    assert report.classification.form is RadicandForm.NO_MATCH
     jsonschema.validate(json.loads(report.to_json()), schema)
 
 

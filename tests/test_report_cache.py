@@ -39,7 +39,7 @@ def test_cache_is_bounded(reports):
         RadicandForm.PRIME_POWER_TIMES_Q,
         RadicandForm.FIVE_POWER_TIMES_P,
     }
-    assert len(_FORMAL_TABLES) <= 75
+    assert len(_FORMAL_TABLES) <= 45
     for form, h1, symbol in _FORMAL_TABLES:
         assert form is not RadicandForm.NO_MATCH
         assert (h1 is None) == (form is RadicandForm.PRIME_POWER)
@@ -52,7 +52,7 @@ def test_cache_is_bounded(reports):
 def test_no_match_report_adds_no_entry():
     before = dict(_FORMAL_TABLES)
     report = build_report(2111)
-    assert report.no_match and report.formal is None
+    assert report.classification.form is RadicandForm.NO_MATCH and report.formal is None
     assert _FORMAL_TABLES == before
 
 
@@ -75,7 +75,7 @@ def test_changing_one_report_leaves_another_intact(reports):
         by_key.setdefault(_key(report), []).append(report)
     for form in {r.classification.form for r in reports}:
         group = next(g for k, g in by_key.items() if k[0] is form and len(g) > 1)
-        a, b = build_report(group[0].n), build_report(group[1].n)
+        a, b = build_report(group[0].classification.n), build_report(group[1].classification.n)
         json_b, text_b = b.to_json(), b.to_text(explain=True)
         # The shared tables cannot be changed in place.
         with pytest.raises(AttributeError):
@@ -89,14 +89,15 @@ def test_changing_one_report_leaves_another_intact(reports):
         for key in FORMAL_KEYS:
             d[key].clear()
         d["conventions"]["notes"].append("changed")
-        # The per-radicand lists and dicts are the report's own; its
-        # fields cannot be reassigned.
-        a.notes.append("changed")
-        a.primes.pop()
-        (a.normalization or a.h1)["note"] = "changed"
+        # primes and notes are tuples; the normalization and h1 dicts are
+        # the report's own; its fields cannot be reassigned.
+        assert type(a.primes) is tuple and type(a.notes) is tuple
+        assert report_dict(a)["conventions"]["notes"] == list(a.notes)
+        section = "normalization" if a.normalization else "h1"
+        getattr(a, section)["note"] = "changed"
         with pytest.raises(AttributeError):
             a.symbol_exponent = (a.symbol_exponent + 1) % 5
         assert b.to_json() == json_b
         assert b.to_text(explain=True) == text_b
         assert a.to_json() == json.dumps(report_dict(a), sort_keys=True, indent=2)
-        assert json.loads(a.to_json())["conventions"]["notes"][-1] == "changed"
+        assert json.loads(a.to_json())[section]["note"] == "changed"

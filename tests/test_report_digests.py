@@ -3,7 +3,8 @@
 data/report_digests.json holds the sha256 of ``run_report(n, "json")`` and
 of ``run_report(n, "text", explain=True)`` for the corpus rows, 843, 7157
 and 60 seeded random admissible radicands (data/make_report_digests.py
-wrote it before the formal tables were shared between reports).  The
+wrote it before the formal tables were shared between reports); the plain
+text of each row is its explained text without the "  | " lines.  The
 report's fixed-layout writer is checked against the stdlib encoder of
 ``oracles.report_dict`` on those rows and on 300 seeded radicands of every
 kind, and ``_render`` on edge values directly.
@@ -39,6 +40,15 @@ def test_digest_rows_cover_every_shape():
 def test_report_output_matches_digest(row):
     assert _sha(run_report(row["n"], "json")) == row["json"]
     assert _sha(run_report(row["n"], "text", explain=True)) == row["text_explain"]
+
+
+@pytest.mark.parametrize("row", ROWS, ids=lambda row: str(row["n"]))
+def test_plain_text_is_the_pinned_text_without_its_explanations(row):
+    # The CLI's default output: the explained text, pinned above, less its
+    # "  | " lines.
+    explained = run_report(row["n"], "text", explain=True).split("\n")
+    plain = "\n".join(line for line in explained if not line.startswith("  | "))
+    assert run_report(row["n"], "text") == plain
 
 
 def _next_prime(m, residues):
@@ -107,11 +117,11 @@ def test_to_json_matches_stdlib_oracle():
         (RadicandForm.FIVE_POWER_TIMES_P, "norm_condition", None, True),
         (RadicandForm.NO_MATCH, None, None, False),
     }
-    # a report of 93 with empty lists and variable sections
+    # a report of 93 with no notes and an empty h1 section
     full = build_report(93)
     report = Report(
-        93, full.classification, False, [], None, full.normalization, {},
-        full.symbol_exponent, [], full.formal,
+        full.classification, full.primes, full.normalization, {}, full.symbol_exponent, (),
+        full.formal,
     )
     assert report.to_json() == _oracle_json(report)
 
